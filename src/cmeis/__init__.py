@@ -42,7 +42,6 @@ from .field import (
     Setup,
     SetupError,
     TraceSliceElement,
-    different_ideal,
     element_valuation,
     enumerate_trace_slice,
     local_invariant,
@@ -51,11 +50,9 @@ from .field import (
     support,
 )
 from .genus import (
-    LocalNormSeries,
     diff_set,
     genus_char_ideal,
     genus_char_prime,
-    local_norm_series,
     norm_ideal_count,
     orbital_value,
     prime_multiplicity,

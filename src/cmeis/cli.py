@@ -40,8 +40,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-_RECORD_FIELDS = ("m", "x", "alpha", "diff", "a_alpha", "deg_X", "a_alpha_float", "nu")
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -64,21 +62,26 @@ def _display_bits(digits: int) -> int:
     return max(128, 4 * digits + 32)
 
 
+def _record(m, x, alpha, report, float_text):
+    """One output record; ``report`` is None for the numeric-only terms."""
+    exact = report is not None
+    return {
+        "m": m,
+        "x": x,
+        "alpha": [str(alpha.u), str(alpha.v)],
+        "diff": [{"p": q.p, "kind": q.kind} for q in report.diff] if exact else [],
+        "a_alpha": _loglinear_map(report.coefficient) if exact else {},
+        "deg_X": _loglinear_map(report.degree) if exact else {},
+        "a_alpha_float": float_text,
+        "nu": str(report.nu) if exact else "0",
+    }
+
+
 def _slice_record(setup, m, elt, digits, bits):
     report = arakelov_degree(setup, elt.alpha)
     coefficient = report.coefficient
-    return {
-        "m": m,
-        "x": elt.x,
-        "alpha": [str(elt.alpha.u), str(elt.alpha.v)],
-        "diff": [{"p": q.p, "kind": q.kind} for q in report.diff],
-        "a_alpha": _loglinear_map(coefficient),
-        "deg_X": _loglinear_map(report.degree),
-        "a_alpha_float": _float_str(
-            0 if coefficient.is_zero else coefficient.to_float(bits), digits
-        ),
-        "nu": str(report.nu),
-    }
+    value = 0 if coefficient.is_zero else coefficient.to_float(bits)
+    return _record(m, elt.x, elt.alpha, report, _float_str(value, digits))
 
 
 def _mixed_records(setup, m, v1, v2, digits, bits):
@@ -113,44 +116,22 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
             value = mixed_coefficient(setup, alpha, v1, v2, bits)
             if abs(value) < cutoff:
                 continue
-            records.append(
-                {
-                    "m": m,
-                    "x": sx,
-                    "alpha": [str(alpha.u), str(alpha.v)],
-                    "diff": [],
-                    "a_alpha": {},
-                    "deg_X": {},
-                    "a_alpha_float": _float_str(value, digits),
-                    "nu": "0",
-                }
-            )
+            records.append(_record(m, sx, alpha, None, _float_str(value, digits)))
         x += 2
     return sorted(records, key=lambda r: r["x"])
 
 
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
-    """All emitted records, deterministically ordered.
+    """Yield the emitted records in order, one trace m at a time.
 
     Always one record per trace-slice element for 1 <= m <= trace_max.
     With imaginary parts given, also the constant term (m = 0) and the
     mixed-signature terms whose numeric size clears the display cutoff.
     """
     bits = _display_bits(digits)
-    records = []
     if v1 is not None:
-        records.append(
-            {
-                "m": 0,
-                "x": 0,
-                "alpha": ["0", "0"],
-                "diff": [],
-                "a_alpha": {},
-                "deg_X": {},
-                "a_alpha_float": _float_str(constant_term(setup, v1, v2, bits), digits),
-                "nu": "0",
-            }
-        )
+        value = constant_term(setup, v1, v2, bits)
+        yield _record(0, 0, FElem(0, 0), None, _float_str(value, digits))
     for m in range(1, trace_max + 1):
         per_m = [
             _slice_record(setup, m, elt, digits, bits)
@@ -158,8 +139,7 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
         ]
         if v1 is not None:
             per_m.extend(_mixed_records(setup, m, v1, v2, digits, bits))
-        records.extend(sorted(per_m, key=lambda r: r["x"]))
-    return records
+        yield from sorted(per_m, key=lambda r: r["x"])
 
 
 def _emit_json(records, out) -> None:
@@ -222,12 +202,18 @@ def _cmd_degree(args) -> int:
 def _cmd_singular_moduli(args) -> int:
     setup = Setup(args.d1, args.d2)
     report = singular_moduli_check(setup)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # resultants can exceed the default digit cap
+    try:
+        resultant_text = str(report.resultant_abs)
+    finally:
+        sys.set_int_max_str_digits(limit)
     obj = {
         "d1": report.d1,
         "d2": report.d2,
         "h1": report.h1,
         "h2": report.h2,
-        "resultant_abs": str(report.resultant_abs),
+        "resultant_abs": resultant_text,
         "resultant_factorization": {str(p): str(e) for p, e in report.factorization},
         "scale": str(report.scale),
         "degree_side": _loglinear_map(report.degree_side),
@@ -236,7 +222,7 @@ def _cmd_singular_moduli(args) -> int:
         "pass": report.ok,
     }
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def _cmd_verify(args) -> int:

@@ -9,7 +9,8 @@ a single prime p and is represented exactly as a ``LogLinear``.
 Coefficients are computed through two deliberately disjoint paths:
 
 * the closed form 2 * ord * rho * log p attached to the unique
-  obstruction prime (``holomorphic_coefficient``), and
+  obstruction prime (``arakelov_degree``, whose coefficient is also
+  ``holomorphic_coefficient``), and
 * a product-rule assembly of local Whittaker values and the one local
   derivative (``assemble_derivative``), whose per-prime factors are the
   literal finite sums, not the evaluated closed forms.
@@ -39,13 +40,16 @@ import mpmath
 from .exact import GaussianRational, LogLinear, padic_val
 from .field import (
     FElem,
+    FIdealFactored,
     FPrimeIdeal,
     Setup,
     element_valuation,
+    enumerate_trace_slice,
     principal_ideal,
 )
 from .genus import (
     LocalNormSeries,
+    diff_set,
     genus_char_prime,
     norm_ideal_count,
     prime_multiplicity,
@@ -156,17 +160,11 @@ def whittaker_arch(
     )
 
 
-def _obstruction_data(setup: Setup, alpha: FElem):
-    """(ideal alpha*different, obstruction primes) for totally positive alpha."""
+def _index_ideal(setup: Setup, alpha: FElem) -> FIdealFactored:
+    """The factored ideal alpha * (different) of a totally positive index."""
     if alpha.is_zero or not alpha.is_totally_positive(setup.D):
         raise ValueError("expected a nonzero totally positive element")
-    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
-    diff = [
-        prm
-        for prm, e in ideal.entries
-        if e % 2 and genus_char_prime(setup, prm) == -1
-    ]
-    return ideal, sorted(diff, key=lambda q: q.sort_key())
+    return principal_ideal(setup, alpha.times_sqrtD(setup.D))
 
 
 def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
@@ -176,17 +174,7 @@ def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
     single prime P; then 2 * ord_P(alpha*P*D) * rho(alpha*D/P) * log p.
     Independent of the imaginary parts by construction: no v enters.
     """
-    if not alpha.times_sqrtD(setup.D).is_integral(setup.D):
-        if alpha.is_zero or not alpha.is_totally_positive(setup.D):
-            raise ValueError("expected a nonzero totally positive element")
-        return LogLinear.zero()
-    ideal, diff = _obstruction_data(setup, alpha)
-    if len(diff) != 1:
-        return LogLinear.zero()
-    prm = diff[0]
-    assert prm.residue_degree == 1, "obstruction primes have residue degree 1"
-    rho_rest = norm_ideal_count(setup, ideal.times(prm, -1))
-    return LogLinear({prm.p: 2 * (ideal.ord_at(prm) + 1) * rho_rest})
+    return arakelov_degree(setup, alpha).coefficient
 
 
 def mixed_coefficient(setup: Setup, alpha: FElem, v1, v2, precision: int = 53):
@@ -278,23 +266,24 @@ def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
     obstruction prime P; then the locus lives entirely in characteristic
     p with every local ring of length nu = (1/2) ord_P(alpha*P*D), and
 
-        degree = nu * rho(alpha*D/P) * log p.
+        degree = nu * rho(alpha*D/P) * log p,
+
+    while the coefficient is the closed form 4 * degree.
     """
-    ideal, diff = _obstruction_data(setup, alpha)
-    integral = alpha.times_sqrtD(setup.D).is_integral(setup.D)
-    if not integral or len(diff) != 1:
-        coeff = holomorphic_coefficient(setup, alpha)
-        assert coeff.is_zero
-        return DegreeReport(alpha, tuple(diff), coeff, LogLinear.zero(), None, Fraction(0))
+    ideal = _index_ideal(setup, alpha)
+    diff = diff_set(setup, ideal)
+    if not ideal.is_integral or len(diff) != 1:
+        zero = LogLinear.zero()
+        return DegreeReport(alpha, diff, zero, zero, None, Fraction(0))
     prm = diff[0]
+    assert prm.residue_degree == 1, "obstruction primes have residue degree 1"
     nu = Fraction(ideal.ord_at(prm) + 1, 2)
-    rho_rest = norm_ideal_count(setup, ideal.times(prm, -1))
-    degree = LogLinear({prm.p: nu * rho_rest})
+    degree = nu * norm_ideal_count(setup, ideal.times(prm, -1))
     return DegreeReport(
         alpha,
-        tuple(diff),
-        holomorphic_coefficient(setup, alpha),
-        degree,
+        diff,
+        LogLinear({prm.p: 4 * degree}),
+        LogLinear({prm.p: degree}),
         prm,
         nu,
     )
@@ -307,8 +296,6 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     (b) one half of the double sum of per-prime multiplicities.
     The two must agree exactly; the common value is returned.
     """
-    from .field import enumerate_trace_slice
-
     slice_elements = enumerate_trace_slice(setup, m)
     total_a = LogLinear.zero()
     for elt in slice_elements:
@@ -346,7 +333,7 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     """
     if not alpha.times_sqrtD(setup.D).is_integral(setup.D):
         raise ValueError("index is outside the inverse different")
-    _, diff = _obstruction_data(setup, alpha)
+    diff = diff_set(setup, _index_ideal(setup, alpha))
     if len(diff) != 1:
         raise ValueError("assembly needs a single obstruction prime")
     prm = diff[0]
@@ -363,7 +350,8 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> Fracti
     Assembled as (-1) * prod of untouched center values * (-2i)^2 and
     asserted against the closed form 4 * rho(alpha*D/P).
     """
-    ideal, diff = _obstruction_data(setup, alpha)
+    ideal = _index_ideal(setup, alpha)
+    diff = diff_set(setup, ideal)
     if len(diff) != 1 or diff[0] != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
     swapped = whittaker_finite(setup, alpha, prm, section="coherent_swap")
@@ -381,7 +369,8 @@ def coherent_ratio_check(setup: Setup, alpha: FElem) -> bool:
     coherent value) come from separate code paths; the closed-form
     coefficient is compared as well.
     """
-    ideal, diff = _obstruction_data(setup, alpha)
+    ideal = _index_ideal(setup, alpha)
+    diff = diff_set(setup, ideal)
     if len(diff) != 1:
         raise ValueError("identity needs a single obstruction prime")
     prm = diff[0]

@@ -45,7 +45,6 @@ __all__ = [
     "Setup",
     "SetupError",
     "TraceSliceElement",
-    "different_ideal",
     "element_valuation",
     "enumerate_trace_slice",
     "local_invariant",
@@ -336,11 +335,6 @@ def principal_ideal(setup: Setup, beta: FElem) -> FIdealFactored:
                 pairs.append((prm, e))
         assert checksum == padic_val(nrm, p), "valuations disagree with the norm"
     return FIdealFactored.from_pairs(pairs)
-
-
-def different_ideal(setup: Setup) -> FIdealFactored:
-    """The different of F/Q, i.e. the principal ideal (sqrt(D))."""
-    return principal_ideal(setup, FElem(Fraction(0), Fraction(1)))
 
 
 @dataclass(frozen=True)

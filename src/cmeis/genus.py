@@ -17,10 +17,9 @@ as ``LocalNormSeries``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import LogLinear, kronecker
+from .exact import kronecker
 from .field import (
     FElem,
     FIdealFactored,
@@ -36,7 +35,6 @@ __all__ = [
     "genus_char_ideal",
     "genus_char_prime",
     "local_norm_count",
-    "local_norm_series",
     "norm_ideal_count",
     "orbital_value",
     "prime_multiplicity",
@@ -63,23 +61,19 @@ def genus_char_ideal(setup: Setup, ideal: FIdealFactored) -> int:
     return out
 
 
-def diff_set(setup: Setup, alpha: FElem) -> list[FPrimeIdeal]:
-    """Primes of F where the local space fails to represent alpha.
+def diff_set(setup: Setup, ideal: FIdealFactored) -> tuple[FPrimeIdeal, ...]:
+    """Obstruction primes of the factored ideal alpha * (different).
 
-    These are the primes with chi = -1 at which alpha * (different) has
-    odd valuation; the list always has odd length.  alpha need not lie in
-    the inverse different: the character is evaluated on the factored
-    fractional ideal either way.
+    These are the primes with chi = -1 at which the ideal has odd
+    valuation, in ``sort_key`` order.  For totally positive alpha the
+    local space fails to represent alpha exactly there and the set has
+    odd length; the ideal need not be integral.
     """
-    if alpha.is_zero or not alpha.is_totally_positive(setup.D):
-        raise ValueError("diff_set needs a totally positive element")
-    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
-    out = [
+    return tuple(
         prm
         for prm, e in ideal.entries
         if e % 2 and genus_char_prime(setup, prm) == -1
-    ]
-    return sorted(out, key=lambda q: q.sort_key())
+    )
 
 
 def local_norm_count(setup: Setup, ideal: FIdealFactored, prm: FPrimeIdeal) -> int:
@@ -108,8 +102,9 @@ def norm_ideal_count(setup: Setup, ideal: FIdealFactored) -> int:
 class LocalNormSeries:
     """The finite local series sum_{r=0..t} (eps * N^-s)^r at one prime.
 
-    Stored as (p, f, eps, t) with N = p^f; the only consumers are the
-    value and the derivative at s = 0, both exact.
+    Stored as (p, f, eps, t) with N = p^f.  The value at s = 0 and the
+    weighted sum sum r * eps^r, from which the derivative at s = 0 is
+    built, are both exact.
     """
 
     p: int
@@ -117,29 +112,11 @@ class LocalNormSeries:
     eps: int
     t: int
 
-    @property
-    def norm(self) -> int:
-        return self.p**self.f
-
     def value_at_zero(self) -> int:
         return sum(self.eps**r for r in range(self.t + 1))
 
-    def deriv_at_zero(self) -> LogLinear:
-        """Term-by-term derivative: -log(N) * sum r * eps^r."""
-        coeff = -Fraction(self.f) * sum(r * self.eps**r for r in range(self.t + 1))
-        return LogLinear({self.p: coeff})
-
     def weighted_sum(self) -> int:
         return sum(r * self.eps**r for r in range(self.t + 1))
-
-
-def local_norm_series(
-    setup: Setup, ideal: FIdealFactored, prm: FPrimeIdeal
-) -> LocalNormSeries:
-    t = ideal.ord_at(prm)
-    if t < 0:
-        raise ValueError("local series needs a nonnegative exponent")
-    return LocalNormSeries(prm.p, prm.residue_degree, genus_char_prime(setup, prm), t)
 
 
 def _is_valid_reflex(setup: Setup, prm: FPrimeIdeal) -> bool:

@@ -266,7 +266,7 @@ def suite_field(
                 if len(spt) % 2 == 0:
                     ok, detail = False, f"even support for x={e.x}, {setup}"
                     break
-                diff = genus.diff_set(setup, e.alpha)
+                diff = genus.diff_set(setup, e.ideal)
                 if len(diff) == 1 and {diff[0].p} != spt:
                     ok, detail = False, f"support vs obstruction prime mismatch at x={e.x}"
                     break
@@ -430,7 +430,7 @@ def suite_genus(rng: random.Random, *, zeta_max: int = 10_000, slice_trace: int 
     for setup in setups:
         for m in range(1, slice_trace + 1):
             for e in enumerate_trace_slice(setup, m):
-                diff = genus.diff_set(setup, e.alpha)
+                diff = genus.diff_set(setup, e.ideal)
                 if len(diff) % 2 == 0:
                     ok, detail = False, f"even obstruction set at x={e.x}, {setup}"
                     break
@@ -509,7 +509,7 @@ def suite_eisenstein(rng: random.Random, *, trace_max: int = 20, precision: int 
     for setup in setups[:3]:
         for m in range(1, 6):
             for e in enumerate_trace_slice(setup, m):
-                if len(genus.diff_set(setup, e.alpha)) != 1:
+                if len(genus.diff_set(setup, e.ideal)) != 1:
                     continue
                 if not eisenstein.coherent_ratio_check(setup, e.alpha):
                     ok, detail = False, f"coherent ratio failed at x={e.x}, m={m}, {setup}"

@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import cmeis.cli
 import cmeis.genus
 from cmeis.cli import main
+from cmeis.exact import LogLinear
+from cmeis.oracle import PrecisionError
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "coefficient-record-schema-v1.json"
 
@@ -136,6 +141,22 @@ def test_degree_command(capsys):
     assert obj["deg_T_float"].startswith("2.4849066497880")
 
 
+def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
+    original = cmeis.cli.enumerate_trace_slice
+
+    def failing(setup, m):
+        if m == 2:
+            raise PrecisionError("injected at trace 2")
+        return original(setup, m)
+
+    monkeypatch.setattr(cmeis.cli, "enumerate_trace_slice", failing)
+    code, out, err = _run(capsys, "coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
+    assert code == 3
+    assert "injected at trace 2" in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["m"], r["x"]) for r in records] == [(1, -3), (1, -1), (1, 1), (1, 3)]
+
+
 def test_singular_moduli_command(capsys):
     code, out, _ = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
     assert code == 0
@@ -144,6 +165,33 @@ def test_singular_moduli_command(capsys):
     assert obj["resultant_factorization"] == {"3": "3", "5": "3"}
     assert obj["degree_side"] == obj["resultant_side"] == {"3": "2", "5": "2"}
     assert obj["pass"] is True
+
+
+def _patch_singular_moduli_report(monkeypatch, **changes):
+    original = cmeis.cli.singular_moduli_check
+
+    def patched(setup):
+        return dataclasses.replace(original(setup), **changes)
+
+    monkeypatch.setattr(cmeis.cli, "singular_moduli_check", patched)
+
+
+def test_singular_moduli_mismatch_is_exit_1(capsys, monkeypatch):
+    _patch_singular_moduli_report(monkeypatch, degree_side=LogLinear({3: 2}), ok=False)
+    code, out, _ = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["pass"] is False
+    assert obj["degree_side"] != obj["resultant_side"]
+
+
+def test_singular_moduli_prints_long_resultant(capsys, monkeypatch):
+    _patch_singular_moduli_report(monkeypatch, resultant_abs=10**5000)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
+    assert code == 0
+    assert json.loads(out)["resultant_abs"] == "1" + "0" * 5000
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_suite_passes(capsys):

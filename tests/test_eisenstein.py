@@ -107,10 +107,11 @@ def test_coefficient_vanishes_for_long_diff():
     # (-4, -7), trace 3, x = 0: obstructions above 3 (twice) and 7
     s = Setup(-4, -7)
     alpha = FElem(Fraction(3, 2), 0)
-    assert len(diff_set(s, alpha)) == 3
-    assert holomorphic_coefficient(s, alpha) == LogLinear.zero()
     report = arakelov_degree(s, alpha)
-    assert report.degree.is_zero and report.nu == 0 and report.reflex is None
+    assert len(report.diff) == 3
+    assert holomorphic_coefficient(s, alpha) == LogLinear.zero()
+    assert report.coefficient.is_zero and report.degree.is_zero
+    assert report.nu == 0 and report.reflex is None
 
 
 def test_coefficient_vanishes_outside_dual():
@@ -207,7 +208,7 @@ def test_coherent_ratio_identity():
     for s in (S37, S34):
         for m in (1, 2, 3):
             for e in enumerate_trace_slice(s, m):
-                if len(diff_set(s, e.alpha)) == 1:
+                if len(diff_set(s, e.ideal)) == 1:
                     assert coherent_ratio_check(s, e.alpha)
 
 

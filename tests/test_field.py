@@ -9,7 +9,6 @@ from cmeis.field import (
     FIdealFactored,
     Setup,
     SetupError,
-    different_ideal,
     element_valuation,
     enumerate_trace_slice,
     local_invariant,
@@ -135,15 +134,17 @@ def test_principal_ideal_norms_random():
 
 
 def test_different_ideal():
+    # the different of F/Q is (sqrt(D)), of norm D
+    sqrt_d = FElem(0, 1)
     s = Setup(-3, -7)
-    d = different_ideal(s)
+    d = principal_ideal(s, sqrt_d)
     assert {(q.p, e) for q, e in d.entries} == {(3, 1), (7, 1)}
     s34 = Setup(-3, -4)
-    d34 = different_ideal(s34)
+    d34 = principal_ideal(s34, sqrt_d)
     assert {(q.p, e) for q, e in d34.entries} == {(2, 2), (3, 1)}
     for d1, d2 in MATRIX:
         s = Setup(d1, d2)
-        assert different_ideal(s).norm() == s.D
+        assert principal_ideal(s, sqrt_d).norm() == s.D
 
 
 # ---------------------------------------------------------------------------

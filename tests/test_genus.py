@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,20 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmeis.exact import LogLinear, kronecker
+from cmeis.exact import kronecker
 from cmeis.field import (
     FElem,
     FIdealFactored,
     Setup,
     enumerate_trace_slice,
     prime_ideals_above,
+    principal_ideal,
 )
 from cmeis.genus import (
     LocalNormSeries,
     diff_set,
     genus_char_ideal,
     genus_char_prime,
-    local_norm_series,
     norm_ideal_count,
     orbital_value,
     prime_multiplicity,
@@ -83,14 +84,18 @@ def test_chi_invariant_under_split_norms():
 # obstruction sets
 
 
+def _index_ideal(setup, alpha):
+    return principal_ideal(setup, alpha.times_sqrtD(setup.D))
+
+
 def test_diff_set_examples():
     s = Setup(-3, -7)
     alpha = FElem(Fraction(1, 2), Fraction(1, 42))
-    diff = diff_set(s, alpha)
+    diff = diff_set(s, _index_ideal(s, alpha))
     assert [(q.p, q.kind) for q in diff] == [(5, "split_minus")]
     s34 = Setup(-3, -4)
     alpha0 = FElem(Fraction(1, 2), Fraction(0))
-    diff34 = diff_set(s34, alpha0)
+    diff34 = diff_set(s34, _index_ideal(s34, alpha0))
     assert [(q.p, q.kind) for q in diff34] == [(3, "ramified")]
 
 
@@ -99,13 +104,25 @@ def test_diff_set_odd_everywhere():
         s = Setup(d1, d2)
         for m in (1, 2, 3, 4):
             for e in enumerate_trace_slice(s, m):
-                assert len(diff_set(s, e.alpha)) % 2 == 1
+                assert len(diff_set(s, e.ideal)) % 2 == 1
 
 
-def test_diff_set_rejects_mixed_signature():
+def test_diff_set_even_for_mixed_signature():
+    # chi((sqrt(D)*alpha)) is the product of the signs of sqrt(D)*alpha, so
+    # with one archimedean obstruction the finite set has even length
     s = Setup(-3, -7)
-    with pytest.raises(ValueError):
-        diff_set(s, FElem(Fraction(1, 2), Fraction(-5, 42)))
+    assert diff_set(s, _index_ideal(s, FElem(Fraction(1, 2), Fraction(-5, 42)))) == ()
+    for d1, d2 in ((-3, -7), (-4, -7), (-7, -8)):
+        s = Setup(d1, d2)
+        D = s.D
+        for m in (1, 2, 3):
+            x = math.isqrt(m * m * D) + 1
+            for sx in range(x, x + 40):
+                if sx % 2 != (m * D) % 2:
+                    continue
+                alpha = FElem(Fraction(m, 2), Fraction(sx, 2 * D))
+                assert alpha.embedding_sign(D, 1) * alpha.embedding_sign(D, 2) < 0
+                assert len(diff_set(s, _index_ideal(s, alpha))) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +163,9 @@ def test_local_norm_series_values():
     assert LocalNormSeries(5, 1, 1, 0).value_at_zero() == 1
     s_neg = LocalNormSeries(5, 1, -1, 1)
     assert s_neg.value_at_zero() == 0
-    assert s_neg.deriv_at_zero() == LogLinear({5: 1})
+    assert s_neg.weighted_sum() == -1
     assert LocalNormSeries(5, 1, 1, 2).value_at_zero() == 3
-    # inert norms carry the doubled log
-    assert LocalNormSeries(2, 2, -1, 1).deriv_at_zero() == LogLinear({2: 2})
-
-
-def test_local_norm_series_from_ideal():
-    s = Setup(-3, -7)
-    minus5 = _ideal(s, (5, "split_minus", 1))
-    series = local_norm_series(s, minus5, minus5.entries[0][0])
-    assert (series.eps, series.t, series.norm) == (-1, 1, 5)
-    with pytest.raises(ValueError):
-        local_norm_series(s, _ideal(s, (5, "split_minus", -1)), minus5.entries[0][0])
+    assert LocalNormSeries(5, 1, 1, 2).weighted_sum() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +197,11 @@ def test_orbital_value_rejects_bad_reflex():
 
 
 def test_orbital_product_matches_rho():
-    from cmeis.field import principal_ideal
-
     for d1, d2 in ((-3, -7), (-4, -7), (-7, -8)):
         s = Setup(d1, d2)
         for m in (1, 2, 3):
             for e in enumerate_trace_slice(s, m):
-                diff = diff_set(s, e.alpha)
+                diff = diff_set(s, e.ideal)
                 if len(diff) != 1:
                     continue
                 prm = diff[0]
