@@ -19,13 +19,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 import mpmath
 
 from .eisenstein import (
-    arakelov_degree,
+    _degree_report,
     constant_term,
     mixed_coefficient,
     trace_degree,
@@ -78,7 +79,7 @@ def _record(m, x, alpha, report, float_text):
 
 
 def _slice_record(setup, m, elt, digits, bits):
-    report = arakelov_degree(setup, elt.alpha)
+    report = _degree_report(setup, elt.alpha, elt.ideal)
     coefficient = report.coefficient
     value = 0 if coefficient.is_zero else coefficient.to_float(bits)
     return _record(m, elt.x, elt.alpha, report, _float_str(value, digits))
@@ -295,7 +296,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that quit early (``| head``) shows up here
+        return code
+    except BrokenPipeError:  # not an error; also silence the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SetupError as exc:
         sys.stderr.write(f"setup error: {exc}\n")
         return EXIT_USAGE

@@ -259,6 +259,23 @@ class DegreeReport:
     nu: Fraction
 
 
+def _degree_report(setup: Setup, alpha: FElem, ideal: FIdealFactored) -> DegreeReport:
+    """``arakelov_degree`` of alpha, given its factored ideal alpha * (different)."""
+    diff = diff_set(setup, ideal)
+    if not ideal.is_integral or len(diff) != 1:
+        zero = LogLinear.zero()
+        return DegreeReport(alpha, diff, zero, zero, None, Fraction(0))
+    prm = diff[0]
+    if prm.residue_degree != 1:
+        raise AssertionError("obstruction primes have residue degree 1")
+    nu = Fraction(ideal.ord_at(prm) + 1, 2)
+    # rho(ideal / P): P's own factor is 1 (chi(P) = -1, even exponent left)
+    rest = FIdealFactored(tuple(entry for entry in ideal.entries if entry[0] != prm))
+    degree = nu * norm_ideal_count(setup, rest)
+    coefficient = LogLinear._unchecked({prm.p: 4 * degree})
+    return DegreeReport(alpha, diff, coefficient, LogLinear._unchecked({prm.p: degree}), prm, nu)
+
+
 def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
     """Length- and automorphism-weighted point count, as a LogLinear.
 
@@ -270,23 +287,7 @@ def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
 
     while the coefficient is the closed form 4 * degree.
     """
-    ideal = _index_ideal(setup, alpha)
-    diff = diff_set(setup, ideal)
-    if not ideal.is_integral or len(diff) != 1:
-        zero = LogLinear.zero()
-        return DegreeReport(alpha, diff, zero, zero, None, Fraction(0))
-    prm = diff[0]
-    assert prm.residue_degree == 1, "obstruction primes have residue degree 1"
-    nu = Fraction(ideal.ord_at(prm) + 1, 2)
-    degree = nu * norm_ideal_count(setup, ideal.times(prm, -1))
-    return DegreeReport(
-        alpha,
-        diff,
-        LogLinear({prm.p: 4 * degree}),
-        LogLinear({prm.p: degree}),
-        prm,
-        nu,
-    )
+    return _degree_report(setup, alpha, _index_ideal(setup, alpha))
 
 
 def trace_degree(setup: Setup, m: int) -> LogLinear:
@@ -294,19 +295,20 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
 
     (a) sum of per-index degrees over the trace slice;
     (b) one half of the double sum of per-prime multiplicities.
-    The two must agree exactly; the common value is returned.
+    The two must agree exactly, else AssertionError; the common value is returned.
     """
     slice_elements = enumerate_trace_slice(setup, m)
     total_a = LogLinear.zero()
     for elt in slice_elements:
-        total_a = total_a + arakelov_degree(setup, elt.alpha).degree
+        total_a = total_a + _degree_report(setup, elt.alpha, elt.ideal).degree
     total_b = LogLinear.zero()
     for elt in slice_elements:
         for p in elt.ideal.rational_primes():
             fp = prime_multiplicity(setup, elt.ideal, p)
             if fp:
                 total_b = total_b + LogLinear({p: Fraction(fp, 2)})
-    assert total_a == total_b, "slice decomposition disagrees with multiplicity sums"
+    if total_a != total_b:
+        raise AssertionError("slice decomposition disagrees with multiplicity sums")
     return total_a
 
 

@@ -376,6 +376,12 @@ class GaussianRational:
         return bool(self.re or self.im)
 
 
+@lru_cache(maxsize=1 << 10)
+def _log_prime(p: int, precision: int):
+    with mpmath.mp.workprec(precision):
+        return mpmath.log(p)
+
+
 class LogLinear:
     """Exact value of the form sum_p c_p * log p.
 
@@ -451,7 +457,7 @@ class LogLinear:
         with mpmath.mp.workprec(precision):
             total = mpmath.mpf(0)
             for p, c in self._terms.items():
-                total += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
+                total += mpmath.mpf(c.numerator) / c.denominator * _log_prime(p, precision)
             return +total
 
     def __repr__(self) -> str:

@@ -18,7 +18,9 @@ real embeddings positive are exactly
 writing sqrt(D)*alpha = (x + m*sqrt(D))/2, integrality forces x integral
 of the displayed parity, trace(alpha) = m, and total positivity is
 |x| < m*sqrt(D).  The attached integral ideal is (sqrt(D)*alpha), of
-absolute norm (m^2*D - x^2)/4.
+absolute norm n = (m^2*D - x^2)/4.  The slice factors it from the
+integers (m, x, n) alone: one factor(n), ord_p(n) at inert and ramified
+p, ord_p(x +/- m*r) at split p (r a root of D mod a power of p).
 """
 
 from __future__ import annotations
@@ -282,39 +284,43 @@ class FIdealFactored:
         return " * ".join(f"{prm!r}^{e}" if e != 1 else f"{prm!r}" for prm, e in self.entries)
 
 
+def _split_valuation(D: int, a: int, b: int, t: int, prm: FPrimeIdeal) -> int:
+    """min(ord_p(a +/- b*r), t) at a split prime, t = ord_p(a^2 - D*b^2).
+
+    r is the canonical root lifted to p^(t+2); the cap is exact because the
+    split valuations of the integral a + b*sqrt(D) are nonnegative, sum t.
+    """
+    if t == 0:
+        return 0
+    pk = prm.p ** (t + 2)
+    r = sqrt_mod_prime_power(D, prm.p, t + 2)
+    res = (a + b * r) % pk if prm.kind == "split_plus" else (a - b * r) % pk
+    return t if res == 0 else min(padic_val(res, prm.p), t)
+
+
 @lru_cache(maxsize=1 << 16)
 def element_valuation(setup: Setup, beta: FElem, prm: FPrimeIdeal) -> int:
     """ord of beta at a prime of F.
 
     Inert and ramified primes read the valuation off the norm.  At a split
-    prime the element is cleared to a + b*sqrt(D) with integer a, b, the
-    canonical root is lifted to p^(t+2) where t = ord_p(norm) of the
-    cleared element (one guard digit beyond need), and the valuation is
-    min(ord_p(a +/- b*r), t); the cap t is exact because the two split
-    valuations are nonnegative and sum to t.
+    prime the element is cleared to a + b*sqrt(D) with integer a, b and
+    handed to ``_split_valuation``.
     """
     if beta.is_zero:
         raise ValueError("valuation of 0")
     p = prm.p
     if prm.kind == "inert":
         t = padic_val(beta.norm(setup.D), p)
-        assert t % 2 == 0, "odd norm valuation at an inert prime"
+        if t % 2:
+            raise AssertionError("odd norm valuation at an inert prime")
         return t // 2
     if prm.kind == "ramified":
         return padic_val(beta.norm(setup.D), p)
     den = math.lcm(beta.u.denominator, beta.v.denominator)
     a = int(beta.u * den)
     b = int(beta.v * den)
-    nrm = a * a - setup.D * b * b  # nonzero: D is not a square
-    t = padic_val(nrm, p)
-    if t == 0:
-        val = 0
-    else:
-        k = t + 2
-        r = sqrt_mod_prime_power(setup.D, p, k)
-        pk = p**k
-        res = (a + b * r) % pk if prm.kind == "split_plus" else (a - b * r) % pk
-        val = t if res == 0 else min(padic_val(res, p), t)
+    t = padic_val(a * a - setup.D * b * b, p)  # nonzero: D is not a square
+    val = _split_valuation(setup.D, a, b, t, prm)
     return val - padic_val(den, p) if den > 1 else val
 
 
@@ -333,7 +339,8 @@ def principal_ideal(setup: Setup, beta: FElem) -> FIdealFactored:
             checksum += e * prm.residue_degree
             if e:
                 pairs.append((prm, e))
-        assert checksum == padic_val(nrm, p), "valuations disagree with the norm"
+        if checksum != padic_val(nrm, p):
+            raise AssertionError("valuations disagree with the norm")
     return FIdealFactored.from_pairs(pairs)
 
 
@@ -347,21 +354,39 @@ class TraceSliceElement:
     ideal: FIdealFactored  # (sqrt(D) * alpha), integral of norm n
 
 
+def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
+    """Factor ((x + m*sqrt(D))/2), of norm n, in integers; entries in sort_key order."""
+    entries = []
+    for p, e in factor(n):
+        checksum = 0
+        for prm in prime_ideals_above(setup, p):
+            if prm.kind == "inert":
+                if e % 2:
+                    raise AssertionError("odd norm valuation at an inert prime")
+                v = e // 2
+            elif prm.kind == "ramified":
+                v = e
+            else:  # x + m*sqrt(D) has norm -4n; take off ord_P(2)
+                v = _split_valuation(setup.D, x, m, e + 2 * (p == 2), prm) - (p == 2)
+            checksum += v * prm.residue_degree
+            if v:
+                entries.append((prm, v))
+        if checksum != e:
+            raise AssertionError("valuations disagree with the norm")
+    return FIdealFactored(tuple(entries))
+
+
 def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
     """All totally positive alpha in the trace dual with trace m, by x."""
     if m < 1:
         raise ValueError("trace must be a positive integer")
     D = setup.D
     xmax = math.isqrt(m * m * D - 1)
-    parity = (m * D) % 2
     out = []
-    for x in range(-xmax, xmax + 1):
-        if x % 2 != parity:
-            continue
-        alpha = FElem(Fraction(m, 2), Fraction(x, 2 * D))
-        gen = alpha.times_sqrtD(D)  # (x + m*sqrt(D)) / 2
+    for x in range(-xmax + (xmax - m * D) % 2, xmax + 1, 2):
         n = (m * m * D - x * x) // 4
-        out.append(TraceSliceElement(alpha, x, n, principal_ideal(setup, gen)))
+        alpha = FElem(Fraction(m, 2), Fraction(x, 2 * D))
+        out.append(TraceSliceElement(alpha, x, n, _slice_ideal(setup, m, x, n)))
     return out
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "diff_set",
     "genus_char_ideal",
     "genus_char_prime",
-    "local_norm_count",
     "norm_ideal_count",
     "orbital_value",
     "prime_multiplicity",
@@ -76,23 +75,13 @@ def diff_set(setup: Setup, ideal: FIdealFactored) -> tuple[FPrimeIdeal, ...]:
     )
 
 
-def local_norm_count(setup: Setup, ideal: FIdealFactored, prm: FPrimeIdeal) -> int:
-    """Local factor of rho at one prime (0 on a negative exponent)."""
-    e = ideal.ord_at(prm)
-    if e < 0:
-        return 0
-    if genus_char_prime(setup, prm) == 1:
-        return e + 1
-    return 1 if e % 2 == 0 else 0
-
-
 def norm_ideal_count(setup: Setup, ideal: FIdealFactored) -> int:
     """Number of integral ideals of K with relative norm the given ideal."""
     if not ideal.is_integral:
         return 0
     out = 1
-    for prm, _ in ideal.entries:
-        out *= local_norm_count(setup, ideal, prm)
+    for prm, e in ideal.entries:
+        out *= e + 1 if genus_char_prime(setup, prm) == 1 else 1 - e % 2
         if out == 0:
             return 0
     return out

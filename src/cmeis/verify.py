@@ -36,6 +36,7 @@ from .field import (
     enumerate_trace_slice,
     local_invariant,
     prime_ideals_above,
+    principal_ideal,
     support,
 )
 
@@ -248,6 +249,7 @@ def suite_field(
                     or not e.alpha.is_totally_positive(setup.D)
                     or not gen.is_integral(setup.D)
                     or e.ideal.norm() != e.n
+                    or e.ideal != principal_ideal(setup, gen)
                 ):
                     ok, detail = False, f"slice invariants failed at x={e.x}, {setup}"
                     break

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,11 +11,14 @@ import pytest
 
 import cmeis.cli
 import cmeis.genus
-from cmeis.cli import main
+from cmeis.cli import coefficient_records, main
+from cmeis.eisenstein import trace_degree
 from cmeis.exact import LogLinear
+from cmeis.field import Setup, element_valuation, principal_ideal
 from cmeis.oracle import PrecisionError
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "coefficient-record-schema-v1.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "docs" / "coefficient-record-schema-v1.json"
 
 
 def _run(capsys, *argv):
@@ -155,6 +160,34 @@ def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
     assert "injected at trace 2" in err
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["m"], r["x"]) for r in records] == [(1, -3), (1, -1), (1, 1), (1, 3)]
+
+
+def test_coeffs_into_a_closed_pipe_is_quiet():
+    # like `cmeis coeffs ... | head -1`: the reader leaves after one line
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmeis.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert json.loads(proc.stdout.readline())["m"] == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_slice_path_skips_the_felem_factorization():
+    # coeffs and degree factor each slice ideal from integers only
+    setup = Setup(-7, -23)
+    principal_ideal.cache_clear()
+    element_valuation.cache_clear()
+    list(coefficient_records(setup, 5))
+    trace_degree(setup, 5)
+    assert principal_ideal.cache_info().misses == 0
+    assert element_valuation.cache_info().misses == 0
 
 
 def test_singular_moduli_command(capsys):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -166,6 +170,31 @@ def test_trace_degree_both_paths_small():
     for s in (S37, S34, Setup(-7, -8)):
         for m in range(1, 8):
             trace_degree(s, m)  # internal assertion compares both routes
+
+
+_SABOTAGE = """
+import cmeis.eisenstein
+if __debug__:
+    raise SystemExit("asserts are still on")
+cmeis.eisenstein.prime_multiplicity = lambda *args: 0
+try:
+    cmeis.eisenstein.trace_degree(cmeis.eisenstein.Setup(-3, -7), 1)
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit("trace_degree returned with path (b) broken")
+"""
+
+
+def test_trace_degree_check_survives_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

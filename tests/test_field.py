@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cmeis.field
 from cmeis.exact import factor, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
     Setup,
     SetupError,
+    _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
     local_invariant,
@@ -163,7 +168,7 @@ def test_trace_slice_examples():
 
 
 def test_trace_slice_invariants():
-    for d1, d2 in MATRIX[:5]:
+    for d1, d2 in MATRIX[:5] + [(-7, -23)]:  # 2 splits in F for (-7, -23)
         s = Setup(d1, d2)
         for m in (1, 2, 3, 7):
             elems = enumerate_trace_slice(s, m)
@@ -177,6 +182,42 @@ def test_trace_slice_invariants():
                 assert gen.is_integral(s.D)
                 assert (e.x - m * s.D) % 2 == 0
                 assert e.ideal.norm() == e.n == abs(gen.norm(s.D))
+                assert e.ideal == principal_ideal(s, gen)
+
+
+@st.composite
+def _slice_indices(draw):
+    """(setup, m, x) for an admissible slice index, often scaled by a common
+    factor g so that primes dividing gcd(x, m) get exercised."""
+    s = Setup(*draw(st.sampled_from(MATRIX)))
+    m0 = draw(st.integers(1, 12))
+    xmax = math.isqrt(m0 * m0 * s.D - 1)
+    first = -xmax + (xmax - m0 * s.D) % 2
+    x0 = first + 2 * draw(st.integers(0, (xmax - first) // 2))
+    g = draw(st.sampled_from((1, 1, 2, 3, 5, 7, 23)))
+    return s, g * m0, g * x0
+
+
+# (-7, -23): D = 161 = 1 mod 8, so 2 splits; 2 | gcd(x, m) and 5 | gcd(x, m)
+@example((Setup(-7, -23), 1, 1))
+@example((Setup(-7, -23), 2, 6))
+@example((Setup(-7, -23), 4, 12))
+@example((Setup(-7, -23), 5, 5))
+@example((Setup(-3, -11), 2, 2))
+@settings(max_examples=300, deadline=None)
+@given(_slice_indices())
+def test_slice_ideal_matches_principal_ideal(index):
+    s, m, x = index
+    n = (m * m * s.D - x * x) // 4
+    gen = FElem(Fraction(x, 2), Fraction(m, 2))
+    assert _slice_ideal(s, m, x, n) == principal_ideal(s, gen)
+
+
+def test_slice_ideal_checksum_can_fail(monkeypatch):
+    # a wrong split valuation must trip the norm checksum
+    monkeypatch.setattr(cmeis.field, "_split_valuation", lambda *args: 0)
+    with pytest.raises(AssertionError):
+        enumerate_trace_slice(Setup(-7, -23), 1)
 
 
 def test_trace_slice_rejects_bad_m():
