@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exact import LogLinear, factor, kronecker
+from .exact import LogLinear, _small_primes, kronecker
 from .field import Setup, _is_fundamental_discriminant
 
 __all__ = [
@@ -110,29 +110,30 @@ def _poly_mul_trunc(a, b, N):
     return out
 
 
-@lru_cache(maxsize=8)
 def _eta24_coeffs(N: int) -> tuple[int, ...]:
     """Coefficients of prod_{n>=1} (1 - q^n)^24 up to q^N.
 
-    The single product is sparse by the pentagonal number theorem; the
-    24th power is four squarings and one multiply.
+    The single product f is sparse by the pentagonal number theorem, and
+    its power g = f^24 follows from f g' = 24 f' g (J. C. P. Miller's
+    recurrence): n g_n = sum_{i>=1} (25 i - n) f_i g_{n-i}, exact over Z.
     """
-    base = [0] * (N + 1)
-    base[0] = 1
+    sparse = []  # (i, f_i) for the nonzero f_i, i >= 1, in increasing i
     k = 1
     while k * (3 * k - 1) // 2 <= N:
         sign = -1 if k % 2 else 1
-        g = k * (3 * k - 1) // 2
-        base[g] += sign
-        g = k * (3 * k + 1) // 2
-        if g <= N:
-            base[g] += sign
+        sparse.append((k * (3 * k - 1) // 2, sign))
+        if k * (3 * k + 1) // 2 <= N:
+            sparse.append((k * (3 * k + 1) // 2, sign))
         k += 1
-    p2 = _poly_mul_trunc(base, base, N)
-    p4 = _poly_mul_trunc(p2, p2, N)
-    p8 = _poly_mul_trunc(p4, p4, N)
-    p16 = _poly_mul_trunc(p8, p8, N)
-    return tuple(_poly_mul_trunc(p16, p8, N))
+    g = [1] + [0] * N
+    for n in range(1, N + 1):
+        acc = 0
+        for i, fi in sparse:
+            if i > n:
+                break
+            acc += (25 * i - n) * fi * g[n - i]
+        g[n] = acc // n
+    return tuple(g)
 
 
 @lru_cache(maxsize=8)
@@ -145,9 +146,9 @@ def _e4_coeffs(N: int) -> tuple[int, ...]:
     return tuple([1] + [240 * s3[n] for n in range(1, N + 1)])
 
 
-@lru_cache(maxsize=8)
-def _j_coeffs(N: int) -> tuple[int, ...]:
-    """cs[i] = integer coefficient of q^(i-1) of the modular j-function.
+@lru_cache(maxsize=None)
+def _j_table(N: int) -> tuple[int, ...]:
+    """cs[i] = integer coefficient of q^(i-1) of the modular j-function, i <= N.
 
     Solved from j * Delta = E4^3 by the division recurrence; the Delta
     series is monic in q so everything stays over Z.  (Spot values
@@ -163,6 +164,15 @@ def _j_coeffs(N: int) -> tuple[int, ...]:
             acc -= cs[k + 1] * tau[n - k - 1]
         cs[n] = acc
     return tuple(cs)
+
+
+def _j_coeffs(N: int) -> tuple[int, ...]:
+    """The first N + 1 coefficients of ``_j_table``.
+
+    They do not depend on where the series is truncated, so every N is
+    sliced off one table built at the next power of two.
+    """
+    return _j_table(1 << (N - 1).bit_length())[: N + 1]
 
 
 def _series_length(log_inv_q: float, bits: int) -> int:
@@ -182,13 +192,35 @@ def _horner(coeffs, q):
     return total
 
 
+def _pentagonal(q, N: int):
+    """prod_{n=1}^{N} (1 - q^n) up to O(q^(N+1)), by Euler's pentagonal theorem.
+
+    The product is 1 + sum_{k>=1} (-1)^k q^(k(3k-1)/2) (1 + q^k), so it
+    takes O(sqrt N) multiplications instead of N.
+    """
+    total = mpmath.mpc(1)
+    q3 = q * q * q
+    step = q  # q^(3k-2), the gap between consecutive pentagonal exponents
+    qg = mpmath.mpc(1)  # q^(k(3k-1)/2)
+    qk = mpmath.mpc(1)  # q^k
+    k = 1
+    while k * (3 * k - 1) // 2 <= N:
+        qg *= step
+        qk *= q
+        term = qg * (1 + qk)
+        total += -term if k % 2 else term
+        step *= q3
+        k += 1
+    return total
+
+
 def j_value(form: ReducedForm, precision: int):
     """j at the CM point of the form, with a two-route agreement check.
 
-    Route one: E4(q)^3 over the eta-product (1 - q^n) taken literally to
-    the 24th power.  Route two: the integer q-series of j itself obtained
-    by series division.  The two must agree to 2^(16 - precision)
-    relatively, else ``PrecisionError``.
+    Route one: E4(q)^3 over q times the 24th power of the eta-product
+    prod (1 - q^n), summed by the pentagonal theorem.  Route two: the
+    integer q-series of j itself obtained by series division.  The two
+    must agree to 2^(16 - precision) relatively, else ``PrecisionError``.
     """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
@@ -204,12 +236,7 @@ def j_value(form: ReducedForm, precision: int):
             mpmath.mpc(-mpmath.pi * rtd / form.a, -mpmath.pi * form.b / form.a)
         )
         e4 = _horner(_e4_coeffs(N), q)
-        eta = mpmath.mpc(1)
-        qn = mpmath.mpc(1)
-        for _ in range(N):
-            qn *= q
-            eta *= 1 - qn
-        j_quotient = e4**3 / (q * eta**24)
+        j_quotient = e4**3 / (q * _pentagonal(q, N) ** 24)
         j_series = _horner(_j_coeffs(N), q) / q
         tol = mpmath.mpf(2) ** (16 - precision)
         if abs(j_quotient - j_series) > tol * max(1, abs(j_quotient)):
@@ -234,23 +261,45 @@ def class_poly_start_precision(d: int) -> int:
     return max(128, math.ceil(est) + 64)
 
 
+def _times_monic(coeffs, low):
+    """coeffs * (X^k + low[k-1] X^(k-1) + ... + low[0]), ascending lists."""
+    out = [mpmath.mpc(0)] * len(low) + coeffs
+    for i, c in enumerate(coeffs):
+        for k, lk in enumerate(low):
+            out[i + k] += lk * c
+    return out
+
+
+# d -> (the lowest precision that certified it, its class polynomial)
+_CLASS_POLYS: dict[int, tuple[int, list[int]]] = {}
+
+
 def hilbert_class_poly(d: int, precision: int) -> list[int]:
     """Monic integer class polynomial of d, ascending coefficients.
 
     Every coefficient must round to an integer from within 1/4 (real and
     imaginary distance), else ``PrecisionError`` -- the caller retries at
-    doubled precision.
+    doubled precision.  A conjugate pair of forms (a, +-b, c) takes one
+    j-value and contributes X^2 - 2 Re(j) X + |j|^2.  Once certified, the
+    polynomial is kept per d and a fresh copy is returned for any request
+    at that precision or above; a lower request recomputes, so it can
+    still fail.
     """
+    known = _CLASS_POLYS.get(d)
+    if known is not None and known[0] <= precision:
+        return list(known[1])
     forms = class_reps(d)
     with mpmath.mp.workprec(precision + 48):
         coeffs = [mpmath.mpc(1)]
         for form in forms:
+            if form.b < 0:
+                continue  # the conjugate of (a, -b, c), taken with it
             j = j_value(form, precision)
-            shifted = [mpmath.mpc(0)] + coeffs
-            coeffs = [
-                shifted[i] - (j * coeffs[i] if i < len(coeffs) else 0)
-                for i in range(len(shifted))
-            ]
+            if 0 < form.b < form.a < form.c:
+                low = [j.real * j.real + j.imag * j.imag, -2 * j.real]
+            else:
+                low = [-j]
+            coeffs = _times_monic(coeffs, low)
         out = []
         for c in coeffs:
             nearest = mpmath.nint(c.real)
@@ -259,8 +308,14 @@ def hilbert_class_poly(d: int, precision: int) -> list[int]:
                     f"class polynomial coefficient for d={d} failed to round"
                 )
             out.append(int(nearest))
-    assert out[-1] == 1 and len(out) == len(forms) + 1
-    return out
+    if out[-1] != 1 or len(out) != len(forms) + 1:
+        raise ArithmeticError(
+            f"class polynomial for d={d} is not monic of degree {len(forms)}"
+        )
+    if known is not None and known[1] != out:
+        raise ArithmeticError(f"two certified class polynomials for d={d} differ")
+    _CLASS_POLYS[d] = (precision, out)
+    return list(out)
 
 
 def poly_eval(coeffs, x):
@@ -541,8 +596,27 @@ def singular_moduli_check(setup: Setup, precision: int | None = None) -> Singula
     else:
         raise PrecisionError("class polynomials failed at every precision tried")
     res = resultant(h_poly_1, h_poly_2)
-    assert res != 0, "class polynomials of distinct fields share a root"
-    fac = factor(abs(res))
+    if res == 0:
+        raise ArithmeticError(
+            f"class polynomials of {setup.d1} and {setup.d2} share a root"
+        )
+    # Gross-Zagier: every prime of the resultant is at most |d1 d2| / 4,
+    # so trial division up to that bound is a complete factorization
+    bound = abs(setup.d1 * setup.d2) // 4
+    rest = abs(res)
+    fac = []
+    for p in _small_primes(bound):
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            fac.append((p, e))
+    if rest != 1:
+        raise ArithmeticError(
+            f"resultant for ({setup.d1}, {setup.d2}) leaves a {rest.bit_length()}-bit"
+            f" cofactor with no prime factor up to the Gross-Zagier bound {bound}"
+        )
     scale = Fraction(8, setup.w1 * setup.w2)
     resultant_side = LogLinear({p: scale * e for p, e in fac})
     degree_side = trace_degree(setup, 1)

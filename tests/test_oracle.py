@@ -1,13 +1,22 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import cmeis.oracle as oracle
+from cmeis.cli import main
 from cmeis.exact import kronecker
 from cmeis.field import Setup
 from cmeis.oracle import (
+    PrecisionError,
     ReducedForm,
     class_number,
     class_poly_start_precision,
@@ -21,6 +30,8 @@ from cmeis.oracle import (
     resultant,
     singular_moduli_check,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +97,45 @@ def test_j_series_constants():
     assert cs[3] == 21493760
 
 
+def test_j_coeffs_slice_matches_fresh_recurrence():
+    from cmeis.oracle import _j_coeffs, _j_table
+
+    # 96 is not a table size: the slice comes from the table at 128
+    assert _j_coeffs(96) == _j_table.__wrapped__(96)
+    assert len(_j_coeffs(96)) == 97
+
+
+def test_eta24_matches_literal_power():
+    from cmeis.oracle import _eta24_coeffs, _poly_mul_trunc
+
+    N = 40
+    eta = [1] + [0] * N
+    for n in range(1, N + 1):
+        eta = [c - (eta[i - n] if i >= n else 0) for i, c in enumerate(eta)]
+    power = [1] + [0] * N
+    for _ in range(24):
+        power = _poly_mul_trunc(power, eta, N)
+    assert _eta24_coeffs(N) == tuple(power)
+    assert power[:6] == [1, -24, 252, -1472, 4830, -6048]  # Ramanujan's tau
+
+
+def test_pentagonal_matches_literal_product():
+    from cmeis.oracle import _pentagonal, _series_length
+
+    prec = 256
+    form = ReducedForm(2, 1, 3)  # a non-real q, discriminant -23
+    with mpmath.mp.workprec(prec + 48):
+        rtd = mpmath.sqrt(-form.discriminant)
+        q = mpmath.exp(mpmath.mpc(-mpmath.pi * rtd / form.a, -mpmath.pi * form.b / form.a))
+        N = _series_length(float(mpmath.pi * rtd / form.a), prec + 48)
+        literal = mpmath.mpc(1)
+        qn = mpmath.mpc(1)
+        for _ in range(N):
+            qn *= q
+            literal *= 1 - qn
+        assert abs(_pentagonal(q, N) - literal) <= mpmath.mpf(2) ** (16 - prec) * abs(literal)
+
+
 # ---------------------------------------------------------------------------
 # class polynomials
 
@@ -117,6 +167,49 @@ def test_hilbert_class_poly_certificate_rejects_low_precision():
         hilbert_class_poly(-471, 64)
     coeffs = hilbert_class_poly(-471, class_poly_start_precision(-471))
     assert len(coeffs) == class_number(-471) + 1 == 17
+
+
+@pytest.mark.parametrize("d", [-23, -47, -71, -191])
+def test_conjugate_pairs_match_product_over_all_forms(monkeypatch, d):
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    prec = class_poly_start_precision(d)
+    forms = class_reps(d)
+    assert any(f.b < 0 for f in forms)  # conjugate pairs; the principal form is ambiguous
+    with mpmath.mp.workprec(prec + 48):
+        coeffs = [mpmath.mpc(1)]
+        for form in forms:
+            j = j_value(form, prec)
+            shifted = [mpmath.mpc(0)] + coeffs
+            coeffs = [shifted[i] - (j * coeffs[i] if i < len(coeffs) else 0) for i in range(len(shifted))]
+        literal = [int(mpmath.nint(c.real)) for c in coeffs]
+        assert all(abs(c - n) < 0.25 for c, n in zip(coeffs, literal))
+    assert hilbert_class_poly(d, prec) == literal
+
+
+def test_memo_below_the_certified_precision_still_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    start = class_poly_start_precision(-471)
+    coeffs = hilbert_class_poly(-471, start)
+    with pytest.raises(PrecisionError):
+        hilbert_class_poly(-471, 64)
+    assert hilbert_class_poly(-471, start) == coeffs
+
+
+def test_memo_returns_copies_without_new_j_values(monkeypatch):
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    prec = class_poly_start_precision(-47)
+    first = hilbert_class_poly(-47, prec)
+    expected = list(first)
+    first.append(7)
+
+    def no_j_value(*args):
+        raise AssertionError("j_value called for a remembered class polynomial")
+
+    monkeypatch.setattr(oracle, "j_value", no_j_value)
+    for request in (prec, prec, 2 * prec):
+        got = hilbert_class_poly(-47, request)
+        assert got == expected
+        got[0] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +435,75 @@ def test_precision_env_override(monkeypatch):
     assert class_poly_start_precision(-23) == 96
     monkeypatch.delenv("CMEIS_PRECISION_BITS")
     assert class_poly_start_precision(-23) >= 128
+
+
+def test_singular_moduli_rejects_a_prime_above_the_bound(monkeypatch):
+    # Gross-Zagier bounds the primes of Res by |d1 d2| / 4 = 5 here
+    monkeypatch.setattr(oracle, "resultant", lambda P, Q: -3375 * 7)
+    with pytest.raises(ArithmeticError, match=r"\(-3, -7\) leaves a 3-bit cofactor"):
+        singular_moduli_check(Setup(-3, -7))
+
+
+def test_singular_moduli_bound_is_inclusive():
+    rep = singular_moduli_check(Setup(-3, -479))
+    assert rep.ok
+    assert rep.factorization[-1][0] == 359 == 3 * 479 // 4
+
+
+_SABOTAGE = """
+import sys
+import cmeis.oracle as oracle
+from cmeis.field import Setup
+if __debug__:
+    raise SystemExit("asserts are still on")
+if sys.argv[1] == "resultant":
+    oracle.resultant = lambda P, Q: 0
+    call = lambda: oracle.singular_moduli_check(Setup(-3, -7))
+    expect = "share a root"
+else:
+    reps = oracle.class_reps
+    oracle.class_reps = lambda d: reps(d) + [oracle.ReducedForm(1, -1, 2)]
+    call = lambda: oracle.hilbert_class_poly(-7, 128)
+    expect = "not monic of degree 2"
+try:
+    call()
+except ArithmeticError as exc:
+    if expect in str(exc):
+        raise SystemExit(0)
+    raise
+raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
+"""
+
+
+@pytest.mark.parametrize("sabotage", ["resultant", "class_reps"])
+def test_oracle_checks_survive_optimize(sabotage):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_triangle_in_one_process_prints_the_recorded_bytes(monkeypatch, capsys):
+    # the workload order of perfbench's oracle pass: later pairs reuse
+    # the class polynomials of earlier ones
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    calls = []
+    real_j_value = oracle.j_value
+
+    def counted_j_value(form, precision):
+        calls.append(form)
+        return real_j_value(form, precision)
+
+    monkeypatch.setattr(oracle, "j_value", counted_j_value)
+    for d1, d2 in ((-191, -239), (-239, -311), (-311, -191)):
+        argv = ["singular-moduli", "--d1", str(d1), "--d2", str(d2)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)]
+    # one j per conjugate pair, one class polynomial per discriminant
+    assert len(calls) == sum((class_number(d) + 1) // 2 for d in (-191, -239, -311))
