@@ -340,9 +340,11 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
         raise ValueError("assembly needs a single obstruction prime")
     prm = diff[0]
     scalar = _scalar_product_of_values(setup, alpha, prm)
-    assert scalar.is_real, "archimedean constants must square to a real number"
+    if not scalar.is_real:
+        raise AssertionError("archimedean constants must square to a real number")
     result = whittaker_finite(setup, alpha, prm).deriv0.scale(scalar.re)
-    assert all(c >= 0 for c in result.terms().values()), "coefficient must be nonnegative"
+    if any(c < 0 for c in result.terms().values()):
+        raise AssertionError("coefficient must be nonnegative")
     return result
 
 
@@ -358,9 +360,11 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> Fracti
         raise ValueError("the twisted section needs the unique obstruction prime")
     swapped = whittaker_finite(setup, alpha, prm, section="coherent_swap")
     scalar = swapped.value0 * _scalar_product_of_values(setup, alpha, prm)
-    assert scalar.is_real
+    if not scalar.is_real:
+        raise AssertionError("coherent center value is not real")
     value = scalar.re
-    assert value == 4 * norm_ideal_count(setup, ideal.times(prm, -1))
+    if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
+        raise AssertionError("coherent center value disagrees with 4 * rho")
     return value
 
 

@@ -416,10 +416,6 @@ class LogLinear:
     def zero(cls) -> "LogLinear":
         return cls()
 
-    @classmethod
-    def log(cls, p: int, coeff=1) -> "LogLinear":
-        return cls({p: Fraction(coeff)})
-
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 

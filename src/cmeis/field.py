@@ -272,9 +272,6 @@ class FIdealFactored:
             out *= Fraction(prm.norm) ** e
         return out
 
-    def primes(self) -> tuple[FPrimeIdeal, ...]:
-        return tuple(prm for prm, _ in self.entries)
-
     def rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({prm.p for prm, _ in self.entries}))
 

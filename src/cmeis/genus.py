@@ -48,7 +48,8 @@ def genus_char_prime(setup: Setup, prm: FPrimeIdeal) -> int:
         for d in (setup.d1, setup.d2)
         if d % prm.p != 0
     }
-    assert len(vals) == 1, "base-change character values disagree"
+    if len(vals) != 1:
+        raise AssertionError("base-change character values disagree")
     return vals.pop()
 
 

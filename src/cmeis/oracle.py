@@ -3,7 +3,8 @@
 Reduced binary quadratic forms and class numbers, modular j-values by two
 distinct q-series routes, integer class polynomials with a rounding
 certificate, exact integer resultants, the exponential integral, and
-central values/derivatives of odd Dirichlet L-functions.
+central values/derivatives of odd Dirichlet L-functions.  E1 and log Gamma
+are mpmath's own (``mpmath.e1``, ``mpmath.loggamma``).
 
 Nothing in here touches the exact ideal-theoretic pipeline except through
 the single reconciliation ``singular_moduli_check``, which compares the
@@ -39,7 +40,6 @@ __all__ = [
     "hilbert_class_poly",
     "j_value",
     "lambda_at_zero",
-    "log_gamma",
     "poly_eval",
     "resultant",
     "singular_moduli_check",
@@ -406,91 +406,17 @@ def resultant(P, Q) -> int:
 # special functions
 
 
-def _e1_series(x, bits):
-    # -gamma - log x + sum (-1)^(k+1) x^k / (k k!), fine for x <= 4
-    total = -mpmath.euler - mpmath.log(x)
-    term = mpmath.mpf(1)
-    k = 1
-    eps = mpmath.mpf(2) ** (-(bits + 16))
-    while True:
-        term *= x / k
-        piece = term / k
-        total += piece if k % 2 else -piece
-        if piece < eps:
-            return total
-        k += 1
-
-
-def _e1_cf_depth(x, depth):
-    # e^-x / (x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))), evaluated backward
-    tail = mpmath.mpf(0)
-    for k in range(depth, 0, -1):
-        tail = k / (1 + k / (x + tail))
-    return mpmath.exp(-x) / (x + tail)
-
-
-def _e1_cf(x, bits):
-    eps = mpmath.mpf(2) ** (-(bits + 8))
-    depth = 32
-    prev = _e1_cf_depth(x, depth)
-    while depth < (1 << 16):
-        depth *= 2
-        cur = _e1_cf_depth(x, depth)
-        if abs(cur - prev) <= eps * abs(cur):
-            return cur
-        prev = cur
-    raise PrecisionError("continued fraction for E1 failed to settle")
-
-
 def e1(x, precision: int = 53):
     """Exponential integral E1(x) = integral_1^inf e^(-u x) du/u, x > 0.
 
-    Alternating series up to the crossover x = 4, classical ascending
-    continued fraction beyond it.
+    Evaluated by ``mpmath.e1`` with 32 guard bits, then rounded to
+    ``precision``.
     """
     with mpmath.mp.workprec(precision + 32):
         x = mpmath.mpf(x)
         if x <= 0:
             raise ValueError("E1 needs a positive argument")
-        val = _e1_series(x, precision) if x <= 4 else _e1_cf(x, precision)
-    with mpmath.mp.workprec(precision):
-        return +val
-
-
-def log_gamma(x, precision: int = 128):
-    """log Gamma(x) for real x > 0: asymptotic series after promotion.
-
-    The argument is shifted up by integers until it clears the stability
-    threshold, then the Bernoulli-coefficient series is summed until the
-    terms pass below the target (they keep shrinking well past it at
-    these argument sizes).
-    """
-    with mpmath.mp.workprec(precision + 32):
-        x = mpmath.mpf(x)
-        if x <= 0:
-            raise ValueError("log_gamma needs a positive argument")
-        threshold = max(16, precision // 4)
-        shift = mpmath.mpf(0)
-        while x < threshold:
-            shift += mpmath.log(x)
-            x += 1
-        total = (x - mpmath.mpf(1) / 2) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
-        x2 = x * x
-        xpow = x
-        eps = mpmath.mpf(2) ** (-(precision + 24))
-        n = 1
-        prev = mpmath.inf
-        while True:
-            term = mpmath.bernoulli(2 * n) / ((2 * n) * (2 * n - 1) * xpow)
-            if abs(term) >= prev:
-                raise PrecisionError("Stirling series hit its asymptotic floor")
-            total += term
-            if abs(term) < eps:
-                break
-            prev = abs(term)
-            xpow *= x2
-            n += 1
-        val = total - shift
+        val = mpmath.e1(x)
     with mpmath.mp.workprec(precision):
         return +val
 
@@ -538,7 +464,7 @@ def lambda_at_zero(d: int, precision: int = 128) -> LFunctionCenter:
             if not chi[a]:
                 continue
             piece = (
-                log_gamma(mpmath.mpf(a) / fd, precision + 32)
+                mpmath.loggamma(mpmath.mpf(a) / fd)
                 - half_log_2pi
                 - log_fd * (mpmath.mpf(1) / 2 - mpmath.mpf(a) / fd)
             )

@@ -173,22 +173,34 @@ def test_trace_degree_both_paths_small():
 
 
 _SABOTAGE = """
-import cmeis.eisenstein
+import sys
+import cmeis.eisenstein as eisenstein
+from cmeis.field import Setup, enumerate_trace_slice
+from cmeis.genus import diff_set
 if __debug__:
     raise SystemExit("asserts are still on")
-cmeis.eisenstein.prime_multiplicity = lambda *args: 0
+setup = Setup(-3, -7)
+if sys.argv[1] == "trace_degree":
+    eisenstein.prime_multiplicity = lambda *args: 0
+    call = lambda: eisenstein.trace_degree(setup, 1)
+else:
+    eisenstein.norm_ideal_count = lambda *args: 0
+    (e,) = [e for e in enumerate_trace_slice(setup, 1) if e.x == -3]
+    (prm,) = diff_set(setup, e.ideal)
+    call = lambda: eisenstein.coherent_coefficient(setup, e.alpha, prm)
 try:
-    cmeis.eisenstein.trace_degree(cmeis.eisenstein.Setup(-3, -7), 1)
+    call()
 except AssertionError:
     raise SystemExit(0)
-raise SystemExit("trace_degree returned with path (b) broken")
+raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
 """
 
 
-def test_trace_degree_check_survives_optimize():
+@pytest.mark.parametrize("sabotage", ["trace_degree", "coherent_coefficient"])
+def test_trace_degree_check_survives_optimize(sabotage):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGE],
+        [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

@@ -3,12 +3,18 @@
 ``perfbench/run.py --check-fingerprint`` runs every ``coeffs``, ``degree``
 and ``singular-moduli`` op of the behaviour fingerprint in a fresh
 interpreter and compares the sha256 of its stdout with the recorded one
-in ``perfbench/expected.json``.
+in ``perfbench/expected.json``.  The mixed-signature ops are checked here
+against the same file's ``workload_ops``.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from cmeis.cli import main
+from cmeis.verify import TEST_MATRIX
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +29,13 @@ def test_cli_output_matches_fingerprint():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCH" not in proc.stdout
+
+
+def test_mixed_signature_output_matches_workload_ops(capsys):
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+    for d1, d2 in TEST_MATRIX:
+        argv = ["coeffs", "--d1", str(d1), "--d2", str(d2), "--trace-max", "3"]
+        argv += ["--v1", "1", "--v2", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)], argv

@@ -25,7 +25,6 @@ from cmeis.oracle import (
     hilbert_class_poly,
     j_value,
     lambda_at_zero,
-    log_gamma,
     poly_eval,
     resultant,
     singular_moduli_check,
@@ -312,28 +311,11 @@ def test_e1_bounds_and_monotone():
             assert v < mpmath.exp(-x) / x
 
 
-def test_e1_branch_agreement_at_crossover():
-    from cmeis.oracle import _e1_cf, _e1_series
-
-    with mpmath.mp.workprec(160):
-        x = mpmath.mpf(4)
-        a = _e1_series(x, 128)
-        b = _e1_cf(x, 128)
-        assert abs(a - b) < mpmath.mpf(2) ** -120 * a
-
-
 def test_e1_rejects_nonpositive():
     with pytest.raises(ValueError):
         e1(0, 64)
     with pytest.raises(ValueError):
         e1(-2, 64)
-
-
-def test_log_gamma_against_mpmath():
-    with mpmath.mp.workprec(160):
-        for x in ("0.03125", "0.25", "0.5", "1", "2.75", "7", "15.5", "123"):
-            xx = mpmath.mpf(x)
-            assert abs(log_gamma(xx, 128) - mpmath.loggamma(xx)) < mpmath.mpf(2) ** -110
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +333,15 @@ def test_l_values_match_class_numbers():
         h = class_number(d)
         w = 6 if d == -3 else 4 if d == -4 else 2
         assert lambda_at_zero(d, 96).l_value_exact == Fraction(2 * h, w)
+
+
+def test_l_derivative_against_mpmath_dirichlet():
+    for d in (-3, -4, -7, -8, -23):
+        chi = [kronecker(d, a) for a in range(-d)]
+        with mpmath.mp.workprec(160):
+            reference = mpmath.dirichlet(0, chi, 1)
+            got = lambda_at_zero(d, 96).l_derivative
+            assert abs(got - reference) < mpmath.mpf(2) ** -80
 
 
 def test_l_derivative_against_hurwitz_numeric():
