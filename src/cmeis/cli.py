@@ -26,6 +26,7 @@ from fractions import Fraction
 import mpmath
 
 from .eisenstein import (
+    DegreeReport,
     _degree_report,
     constant_term,
     mixed_coefficient,
@@ -63,23 +64,25 @@ def _display_bits(digits: int) -> int:
     return max(128, 4 * digits + 32)
 
 
+# the report of the numeric-only terms: the constant and the mixed records
+_NUMERIC_ONLY = DegreeReport((), LogLinear.zero(), LogLinear.zero(), None, Fraction(0))
+
+
 def _record(m, x, alpha, report, float_text):
-    """One output record; ``report`` is None for the numeric-only terms."""
-    exact = report is not None
     return {
         "m": m,
         "x": x,
         "alpha": [str(alpha.u), str(alpha.v)],
-        "diff": [{"p": q.p, "kind": q.kind} for q in report.diff] if exact else [],
-        "a_alpha": _loglinear_map(report.coefficient) if exact else {},
-        "deg_X": _loglinear_map(report.degree) if exact else {},
+        "diff": [{"p": q.p, "kind": q.kind} for q in report.diff],
+        "a_alpha": _loglinear_map(report.coefficient),
+        "deg_X": _loglinear_map(report.degree),
         "a_alpha_float": float_text,
-        "nu": str(report.nu) if exact else "0",
+        "nu": str(report.nu),
     }
 
 
 def _slice_record(setup, m, elt, digits, bits):
-    report = _degree_report(setup, elt.alpha, elt.ideal)
+    report = _degree_report(setup, elt.ideal)
     coefficient = report.coefficient
     value = 0 if coefficient.is_zero else coefficient.to_float(bits)
     return _record(m, elt.x, elt.alpha, report, _float_str(value, digits))
@@ -117,7 +120,7 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
             value = mixed_coefficient(setup, alpha, v1, v2, bits)
             if abs(value) < cutoff:
                 continue
-            records.append(_record(m, sx, alpha, None, _float_str(value, digits)))
+            records.append(_record(m, sx, alpha, _NUMERIC_ONLY, _float_str(value, digits)))
         x += 2
     return sorted(records, key=lambda r: r["x"])
 
@@ -132,7 +135,7 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     bits = _display_bits(digits)
     if v1 is not None:
         value = constant_term(setup, v1, v2, bits)
-        yield _record(0, 0, FElem(0, 0), None, _float_str(value, digits))
+        yield _record(0, 0, FElem(0, 0), _NUMERIC_ONLY, _float_str(value, digits))
     for m in range(1, trace_max + 1):
         per_m = [
             _slice_record(setup, m, elt, digits, bits)
@@ -173,8 +176,8 @@ def _cmd_coeffs(args) -> int:
     setup = Setup(args.d1, args.d2)
     if (args.v1 is None) != (args.v2 is None):
         raise SetupError("--v1 and --v2 must be given together")
-    if args.v1 is not None and (args.v1 <= 0 or args.v2 <= 0):
-        raise SetupError("imaginary parts must be positive")
+    if args.v1 is not None and not all(math.isfinite(v) and v > 0 for v in (args.v1, args.v2)):
+        raise SetupError("imaginary parts must be positive and finite")
     records = coefficient_records(
         setup, args.trace_max, v1=args.v1, v2=args.v2, digits=args.digits
     )

@@ -43,6 +43,7 @@ from .field import (
     FIdealFactored,
     FPrimeIdeal,
     Setup,
+    _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
     principal_ideal,
@@ -189,7 +190,9 @@ def mixed_coefficient(setup: Setup, alpha: FElem, v1, v2, precision: int = 53):
     gen = alpha.times_sqrtD(setup.D)
     if not gen.is_integral(setup.D):
         return mpmath.mpf(0)
-    rho = norm_ideal_count(setup, principal_ideal(setup, gen))
+    x, m = int(2 * gen.u), int(2 * gen.v)
+    ideal = _slice_ideal(setup, m, x, abs(m * m * setup.D - x * x) // 4)
+    rho = norm_ideal_count(setup, ideal)
     if rho == 0:
         return mpmath.mpf(0)
     l, v_l = (1, v1) if s1 < 0 else (2, v2)
@@ -251,7 +254,6 @@ class DegreeReport:
     ``reflex`` the unique obstruction prime (None for the empty locus).
     """
 
-    alpha: FElem
     diff: tuple[FPrimeIdeal, ...]
     coefficient: LogLinear
     degree: LogLinear
@@ -259,12 +261,12 @@ class DegreeReport:
     nu: Fraction
 
 
-def _degree_report(setup: Setup, alpha: FElem, ideal: FIdealFactored) -> DegreeReport:
-    """``arakelov_degree`` of alpha, given its factored ideal alpha * (different)."""
+def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
+    """``arakelov_degree`` of the index whose ideal alpha * (different) is ``ideal``."""
     diff = diff_set(setup, ideal)
     if not ideal.is_integral or len(diff) != 1:
         zero = LogLinear.zero()
-        return DegreeReport(alpha, diff, zero, zero, None, Fraction(0))
+        return DegreeReport(diff, zero, zero, None, Fraction(0))
     prm = diff[0]
     if prm.residue_degree != 1:
         raise AssertionError("obstruction primes have residue degree 1")
@@ -273,7 +275,7 @@ def _degree_report(setup: Setup, alpha: FElem, ideal: FIdealFactored) -> DegreeR
     rest = FIdealFactored(tuple(entry for entry in ideal.entries if entry[0] != prm))
     degree = nu * norm_ideal_count(setup, rest)
     coefficient = LogLinear._unchecked({prm.p: 4 * degree})
-    return DegreeReport(alpha, diff, coefficient, LogLinear._unchecked({prm.p: degree}), prm, nu)
+    return DegreeReport(diff, coefficient, LogLinear._unchecked({prm.p: degree}), prm, nu)
 
 
 def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
@@ -287,7 +289,7 @@ def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
 
     while the coefficient is the closed form 4 * degree.
     """
-    return _degree_report(setup, alpha, _index_ideal(setup, alpha))
+    return _degree_report(setup, _index_ideal(setup, alpha))
 
 
 def trace_degree(setup: Setup, m: int) -> LogLinear:
@@ -300,7 +302,7 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     slice_elements = enumerate_trace_slice(setup, m)
     total_a = LogLinear.zero()
     for elt in slice_elements:
-        total_a = total_a + _degree_report(setup, elt.alpha, elt.ideal).degree
+        total_a = total_a + _degree_report(setup, elt.ideal).degree
     total_b = LogLinear.zero()
     for elt in slice_elements:
         for p in elt.ideal.rational_primes():

@@ -352,7 +352,11 @@ class TraceSliceElement:
 
 
 def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
-    """Factor ((x + m*sqrt(D))/2), of norm n, in integers; entries in sort_key order."""
+    """Factor the integral ((x + m*sqrt(D))/2) in integers, whatever its signs.
+
+    n = |x^2 - m^2*D|/4 is the absolute value of its norm; the entries
+    come out in sort_key order.
+    """
     entries = []
     for p, e in factor(n):
         checksum = 0
@@ -363,7 +367,7 @@ def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
                 v = e // 2
             elif prm.kind == "ramified":
                 v = e
-            else:  # x + m*sqrt(D) has norm -4n; take off ord_P(2)
+            else:  # x + m*sqrt(D) has norm +/-4n; take off ord_P(2)
                 v = _split_valuation(setup.D, x, m, e + 2 * (p == 2), prm) - (p == 2)
             checksum += v * prm.residue_degree
             if v:

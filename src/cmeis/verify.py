@@ -1,8 +1,9 @@
 """Cross-module invariant suites.
 
-Each suite function takes a seeded ``random.Random`` and returns a list
-of ``CheckResult``; the CLI ``verify`` subcommand runs them.  Failures
-carry enough detail to name the violated invariant.
+``SUITES`` maps each suite to its checks, in run order.  A check takes a
+seeded ``random.Random`` and returns the detail of its first failure, or
+None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
+tests share ``TEST_MATRIX`` and the counting helpers, not the suites.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class CheckResult:
     detail: str = ""
 
 
-class _Recorder:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.results: list[CheckResult] = []
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        self.results.append(CheckResult(self.suite, name, bool(ok), "" if ok else detail))
-
-
 def _random_nonzero_rational(rng: random.Random, height: int = 30) -> Fraction:
     num = rng.randint(-height, height)
     while num == 0:
@@ -86,43 +78,34 @@ def _random_nonzero_rational(rng: random.Random, height: int = 30) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def suite_arith(rng: random.Random):
-    rec = _Recorder("arith")
-
-    ok = True
-    detail = ""
+def _factor_roundtrip(rng: random.Random) -> str | None:
     for _ in range(10_000):
         n = rng.randint(-(10**12), 10**12)
         if n == 0:
             continue
         f = factor(n)
         if f.value() != n or not all(is_prime(p) for p, _ in f):
-            ok, detail = False, f"factor round-trip failed at {n}"
-            break
-    rec.check("factor-roundtrip", ok, detail)
+            return f"factor round-trip failed at {n}"
+    return None
 
+
+def _hilbert_bimultiplicative(rng: random.Random) -> str | None:
     places = [OO, 2, 3, 5, 7, 11, 13]
-    ok = True
-    detail = ""
     for _ in range(300):
         a = _random_nonzero_rational(rng)
         b = _random_nonzero_rational(rng)
         c = _random_nonzero_rational(rng)
         for place in places:
             if hilbert_symbol(a, b * c * c, place) != hilbert_symbol(a, b, place):
-                ok, detail = False, f"square invariance failed: {a}, {b}, {c} at {place}"
-                break
+                return f"square invariance failed: {a}, {b}, {c} at {place}"
             lhs = hilbert_symbol(a, b * c, place)
             rhs = hilbert_symbol(a, b, place) * hilbert_symbol(a, c, place)
             if lhs != rhs:
-                ok, detail = False, f"bimultiplicativity failed: {a}, {b}, {c} at {place}"
-                break
-        if not ok:
-            break
-    rec.check("hilbert-bimultiplicative", ok, detail)
+                return f"bimultiplicativity failed: {a}, {b}, {c} at {place}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _hilbert_product_formula(rng: random.Random) -> str | None:
     for _ in range(300):
         a = _random_nonzero_rational(rng)
         b = _random_nonzero_rational(rng)
@@ -134,12 +117,11 @@ def suite_arith(rng: random.Random):
         for place in relevant:
             prod *= hilbert_symbol(a, b, place)
         if prod != 1:
-            ok, detail = False, f"product formula failed for ({a}, {b})"
-            break
-    rec.check("hilbert-product-formula", ok, detail)
+            return f"product formula failed for ({a}, {b})"
+    return None
 
-    ok = True
-    detail = ""
+
+def _sqrt_mod_prime_power(rng: random.Random) -> str | None:
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7, 11, 13, 17, 101])
         k = rng.randint(1, 6)
@@ -150,16 +132,14 @@ def suite_arith(rng: random.Random):
             continue
         r = sqrt_mod_prime_power(d, p, k)
         if (r * r - d) % p**k != 0:
-            ok, detail = False, f"sqrt failed: D={d}, p={p}, k={k}"
-            break
+            return f"sqrt failed: D={d}, p={p}, k={k}"
         if sqrt_mod_prime_power(d, p, k + 1) % p**k != r:
-            ok, detail = False, f"sqrt lift not coherent: D={d}, p={p}, k={k}"
-            break
-    rec.check("sqrt-mod-prime-power", ok, detail)
+            return f"sqrt lift not coherent: D={d}, p={p}, k={k}"
+    return None
 
+
+def _loglinear_exactness(rng: random.Random) -> str | None:
     small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-    ok = True
-    detail = ""
     for _ in range(300):
         t1 = LogLinear(
             {rng.choice(small_primes): _random_nonzero_rational(rng, 40) for _ in range(3)}
@@ -168,31 +148,21 @@ def suite_arith(rng: random.Random):
             {rng.choice(small_primes): _random_nonzero_rational(rng, 40) for _ in range(3)}
         )
         if (t1 + t2) - t2 != t1 or t1 - t1 != LogLinear.zero():
-            ok, detail = False, "module laws failed"
-            break
+            return "module laws failed"
         r = _random_nonzero_rational(rng, 12)
         if (t1 + t2).scale(r) != t1.scale(r) + t2.scale(r):
-            ok, detail = False, "scaling is not linear"
-            break
+            return "scaling is not linear"
         gap = abs(t1.to_float(128) - t2.to_float(128))
         if (t1 == t2) != (gap < mpmath.mpf(2) ** -90):
-            ok, detail = False, f"equality vs 128-bit floats disagree: {t1} vs {t2}"
-            break
-    rec.check("loglinear-exactness", ok, detail)
-
-    return rec.results
+            return f"equality vs 128-bit floats disagree: {t1} vs {t2}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 
 
-def suite_field(rng: random.Random):
-    rec = _Recorder("field")
-    setups = _setups()
-
-    ok = True
-    detail = ""
-    for setup in setups:
+def _splitting_degree_sum(rng: random.Random) -> str | None:
+    for setup in _setups():
         for p in range(2, 501):
             if not is_prime(p):
                 continue
@@ -201,14 +171,12 @@ def suite_field(rng: random.Random):
                 for prm in prime_ideals_above(setup, p)
             )
             if total != 2:
-                ok, detail = False, f"sum e*f != 2 at p={p} for {setup}"
-                break
-        if not ok:
-            break
-    rec.check("splitting-degree-sum", ok, detail)
+                return f"sum e*f != 2 at p={p} for {setup}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _valuation_norm_compatible(rng: random.Random) -> str | None:
+    setups = _setups()
     for _ in range(1000):
         setup = rng.choice(setups)
         beta = FElem(_random_nonzero_rational(rng, 40), _random_nonzero_rational(rng, 40))
@@ -220,21 +188,17 @@ def suite_field(rng: random.Random):
                 for prm in prime_ideals_above(setup, p)
             )
             if got != padic_val(nrm, p):
-                ok, detail = False, f"valuations vs norm failed for {beta} at {p}"
-                break
-        if not ok:
-            break
-    rec.check("valuation-norm-compatible", ok, detail)
+                return f"valuations vs norm failed for {beta} at {p}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups:
+
+def _trace_slice_invariants(rng: random.Random) -> str | None:
+    for setup in _setups():
         for m in range(1, 11):
             elems = enumerate_trace_slice(setup, m)
             xs = [e.x for e in elems]
             if xs != sorted(xs) or sorted(-x for x in xs) != xs:
-                ok, detail = False, f"slice not symmetric/sorted for {setup}, m={m}"
-                break
+                return f"slice not symmetric/sorted for {setup}, m={m}"
             for e in elems:
                 gen = e.alpha.times_sqrtD(setup.D)
                 if (
@@ -244,27 +208,20 @@ def suite_field(rng: random.Random):
                     or e.ideal.norm() != e.n
                     or e.ideal != principal_ideal(setup, gen)
                 ):
-                    ok, detail = False, f"slice invariants failed at x={e.x}, {setup}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("trace-slice-invariants", ok, detail)
+                    return f"slice invariants failed at x={e.x}, {setup}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups:
+
+def _support_odd_and_matches(rng: random.Random) -> str | None:
+    for setup in _setups():
         for m in range(1, 9):
             for e in enumerate_trace_slice(setup, m):
                 spt = support(setup, e.alpha)
                 if len(spt) % 2 == 0:
-                    ok, detail = False, f"even support for x={e.x}, {setup}"
-                    break
+                    return f"even support for x={e.x}, {setup}"
                 diff = genus.diff_set(setup, e.ideal)
                 if len(diff) == 1 and {diff[0].p} != spt:
-                    ok, detail = False, f"support vs obstruction prime mismatch at x={e.x}"
-                    break
+                    return f"support vs obstruction prime mismatch at x={e.x}"
                 # product over all places: away from the diagonal's primes
                 # every invariant is +1, so this finite product must close up
                 diag = _invariant_diagonal(setup, e.alpha)
@@ -275,15 +232,8 @@ def suite_field(rng: random.Random):
                 for pl in places:
                     prod *= local_invariant(setup, e.alpha, pl)
                 if prod != 1:
-                    ok, detail = False, f"invariant product formula failed at x={e.x}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("support-odd-and-matches", ok, detail)
-
-    return rec.results
+                    return f"invariant product formula failed at x={e.x}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +301,10 @@ def _dirichlet_convolve(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def suite_genus(rng: random.Random):
-    rec = _Recorder("genus")
-    setups = _setups()
-
+def _zeta_convolution(rng: random.Random) -> str | None:
     zeta_max = 10_000
     spf = _spf_sieve(zeta_max)
-    ok = True
-    detail = ""
-    for setup in setups:
+    for setup in _setups():
         one = [0] + [1] * zeta_max
         chi1 = [0] + [kronecker(setup.d1, n) for n in range(1, zeta_max + 1)]
         chi2 = [0] + [kronecker(setup.d2, n) for n in range(1, zeta_max + 1)]
@@ -367,14 +312,12 @@ def suite_genus(rng: random.Random):
         rhs = _dirichlet_convolve(_dirichlet_convolve(one, chi1), _dirichlet_convolve(chi2, chid))
         for n in range(1, zeta_max + 1):
             if _norm_count_sum(setup, n, spf) != rhs[n]:
-                ok, detail = False, f"norm-count sum vs convolution at n={n}, {setup}"
-                break
-        if not ok:
-            break
-    rec.check("zeta-convolution", ok, detail)
+                return f"norm-count sum vs convolution at n={n}, {setup}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _rho_multiplicative(rng: random.Random) -> str | None:
+    setups = _setups()
     for _ in range(300):
         setup = rng.choice(setups)
         p1, p2 = rng.sample([2, 3, 5, 7, 11, 13, 17, 19], 2)
@@ -387,13 +330,12 @@ def suite_genus(rng: random.Random):
         lhs = genus.norm_ideal_count(setup, a * b)
         rhs = genus.norm_ideal_count(setup, a) * genus.norm_ideal_count(setup, b)
         if lhs != rhs:
-            ok, detail = False, f"rho not multiplicative on {a}, {b}"
-            break
-    rec.check("rho-multiplicative", ok, detail)
+            return f"rho not multiplicative on {a}, {b}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups:
+
+def _chi_invariant_under_norms(rng: random.Random) -> str | None:
+    for setup in _setups():
         split_both = [
             q
             for q in range(2, 200)
@@ -413,23 +355,17 @@ def suite_genus(rng: random.Random):
                 if genus.genus_char_ideal(setup, b * qideal) != genus.genus_char_ideal(
                     setup, b
                 ):
-                    ok, detail = False, f"chi changed by split norm ideal ({q}) on {b}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("chi-invariant-under-norms", ok, detail)
+                    return f"chi changed by split norm ideal ({q}) on {b}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups:
+
+def _orbital_product(rng: random.Random) -> str | None:
+    for setup in _setups():
         for m in range(1, 11):
             for e in enumerate_trace_slice(setup, m):
                 diff = genus.diff_set(setup, e.ideal)
                 if len(diff) % 2 == 0:
-                    ok, detail = False, f"even obstruction set at x={e.x}, {setup}"
-                    break
+                    return f"even obstruction set at x={e.x}, {setup}"
                 if len(diff) == 1:
                     prm = diff[0]
                     reduced = e.ideal.times(prm, -1)
@@ -439,100 +375,71 @@ def suite_genus(rng: random.Random):
                     for ell in sorted(ells):
                         prod *= genus.orbital_value(setup, e.alpha, ell, prm)
                     if prod != expected:
-                        ok, detail = False, f"orbital product != rho at x={e.x}, {setup}"
-                        break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("orbital-product", ok, detail)
-
-    return rec.results
+                        return f"orbital product != rho at x={e.x}, {setup}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 
 
-def suite_eisenstein(rng: random.Random):
-    rec = _Recorder("eisenstein")
-    setups = _setups()
-
-    ok = True
-    detail = ""
-    for setup in setups:
+def _degree_coefficient_identity(rng: random.Random) -> str | None:
+    for setup in _setups():
         for m in range(1, 21):
             for e in enumerate_trace_slice(setup, m):
                 rep = eisenstein.arakelov_degree(setup, e.alpha)
                 if len(rep.diff) % 2 == 0:
-                    ok, detail = False, f"even obstruction set at x={e.x}, m={m}, {setup}"
-                    break
+                    return f"even obstruction set at x={e.x}, m={m}, {setup}"
                 if len(rep.diff) > 1:
                     if not (rep.degree.is_zero and rep.coefficient.is_zero):
-                        ok, detail = False, f"nonzero at split index x={e.x}, {setup}"
-                        break
+                        return f"nonzero at split index x={e.x}, {setup}"
                     continue
                 assembled = eisenstein.assemble_derivative(setup, e.alpha)
                 if rep.degree.scale(4) != assembled or rep.coefficient != assembled:
-                    ok, detail = False, f"4*degree != coefficient at x={e.x}, m={m}, {setup}"
-                    break
+                    return f"4*degree != coefficient at x={e.x}, m={m}, {setup}"
                 spt = support(setup, e.alpha)
                 if set(rep.degree.terms()) - spt:
-                    ok, detail = False, f"degree support outside obstruction at x={e.x}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("degree-coefficient-identity", ok, detail)
+                    return f"degree support outside obstruction at x={e.x}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups:
+
+def _trace_degree_two_paths(rng: random.Random) -> str | None:
+    for setup in _setups():
         for m in range(1, 21):
             try:
                 eisenstein.trace_degree(setup, m)  # asserts both paths agree
             except AssertionError:
-                ok, detail = False, f"trace degree paths split at m={m}, {setup}"
-                break
-        if not ok:
-            break
-    rec.check("trace-degree-two-paths", ok, detail)
+                return f"trace degree paths split at m={m}, {setup}"
+    return None
 
-    ok = True
-    detail = ""
-    for setup in setups[:3]:
+
+def _coherent_ratio(rng: random.Random) -> str | None:
+    for setup in _setups()[:3]:
         for m in range(1, 6):
             for e in enumerate_trace_slice(setup, m):
                 if len(genus.diff_set(setup, e.ideal)) != 1:
                     continue
                 if not eisenstein.coherent_ratio_check(setup, e.alpha):
-                    ok, detail = False, f"coherent ratio failed at x={e.x}, m={m}, {setup}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rec.check("coherent-ratio", ok, detail)
+                    return f"coherent ratio failed at x={e.x}, m={m}, {setup}"
+    return None
 
-    ok = True
-    detail = ""
-    setup = setups[0]
+
+def _mixed_coefficient_decay(rng: random.Random) -> str | None:
+    setup = _setups()[0]
     mixed = FElem(Fraction(1, 2), Fraction(-5, 2 * setup.D))
     prev = None
     for v in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 100.0, 800.0):
         val = eisenstein.mixed_coefficient(setup, mixed, v, 1.0, 80)
         if prev is not None and not val < prev:
-            ok, detail = False, f"mixed coefficient not decreasing at v={v}"
-            break
+            return f"mixed coefficient not decreasing at v={v}"
         prev = val
-    if ok and not prev < mpmath.mpf("1e-50"):
-        ok, detail = False, "mixed coefficient does not vanish at large v"
-    rec.check("mixed-coefficient-decay", ok, detail)
+    if not prev < mpmath.mpf("1e-50"):
+        return "mixed coefficient does not vanish at large v"
+    return None
 
-    ok = True
-    detail = ""
+
+def _constant_term_scaling(rng: random.Random) -> str | None:
     precision = 128
-    for setup in setups[:4]:
+    for setup in _setups()[:4]:
         lam = (
             Fraction(2 * oracle.class_number(setup.d1), setup.w1)
             * Fraction(2 * oracle.class_number(setup.d2), setup.w2)
@@ -544,51 +451,44 @@ def suite_eisenstein(rng: random.Random):
             lamf = mpmath.mpf(lam.numerator) / lam.denominator
             gap = abs(a_tt - a_11 - 2 * lamf * mpmath.log(t))
         if gap > mpmath.mpf(2) ** (-precision + 40):
-            ok, detail = False, f"constant-term scaling off by {mpmath.nstr(gap, 5)}"
-            break
-    rec.check("constant-term-scaling", ok, detail)
-
-    return rec.results
+            return f"constant-term scaling off by {mpmath.nstr(gap, 5)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(rng: random.Random):
-    rec = _Recorder("oracle")
+def _brute_class_count(d: int) -> int:
+    count = 0
+    b_parity = d % 2
+    amax = int((abs(d) / 3) ** 0.5) + 1
+    for a in range(1, amax + 1):
+        for b in range(-a, a + 1):
+            if (b - b_parity) % 2:
+                continue
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (abs(b) == a or a == c):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                count += 1
+    return count
 
-    def _brute_class_count(d: int) -> int:
-        count = 0
-        b_parity = d % 2
-        amax = int((abs(d) / 3) ** 0.5) + 1
-        for a in range(1, amax + 1):
-            for b in range(-a, a + 1):
-                if (b - b_parity) % 2:
-                    continue
-                num = b * b - d
-                if num % (4 * a):
-                    continue
-                c = num // (4 * a)
-                if c < a:
-                    continue
-                if b < 0 and (abs(b) == a or a == c):
-                    continue
-                if math.gcd(math.gcd(a, abs(b)), c) == 1:
-                    count += 1
-        return count
 
-    ok = True
-    detail = ""
+def _class_count_brute_force(rng: random.Random) -> str | None:
     for d in range(-3, -201, -1):
         if not _is_fundamental_discriminant(d):
             continue
         if len(oracle.class_reps(d)) != _brute_class_count(d):
-            ok, detail = False, f"class count mismatch at d={d}"
-            break
-    rec.check("class-count-brute-force", ok, detail)
+            return f"class count mismatch at d={d}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _class_poly_certificate(rng: random.Random) -> str | None:
     for d in (-3, -4, -7, -8, -11, -23, -47):
         prec = oracle.class_poly_start_precision(d)
         coeffs = oracle.hilbert_class_poly(d, prec)
@@ -597,28 +497,23 @@ def suite_oracle(rng: random.Random):
                 j = oracle.j_value(form, prec)
                 val = abs(oracle.poly_eval(coeffs, j))
                 if val > mpmath.mpf(2) ** (-(prec // 2)):
-                    ok, detail = False, f"class poly residual too big at d={d}"
-                    break
-        if not ok:
-            break
-    rec.check("class-poly-certificate", ok, detail)
+                    return f"class poly residual too big at d={d}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _e1_quadrature(rng: random.Random) -> str | None:
     with mpmath.mp.workprec(120):
         for x in ("0.1", "0.5", "1", "2", "5", "10"):
             xx = mpmath.mpf(x)
             direct = mpmath.quad(lambda u: mpmath.exp(-u * xx) / u, [1, mpmath.inf])
             if abs(oracle.e1(xx, 100) - direct) > mpmath.mpf("1e-12"):
-                ok, detail = False, f"e1 vs quadrature at x={x}"
-                break
+                return f"e1 vs quadrature at x={x}"
             if not oracle.e1(xx, 100) < mpmath.exp(-xx) / xx:
-                ok, detail = False, f"e1 bound violated at x={x}"
-                break
-    rec.check("e1-quadrature", ok, detail)
+                return f"e1 bound violated at x={x}"
+    return None
 
-    ok = True
-    detail = ""
+
+def _l_value_class_number(rng: random.Random) -> str | None:
     for d in range(-3, -201, -1):
         if not _is_fundamental_discriminant(d):
             continue
@@ -626,29 +521,54 @@ def suite_oracle(rng: random.Random):
         w = 6 if d == -3 else 4 if d == -4 else 2
         center = oracle.lambda_at_zero(d, 96)
         if center.l_value_exact != Fraction(2 * h, w):
-            ok, detail = False, f"exact L(0) != 2h/w at d={d}"
-            break
+            return f"exact L(0) != 2h/w at d={d}"
         with mpmath.mp.workprec(96):
             if abs(center.l_value - mpmath.mpf(2 * h) / w) > mpmath.mpf("1e-9"):
-                ok, detail = False, f"float L(0) drifted at d={d}"
-                break
-    rec.check("l-value-class-number", ok, detail)
-
-    return rec.results
+                return f"float L(0) drifted at d={d}"
+    return None
 
 
 SUITES = {
-    "arith": suite_arith,
-    "field": suite_field,
-    "genus": suite_genus,
-    "eisenstein": suite_eisenstein,
-    "oracle": suite_oracle,
+    "arith": {
+        "factor-roundtrip": _factor_roundtrip,
+        "hilbert-bimultiplicative": _hilbert_bimultiplicative,
+        "hilbert-product-formula": _hilbert_product_formula,
+        "sqrt-mod-prime-power": _sqrt_mod_prime_power,
+        "loglinear-exactness": _loglinear_exactness,
+    },
+    "field": {
+        "splitting-degree-sum": _splitting_degree_sum,
+        "valuation-norm-compatible": _valuation_norm_compatible,
+        "trace-slice-invariants": _trace_slice_invariants,
+        "support-odd-and-matches": _support_odd_and_matches,
+    },
+    "genus": {
+        "zeta-convolution": _zeta_convolution,
+        "rho-multiplicative": _rho_multiplicative,
+        "chi-invariant-under-norms": _chi_invariant_under_norms,
+        "orbital-product": _orbital_product,
+    },
+    "eisenstein": {
+        "degree-coefficient-identity": _degree_coefficient_identity,
+        "trace-degree-two-paths": _trace_degree_two_paths,
+        "coherent-ratio": _coherent_ratio,
+        "mixed-coefficient-decay": _mixed_coefficient_decay,
+        "constant-term-scaling": _constant_term_scaling,
+    },
+    "oracle": {
+        "class-count-brute-force": _class_count_brute_force,
+        "class-poly-certificate": _class_poly_certificate,
+        "e1-quadrature": _e1_quadrature,
+        "l-value-class-number": _l_value_class_number,
+    },
 }
 
 
 def run_suites(names, seed: int = 0) -> list[CheckResult]:
     results = []
-    for name in names:
-        rng = random.Random((seed, name).__repr__())
-        results.extend(SUITES[name](rng))
+    for suite in names:
+        rng = random.Random((seed, suite).__repr__())
+        for name, check in SUITES[suite].items():
+            detail = check(rng)
+            results.append(CheckResult(suite, name, detail is None, detail or ""))
     return results

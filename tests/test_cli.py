@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,16 @@ from pathlib import Path
 import pytest
 
 import cmeis.cli
+import cmeis.eisenstein
 import cmeis.genus
+import cmeis.oracle
+import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
-from cmeis.exact import LogLinear
-from cmeis.field import Setup, element_valuation, principal_ideal
+from cmeis.exact import Factorization, LogLinear
+from cmeis.field import FIdealFactored, Setup, element_valuation, principal_ideal
 from cmeis.oracle import PrecisionError
+from cmeis.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "coefficient-record-schema-v1.json"
@@ -134,6 +139,19 @@ def test_mismatched_v_flags(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--v1", "--v2"])
+def test_imaginary_part_not_positive_and_finite_is_exit_2(capsys, flag, value):
+    other = "--v2" if flag == "--v1" else "--v1"
+    code, out, err = _run(
+        capsys, "coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1",
+        f"{flag}={value}", f"{other}=1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "setup error" in err
+
+
 def test_degree_command(capsys):
     code, out, _ = _run(capsys, "degree", "--d1", "-3", "--d2", "-7", "--m", "1")
     assert code == 0
@@ -185,6 +203,7 @@ def test_slice_path_skips_the_felem_factorization():
     principal_ideal.cache_clear()
     element_valuation.cache_clear()
     list(coefficient_records(setup, 5))
+    list(coefficient_records(setup, 2, v1=1, v2=1))
     trace_degree(setup, 5)
     assert principal_ideal.cache_info().misses == 0
     assert element_valuation.cache_info().misses == 0
@@ -247,3 +266,25 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
     assert code == 1
     failures = [json.loads(line) for line in err.splitlines()]
     assert any(f["invariant"] == "zeta-convolution" for f in failures)
+
+
+# Each sabotaged dependency must make the named check return a failure.
+FAULTS = {
+    "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
+    "trace-slice-invariants": (
+        "field", cmeis.verify, "principal_ideal", lambda setup, gen: FIdealFactored()
+    ),
+    "orbital-product": ("genus", cmeis.genus, "orbital_value", lambda *args: 0),
+    "degree-coefficient-identity": (
+        "eisenstein", cmeis.eisenstein, "assemble_derivative",
+        lambda setup, alpha: LogLinear.zero(),
+    ),
+    "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
+}
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_verify_check_can_fail(monkeypatch, check):
+    suite, module, attr, broken = FAULTS[check]
+    monkeypatch.setattr(module, attr, broken)
+    assert SUITES[suite][check](random.Random(0))

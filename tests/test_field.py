@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cmeis.field
@@ -187,13 +187,20 @@ def test_trace_slice_invariants():
 
 @st.composite
 def _slice_indices(draw):
-    """(setup, m, x) for an admissible slice index, often scaled by a common
+    """(setup, m, x) for an integral ((x + m*sqrt(D))/2): an admissible slice
+    index or, half the time, any nonzero element of either sign (m <= 0
+    included, as on the mixed-signature path); often scaled by a common
     factor g so that primes dividing gcd(x, m) get exercised."""
     s = Setup(*draw(st.sampled_from(MATRIX)))
-    m0 = draw(st.integers(1, 12))
-    xmax = math.isqrt(m0 * m0 * s.D - 1)
-    first = -xmax + (xmax - m0 * s.D) % 2
-    x0 = first + 2 * draw(st.integers(0, (xmax - first) // 2))
+    if draw(st.booleans()):
+        m0 = draw(st.integers(1, 12))
+        xmax = math.isqrt(m0 * m0 * s.D - 1)
+        first = -xmax + (xmax - m0 * s.D) % 2
+        x0 = first + 2 * draw(st.integers(0, (xmax - first) // 2))
+    else:
+        m0 = draw(st.integers(-12, 12))
+        x0 = 2 * draw(st.integers(-300, 300)) + m0 * s.D % 2
+        assume(m0 or x0)
     g = draw(st.sampled_from((1, 1, 2, 3, 5, 7, 23)))
     return s, g * m0, g * x0
 
@@ -204,11 +211,16 @@ def _slice_indices(draw):
 @example((Setup(-7, -23), 4, 12))
 @example((Setup(-7, -23), 5, 5))
 @example((Setup(-3, -11), 2, 2))
-@settings(max_examples=300, deadline=None)
+# mixed-signature indices, |x| > |m|*sqrt(D), m <= 0 included
+@example((Setup(-7, -23), -1, 15))
+@example((Setup(-7, -23), 1, -15))
+@example((Setup(-3, -11), -2, -14))
+@example((Setup(-7, -23), 0, 2))
+@settings(max_examples=600, deadline=None)
 @given(_slice_indices())
 def test_slice_ideal_matches_principal_ideal(index):
     s, m, x = index
-    n = (m * m * s.D - x * x) // 4
+    n = abs(m * m * s.D - x * x) // 4
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
     assert _slice_ideal(s, m, x, n) == principal_ideal(s, gen)
 
