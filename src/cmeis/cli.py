@@ -33,7 +33,7 @@ from .eisenstein import (
     trace_degree,
 )
 from .exact import LogLinear, factor
-from .field import FElem, Setup, SetupError, enumerate_trace_slice
+from .field import FElem, FPrimeIdeal, Setup, SetupError, _half_slice
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
 
@@ -68,12 +68,22 @@ def _display_bits(digits: int) -> int:
 _NUMERIC_ONLY = DegreeReport((), LogLinear.zero(), LogLinear.zero(), None, Fraction(0))
 
 
-def _record(m, x, alpha, report, float_text):
+def _ratio_text(a: int, b: int) -> str:
+    """a/b in lowest terms as ``str(Fraction(a, b))`` prints it, for b > 0."""
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
+
+
+def _diff(primes):
+    return [{"p": q.p, "kind": q.kind} for q in primes]
+
+
+def _record(D, m, x, report, float_text):
     return {
         "m": m,
         "x": x,
-        "alpha": [str(alpha.u), str(alpha.v)],
-        "diff": [{"p": q.p, "kind": q.kind} for q in report.diff],
+        "alpha": [_ratio_text(m, 2), _ratio_text(x, 2 * D)],
+        "diff": _diff(report.diff),
         "a_alpha": _loglinear_map(report.coefficient),
         "deg_X": _loglinear_map(report.degree),
         "a_alpha_float": float_text,
@@ -81,11 +91,16 @@ def _record(m, x, alpha, report, float_text):
     }
 
 
-def _slice_record(setup, m, elt, digits, bits):
-    report = _degree_report(setup, elt.ideal)
-    coefficient = report.coefficient
-    value = 0 if coefficient.is_zero else coefficient.to_float(bits)
-    return _record(m, elt.x, elt.alpha, report, _float_str(value, digits))
+def _mirror(D, record, report):
+    """The record at -x from the one at x.
+
+    The index at -x is the Galois conjugate of the one at x: only the
+    sqrt(D) part of alpha and the kinds of the split primes change.
+    """
+    x = -record["x"]
+    diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
+    alpha = [record["alpha"][0], _ratio_text(x, 2 * D)]
+    return {**record, "x": x, "alpha": alpha, "diff": _diff(diff)}
 
 
 def _mixed_records(setup, m, v1, v2, digits, bits):
@@ -120,7 +135,7 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
             value = mixed_coefficient(setup, alpha, v1, v2, bits)
             if abs(value) < cutoff:
                 continue
-            records.append(_record(m, sx, alpha, _NUMERIC_ONLY, _float_str(value, digits)))
+            records.append(_record(D, m, sx, _NUMERIC_ONLY, _float_str(value, digits)))
         x += 2
     return sorted(records, key=lambda r: r["x"])
 
@@ -128,22 +143,39 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     """Yield the emitted records in order, one trace m at a time.
 
-    Always one record per trace-slice element for 1 <= m <= trace_max.
-    With imaginary parts given, also the constant term (m = 0) and the
-    mixed-signature terms whose numeric size clears the display cutoff.
+    Always one record per trace-slice element for 1 <= m <= trace_max;
+    each pair x, -x is factored and reported once, the record at -x being
+    the Galois mirror of the one at x.  With imaginary parts given, also
+    the constant term (m = 0) and the mixed-signature terms whose numeric
+    size clears the display cutoff.
     """
     bits = _display_bits(digits)
+    D = setup.D
+    float_texts = {}  # coefficient -> its display text; few distinct values recur
+
+    def float_text(coefficient):
+        text = float_texts.get(coefficient)
+        if text is None:
+            value = 0 if coefficient.is_zero else coefficient.to_float(bits)
+            text = float_texts[coefficient] = _float_str(value, digits)
+        return text
+
     if v1 is not None:
         value = constant_term(setup, v1, v2, bits)
-        yield _record(0, 0, FElem(0, 0), _NUMERIC_ONLY, _float_str(value, digits))
+        yield _record(D, 0, 0, _NUMERIC_ONLY, _float_str(value, digits))
     for m in range(1, trace_max + 1):
-        per_m = [
-            _slice_record(setup, m, elt, digits, bits)
-            for elt in enumerate_trace_slice(setup, m)
-        ]
+        below, per_m = [], []
+        for x, _, ideal in _half_slice(setup, m):
+            report = _degree_report(setup, ideal)
+            record = _record(D, m, x, report, float_text(report.coefficient))
+            if x:
+                below.append(_mirror(D, record, report))
+            per_m.append(record)
+        per_m[:0] = reversed(below)
         if v1 is not None:
             per_m.extend(_mixed_records(setup, m, v1, v2, digits, bits))
-        yield from sorted(per_m, key=lambda r: r["x"])
+            per_m.sort(key=lambda r: r["x"])
+        yield from per_m
 
 
 def _emit_json(records, out) -> None:

@@ -21,6 +21,8 @@ of the displayed parity, trace(alpha) = m, and total positivity is
 absolute norm n = (m^2*D - x^2)/4.  The slice factors it from the
 integers (m, x, n) alone: one factor(n), ord_p(n) at inert and ramified
 p, ord_p(x +/- m*r) at split p (r a root of D mod a power of p).
+Only x >= 0 is factored: x -> -x is the Galois conjugation of F, so the
+ideal at -x is the conjugate of the one at x (the split primes swap).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
 
 
 class SetupError(ValueError):
-    """Invalid discriminant pair."""
+    """Invalid discriminant pair or run setting."""
 
 
 def _is_fundamental_discriminant(d: int) -> bool:
@@ -177,6 +179,7 @@ class FElem:
 
 
 _KIND_ORDER = {"split_plus": 0, "split_minus": 1, "inert": 2, "ramified": 3}
+_CONJUGATE_KIND = {"split_plus": "split_minus", "split_minus": "split_plus"}
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,11 @@ class FPrimeIdeal:
 
     def sort_key(self):
         return (self.p, _KIND_ORDER[self.kind])
+
+    def conjugate(self) -> "FPrimeIdeal":
+        """The Galois conjugate: the two split primes swap, the others stay."""
+        kind = _CONJUGATE_KIND.get(self.kind)
+        return self if kind is None else FPrimeIdeal(self.p, kind, self.root)
 
     def __repr__(self) -> str:
         tag = {"split_plus": "+", "split_minus": "-", "inert": "", "ramified": "r"}
@@ -271,6 +279,10 @@ class FIdealFactored:
         for prm, e in self.entries:
             out *= Fraction(prm.norm) ** e
         return out
+
+    def conjugate(self) -> "FIdealFactored":
+        """The Galois conjugate ideal, its entries still in sort_key order."""
+        return FIdealFactored.from_pairs((prm.conjugate(), e) for prm, e in self.entries)
 
     def rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({prm.p for prm, _ in self.entries}))
@@ -377,18 +389,29 @@ def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
     return FIdealFactored(tuple(entries))
 
 
-def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
-    """All totally positive alpha in the trace dual with trace m, by x."""
+def _half_slice(setup: Setup, m: int):
+    """Yield (x, n, ideal) over the trace-m slice for x >= 0, x increasing.
+
+    The element at -x is the Galois conjugate of the one at x, and so is
+    its ideal: the other half of the slice is the mirror of this one.
+    """
     if m < 1:
         raise ValueError("trace must be a positive integer")
     D = setup.D
-    xmax = math.isqrt(m * m * D - 1)
-    out = []
-    for x in range(-xmax + (xmax - m * D) % 2, xmax + 1, 2):
+    for x in range((m * D) % 2, math.isqrt(m * m * D - 1) + 1, 2):
         n = (m * m * D - x * x) // 4
-        alpha = FElem(Fraction(m, 2), Fraction(x, 2 * D))
-        out.append(TraceSliceElement(alpha, x, n, _slice_ideal(setup, m, x, n)))
-    return out
+        yield x, n, _slice_ideal(setup, m, x, n)
+
+
+def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
+    """All totally positive alpha in the trace dual with trace m, by x."""
+    half = list(_half_slice(setup, m))
+    mirror = [(-x, n, ideal.conjugate()) for x, n, ideal in reversed(half) if x]
+    u = Fraction(m, 2)
+    return [
+        TraceSliceElement(FElem(u, Fraction(x, 2 * setup.D)), x, n, ideal)
+        for x, n, ideal in mirror + half
+    ]
 
 
 def _binary_trace_form(setup: Setup, beta: FElem) -> tuple[Fraction, Fraction]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import mpmath
 
 from .exact import LogLinear, _small_primes, kronecker
-from .field import Setup, _is_fundamental_discriminant
+from .field import Setup, SetupError, _is_fundamental_discriminant
 
 __all__ = [
     "LFunctionCenter",
@@ -255,7 +255,10 @@ def class_poly_start_precision(d: int) -> int:
     """
     env = os.environ.get("CMEIS_PRECISION_BITS")
     if env:
-        return max(int(env), 64)
+        try:
+            return max(int(env), 64)
+        except ValueError:
+            raise SetupError(f"CMEIS_PRECISION_BITS={env!r} is not an integer") from None
     weight = sum(1.0 / f.a for f in class_reps(d))
     est = 3.5 * math.pi * math.sqrt(-d) * weight / math.log(2)
     return max(128, math.ceil(est) + 64)

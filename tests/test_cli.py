@@ -165,19 +165,28 @@ def test_degree_command(capsys):
 
 
 def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
-    original = cmeis.cli.enumerate_trace_slice
+    original = cmeis.cli._half_slice
 
     def failing(setup, m):
         if m == 2:
             raise PrecisionError("injected at trace 2")
         return original(setup, m)
 
-    monkeypatch.setattr(cmeis.cli, "enumerate_trace_slice", failing)
+    monkeypatch.setattr(cmeis.cli, "_half_slice", failing)
     code, out, err = _run(capsys, "coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
     assert code == 3
     assert "injected at trace 2" in err
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["m"], r["x"]) for r in records] == [(1, -3), (1, -1), (1, 1), (1, 3)]
+
+
+def test_non_integer_precision_bits_is_a_setup_error(capsys, monkeypatch):
+    monkeypatch.setenv("CMEIS_PRECISION_BITS", "abc")
+    code, out, err = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("setup error: CMEIS_PRECISION_BITS")
 
 
 def test_coeffs_into_a_closed_pipe_is_quiet():

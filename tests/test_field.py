@@ -11,6 +11,7 @@ from cmeis.exact import factor, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
+    FPrimeIdeal,
     Setup,
     SetupError,
     _slice_ideal,
@@ -22,6 +23,7 @@ from cmeis.field import (
     support,
 )
 from cmeis.exact import OO
+from cmeis.verify import SUITES
 
 MATRIX = [(-3, -7), (-3, -4), (-4, -7), (-3, -8), (-7, -8), (-3, -11), (-4, -11), (-8, -11), (-7, -23)]
 
@@ -223,6 +225,33 @@ def test_slice_ideal_matches_principal_ideal(index):
     n = abs(m * m * s.D - x * x) // 4
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
     assert _slice_ideal(s, m, x, n) == principal_ideal(s, gen)
+
+
+def _mirror_holds(s, m, x):
+    n = abs(m * m * s.D - x * x) // 4
+    return _slice_ideal(s, m, x, n).conjugate() == _slice_ideal(s, m, -x, n)
+
+
+# (-7, -23): 2 splits in F; 2 | gcd(x, m), 5 | gcd(x, m), 3 | gcd(x, m)
+@example((Setup(-7, -23), 1, 1))
+@example((Setup(-7, -23), 2, 6))
+@example((Setup(-7, -23), 4, 12))
+@example((Setup(-7, -23), 5, 5))
+@example((Setup(-7, -23), 6, 30))
+@example((Setup(-3, -11), 2, 2))
+@settings(max_examples=300, deadline=None)
+@given(_slice_indices())
+def test_slice_ideal_mirror(index):
+    # the ideal at -x is the Galois conjugate of the one at x
+    assert _mirror_holds(*index)
+
+
+def test_slice_ideal_mirror_can_fail(monkeypatch):
+    # a conjugation that leaves split_plus and split_minus in place must fail
+    # the mirror property and the field suite's comparison with principal_ideal
+    monkeypatch.setattr(FPrimeIdeal, "conjugate", lambda self: self)
+    assert not _mirror_holds(Setup(-7, -23), 1, 1)
+    assert SUITES["field"]["trace-slice-invariants"](random.Random(0))
 
 
 def test_slice_ideal_checksum_can_fail(monkeypatch):

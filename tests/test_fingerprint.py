@@ -3,8 +3,8 @@
 ``perfbench/run.py --check-fingerprint`` runs every ``coeffs``, ``degree``
 and ``singular-moduli`` op of the behaviour fingerprint in a fresh
 interpreter and compares the sha256 of its stdout with the recorded one
-in ``perfbench/expected.json``.  The mixed-signature ops are checked here
-against the same file's ``workload_ops``.
+in ``perfbench/expected.json``.  The mixed-signature ops and the trace-60
+op of (-7, -23) are checked here against the same file's ``workload_ops``.
 """
 
 import hashlib
@@ -39,3 +39,12 @@ def test_mixed_signature_output_matches_workload_ops(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)], argv
+
+
+def test_trace_60_output_matches_workload_ops(capsys):
+    # high traces and the 2-adic splits of D = 161: the Galois mirror at its widest
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+    argv = ["coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "60"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)]
