@@ -118,21 +118,70 @@ def test_eta24_matches_literal_power():
     assert power[:6] == [1, -24, 252, -1472, 4830, -6048]  # Ramanujan's tau
 
 
-def test_pentagonal_matches_literal_product():
-    from cmeis.oracle import _pentagonal, _series_length
+def _nome(form):
+    # r = e^(i pi tau) at the root tau of the form, and log(1/|r|)
+    rtd = mpmath.sqrt(-form.discriminant)
+    r = mpmath.exp(mpmath.mpc(-mpmath.pi * rtd, -mpmath.pi * form.b) / (2 * form.a))
+    return r, float(mpmath.pi * rtd / (2 * form.a))
 
+
+def test_theta_eta_matches_literal_product():
+    from cmeis.oracle import _series_length, _theta_e4_eta
+
+    # theta2 theta3 theta4 = 2 eta^3, i.e. T theta3 theta4 = prod (1 - q^n)^3
     prec = 256
     form = ReducedForm(2, 1, 3)  # a non-real q, discriminant -23
     with mpmath.mp.workprec(prec + 48):
-        rtd = mpmath.sqrt(-form.discriminant)
-        q = mpmath.exp(mpmath.mpc(-mpmath.pi * rtd / form.a, -mpmath.pi * form.b / form.a))
-        N = _series_length(float(mpmath.pi * rtd / form.a), prec + 48)
+        r, log_inv_r = _nome(form)
+        q = r * r
         literal = mpmath.mpc(1)
         qn = mpmath.mpc(1)
-        for _ in range(N):
+        for _ in range(_series_length(2 * log_inv_r, prec + 48)):
             qn *= q
             literal *= 1 - qn
-        assert abs(_pentagonal(q, N) - literal) <= mpmath.mpf(2) ** (16 - prec) * abs(literal)
+        _, eta3 = _theta_e4_eta(r, log_inv_r, prec + 48)
+        cube = literal * literal * literal
+        assert abs(eta3 - cube) <= mpmath.mpf(2) ** (16 - prec) * abs(cube)
+
+
+def test_theta_e4_matches_divisor_sum():
+    from cmeis.oracle import _theta_e4_eta
+
+    # E4 vanishes at the root of (1, 1, 1), so the tolerance is absolute
+    prec = 256
+    for form in (ReducedForm(2, 1, 3), ReducedForm(1, 1, 1), ReducedForm(3, 2, 5)):
+        with mpmath.mp.workprec(prec):
+            r, log_inv_r = _nome(form)
+            e4, _ = _theta_e4_eta(r, log_inv_r, prec)
+        with mpmath.mp.workprec(2 * prec):
+            q = mpmath.mpc(r) * r  # the same r, squared at twice the precision
+            reference = mpmath.mpc(1)
+            qn = mpmath.mpc(1)
+            for n in range(1, 2 * prec):
+                qn *= q
+                reference += 240 * sum(k**3 for k in range(1, n + 1) if n % k == 0) * qn
+            assert abs(e4 - reference) <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(reference))
+
+
+@pytest.mark.parametrize("d", [-3, -4, -719])
+def test_fixed_point_series_within_its_bound(d):
+    from cmeis.oracle import _fixed_point_series, _j_coeffs, _series_length
+
+    # the docstring bound: (|sum| + 1/8) units of 2^-work; the largest a
+    # of -719 gives the longest series
+    work = class_poly_start_precision(d) + 48
+    for form in class_reps(d):
+        with mpmath.mp.workprec(work):
+            r, log_inv_r = _nome(form)
+            q = r * r
+            got = _fixed_point_series(_j_coeffs(_series_length(2 * log_inv_r, work)), q, work)
+        hi = 2 * work + 400
+        with mpmath.mp.workprec(hi):
+            reference = mpmath.mpc(0)
+            for c in reversed(_j_coeffs(_series_length(2 * log_inv_r, hi))):
+                reference = reference * q + c
+            bound = (abs(reference) + mpmath.mpf(1) / 8) * mpmath.mpf(2) ** -work
+            assert abs(got - reference) <= bound, form
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +499,36 @@ if __debug__:
 if sys.argv[1] == "resultant":
     oracle.resultant = lambda P, Q: 0
     call = lambda: oracle.singular_moduli_check(Setup(-3, -7))
-    expect = "share a root"
-else:
+    expect = ArithmeticError, "share a root"
+elif sys.argv[1] == "class_reps":
     reps = oracle.class_reps
     oracle.class_reps = lambda d: reps(d) + [oracle.ReducedForm(1, -1, 2)]
     call = lambda: oracle.hilbert_class_poly(-7, 128)
-    expect = "not monic of degree 2"
+    expect = ArithmeticError, "not monic of degree 2"
+else:
+    if sys.argv[1] == "theta4":
+        # theta4 with the sign of its odd terms flipped is theta3
+        sums = oracle._theta_sums
+        def flipped(*args):
+            theta3, _, tri = sums(*args)
+            return theta3, theta3, tri
+        oracle._theta_sums = flipped
+    else:
+        coeffs = oracle._j_coeffs
+        oracle._j_coeffs = lambda N: (1, 745) + coeffs(N)[2:]
+    call = lambda: oracle.j_value(oracle.ReducedForm(2, 1, 3), 128)
+    expect = oracle.PrecisionError, "j-value routes disagree"
 try:
     call()
-except ArithmeticError as exc:
-    if expect in str(exc):
+except expect[0] as exc:
+    if expect[1] in str(exc):
         raise SystemExit(0)
     raise
 raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
 """
 
 
-@pytest.mark.parametrize("sabotage", ["resultant", "class_reps"])
+@pytest.mark.parametrize("sabotage", ["resultant", "class_reps", "theta4", "j_coeffs"])
 def test_oracle_checks_survive_optimize(sabotage):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
@@ -478,10 +540,31 @@ def test_oracle_checks_survive_optimize(sabotage):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_triangle_in_one_process_prints_the_recorded_bytes(monkeypatch, capsys):
-    # the workload order of perfbench's oracle pass: later pairs reuse
-    # the class polynomials of earlier ones
+def test_exhausted_retry_is_one_precision_failure(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    tried = []
+
+    def failing_j_value(form, precision):
+        tried.append(precision)
+        raise PrecisionError(f"forced at {precision} bits")
+
+    monkeypatch.setattr(oracle, "j_value", failing_j_value)
+    assert main(["singular-moduli", "--d1", "-3", "--d2", "-7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "precision failure: class polynomials failed at every precision tried"
+    ]
+    assert tried == [128 << k for k in range(12)]
+
+
+def test_oracle_pass_in_one_process_prints_the_recorded_bytes(monkeypatch, capsys):
+    # every singular-moduli op of perfbench's oracle workload, in its
+    # order: later pairs reuse the class polynomials of earlier ones, and
+    # (s, -479) and (s, -719) run at 1,999 and 2,626 bits
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+    pairs = [(-191, -239), (-239, -311), (-311, -191)]
+    pairs += [(s, d) for d in (-479, -719) for s in (-3, -4, -7, -8, -11)]
     monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
     calls = []
     real_j_value = oracle.j_value
@@ -491,10 +574,12 @@ def test_triangle_in_one_process_prints_the_recorded_bytes(monkeypatch, capsys):
         return real_j_value(form, precision)
 
     monkeypatch.setattr(oracle, "j_value", counted_j_value)
-    for d1, d2 in ((-191, -239), (-239, -311), (-311, -191)):
+    for d1, d2 in pairs:
         argv = ["singular-moduli", "--d1", str(d1), "--d2", str(d2)]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)], argv
     # one j per conjugate pair, one class polynomial per discriminant
-    assert len(calls) == sum((class_number(d) + 1) // 2 for d in (-191, -239, -311))
+    discriminants = {d for pair in pairs for d in pair}
+    assert len(calls) == sum((class_number(d) + 1) // 2 for d in discriminants)
+    assert len([key for key in expected if key.startswith("singular-moduli")]) == len(pairs)
