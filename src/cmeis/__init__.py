@@ -20,13 +20,12 @@ from .eisenstein import (
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
-    whittaker_arch,
     whittaker_finite,
 )
 from .exact import (
     OO,
     Factorization,
-    GaussianRational,
+    InvariantError,
     LogLinear,
     factor,
     hasse_invariant,

@@ -7,10 +7,10 @@ Subcommands:
 * ``singular-moduli``  both sides of the resultant reconciliation
 * ``verify``           run the cross-module invariant suites
 
-Exit codes: 0 success, 1 verification failure, 2 usage or setup error,
-3 precision failure.  All rational values are emitted as reduced
-fraction strings and maps are keyed by primes in increasing order, so
-emitted JSON re-serializes byte-identically.
+Exit codes: 0 success, 1 verification failure or violated invariant,
+2 usage or setup error, 3 precision failure.  All rational values are
+emitted as reduced fraction strings and maps are keyed by primes in
+increasing order, so emitted JSON re-serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .eisenstein import (
     mixed_coefficient,
     trace_degree,
 )
-from .exact import LogLinear, factor
+from .exact import InvariantError, LogLinear, factor
 from .field import FElem, FPrimeIdeal, Setup, SetupError, _half_slice
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+
+# most values of x per trace the mixed-signature scan may be asked to walk
+_MAX_MIXED_SCAN = 10**5
 
 
 def _positive_int(text: str) -> int:
@@ -208,8 +211,18 @@ def _cmd_coeffs(args) -> int:
     setup = Setup(args.d1, args.d2)
     if (args.v1 is None) != (args.v2 is None):
         raise SetupError("--v1 and --v2 must be given together")
-    if args.v1 is not None and not all(math.isfinite(v) and v > 0 for v in (args.v1, args.v2)):
-        raise SetupError("imaginary parts must be positive and finite")
+    if args.v1 is not None:
+        if not all(math.isfinite(v) and v > 0 for v in (args.v1, args.v2)):
+            raise SetupError("imaginary parts must be positive and finite")
+        # the mixed scan stops no earlier than sigma* = ln(2/cutoff)/(4 pi min(v1, v2)),
+        # which is about sqrt(D) * sigma* values of x per trace, whatever m is
+        log_ratio = math.log(2) + (args.digits + 2) * math.log(10)
+        scan = math.sqrt(setup.D) * log_ratio / (4 * math.pi * min(args.v1, args.v2))
+        if scan > _MAX_MIXED_SCAN:
+            raise SetupError(
+                f"imaginary parts too small: the mixed-signature scan needs about {scan:.3g} "
+                f"values of x per trace (at most {_MAX_MIXED_SCAN})"
+            )
     records = coefficient_records(
         setup, args.trace_max, v1=args.v1, v2=args.v2, digits=args.digits
     )
@@ -289,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Arakelov degrees, and a singular-moduli cross-check."
         ),
         epilog=(
-            "Exit codes: 0 success, 1 verification failure, 2 usage/setup error, "
-            "3 precision failure.  CMEIS_PRECISION_BITS overrides the starting "
-            "precision of the floating-point oracle."
+            "Exit codes: 0 success, 1 verification failure or violated invariant, "
+            "2 usage/setup error, 3 precision failure.  CMEIS_PRECISION_BITS "
+            "overrides the starting precision of the floating-point oracle."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,6 +356,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         sys.stderr.write(f"precision failure: {exc}\n")
         return EXIT_PRECISION
+    except InvariantError as exc:
+        sys.stderr.write(json.dumps({"invariant": str(exc)}, separators=(",", ":")) + "\n")
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ Coefficients are computed through two deliberately disjoint paths:
 * the closed form 2 * ord * rho * log p attached to the unique
   obstruction prime (``arakelov_degree``, whose coefficient is also
   ``holomorphic_coefficient``), and
-* a product-rule assembly of local Whittaker values and the one local
-  derivative (``assemble_derivative``), whose per-prime factors are the
-  literal finite sums, not the evaluated closed forms.
+* a product-rule assembly of finite local Whittaker values and the one
+  local derivative (``assemble_derivative``), whose per-prime factors are
+  the literal finite sums, not the evaluated closed forms.  The two
+  archimedean center values of a totally positive index are the constant
+  -2i each, so the assembly multiplies integers and ``LogLinear``s only.
 
 The matching Arakelov degree of the zero-dimensional CM locus is one
 quarter of the coefficient; ``trace_degree`` sums a trace slice and also
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import GaussianRational, LogLinear, padic_val
+from .exact import InvariantError, LogLinear, padic_val
 from .field import (
     FElem,
     FIdealFactored,
@@ -48,13 +50,7 @@ from .field import (
     enumerate_trace_slice,
     principal_ideal,
 )
-from .genus import (
-    LocalNormSeries,
-    diff_set,
-    genus_char_prime,
-    norm_ideal_count,
-    prime_multiplicity,
-)
+from .genus import diff_set, genus_char_prime, norm_ideal_count, prime_multiplicity
 from .oracle import e1, lambda_at_zero
 
 __all__ = [
@@ -69,96 +65,41 @@ __all__ = [
     "holomorphic_coefficient",
     "mixed_coefficient",
     "trace_degree",
-    "whittaker_arch",
     "whittaker_finite",
 ]
 
-_MINUS_I = GaussianRational(0, -1)
-_MINUS_2I = GaussianRational(0, -2)
+# the two archimedean center values of a totally positive index: (-2i)^2
+_ARCH_PRODUCT = -4
 
 
 @dataclass(frozen=True)
 class WhittakerData:
-    """Value and derivative at the center of one local Whittaker factor.
+    """Exact value and derivative at the center of one finite local factor."""
 
-    ``value0`` is exact; for finite places ``deriv0`` is an exact
-    LogLinear, for an archimedean place with negative embedding the
-    derivative is the tagged numeric ``deriv0_numeric``.  The oscillating
-    q-factor of archimedean values is tracked formally via
-    ``has_q_factor`` and never evaluated.
-    """
-
-    place: object
-    value0: GaussianRational
-    deriv0: LogLinear | None = None
-    deriv0_numeric: object | None = None
-    has_q_factor: bool = False
+    place: FPrimeIdeal
+    value0: int
+    deriv0: LogLinear
 
 
-def _different_order(setup: Setup, prm: FPrimeIdeal) -> int:
-    # ord_P(D) as an F-valuation; nonzero only at ramified primes
-    return 2 * padic_val(setup.D, prm.p) if prm.kind == "ramified" else 0
-
-
-def whittaker_finite(
-    setup: Setup,
-    alpha: FElem,
-    prm: FPrimeIdeal,
-    section: str = "incoherent_plus",
-) -> WhittakerData:
+def whittaker_finite(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> WhittakerData:
     """Normalized local Whittaker value/derivative at a finite prime.
 
-    ``incoherent_plus`` is the standard lattice section: the value at the
-    center is the local norm-count sum, the derivative follows the module
-    convention above.  ``coherent_swap`` is the section for the quadratic
-    space twisted at this prime; it is only meaningful where the standard
-    value vanishes, and its center value is exactly -1.
+    With t = ord_P(sqrt(D) * alpha) and eps = chi(P), the center value is
+    the norm-count sum sum_{r=0..t} eps^r and the derivative follows the
+    module convention above.  Both sums are taken term by term, not in
+    closed form, because this path is the independent check.
     """
     gen = alpha.times_sqrtD(setup.D)
     t = element_valuation(setup, gen, prm)
     if t < 0:
         raise ValueError("alpha has a pole against the inverse different here")
     eps = genus_char_prime(setup, prm)
-    if section == "coherent_swap":
-        if not (eps == -1 and t % 2 == 1):
-            raise ValueError("coherent section is only defined at an obstruction prime")
-        return WhittakerData(place=prm, value0=GaussianRational(Fraction(-1)))
-    if section != "incoherent_plus":
-        raise ValueError(f"unknown section {section!r}")
-    series = LocalNormSeries(prm.p, prm.residue_degree, eps, t)
-    value = series.value_at_zero()
-    coeff = Fraction(prm.residue_degree) * (
-        Fraction(_different_order(setup, prm), 2) * value + series.weighted_sum()
-    )
-    return WhittakerData(
-        place=prm,
-        value0=GaussianRational(Fraction(value)),
-        deriv0=LogLinear({prm.p: coeff}),
-    )
-
-
-def whittaker_arch(
-    setup: Setup, alpha: FElem, l: int, v_l, precision: int = 53
-) -> WhittakerData:
-    """Archimedean Whittaker value at embedding l, imaginary part v_l."""
-    if l not in (1, 2):
-        raise ValueError("embedding index must be 1 or 2")
-    if not v_l > 0:
-        raise ValueError("imaginary part must be positive")
-    if alpha.is_zero:
-        return WhittakerData(place=l, value0=_MINUS_I)
-    sgn = alpha.embedding_sign(setup.D, l)
-    if sgn > 0:
-        return WhittakerData(place=l, value0=_MINUS_2I, has_q_factor=True)
-    with mpmath.mp.workprec(precision + 16):
-        mag = abs(alpha.embedding(setup.D, l, precision + 16))
-        deriv = -1j * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision)
-    return WhittakerData(
-        place=l,
-        value0=GaussianRational(Fraction(0)),
-        deriv0_numeric=deriv,
-        has_q_factor=True,
-    )
+    value = sum(eps**r for r in range(t + 1))
+    weighted = sum(r * eps**r for r in range(t + 1))
+    # (1/2) ord_P(D): nonzero only at ramified primes, where ord_P(D) = 2 ord_p(D)
+    half_different = padic_val(setup.D, prm.p) if prm.kind == "ramified" else 0
+    coeff = prm.residue_degree * (half_different * value + weighted)
+    return WhittakerData(place=prm, value0=value, deriv0=LogLinear({prm.p: coeff}))
 
 
 def _index_ideal(setup: Setup, alpha: FElem) -> FIdealFactored:
@@ -269,7 +210,7 @@ def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
         return DegreeReport(diff, zero, zero, None, Fraction(0))
     prm = diff[0]
     if prm.residue_degree != 1:
-        raise AssertionError("obstruction primes have residue degree 1")
+        raise InvariantError("obstruction primes have residue degree 1")
     nu = Fraction(ideal.ord_at(prm) + 1, 2)
     # rho(ideal / P): P's own factor is 1 (chi(P) = -1, even exponent left)
     rest = FIdealFactored(tuple(entry for entry in ideal.entries if entry[0] != prm))
@@ -297,7 +238,7 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
 
     (a) sum of per-index degrees over the trace slice;
     (b) one half of the double sum of per-prime multiplicities.
-    The two must agree exactly, else AssertionError; the common value is returned.
+    The two must agree exactly, else InvariantError; the common value is returned.
     """
     slice_elements = enumerate_trace_slice(setup, m)
     total_a = LogLinear.zero()
@@ -310,19 +251,17 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
             if fp:
                 total_b = total_b + LogLinear({p: Fraction(fp, 2)})
     if total_a != total_b:
-        raise AssertionError("slice decomposition disagrees with multiplicity sums")
+        raise InvariantError("slice decomposition disagrees with multiplicity sums")
     return total_a
 
 
-def _scalar_product_of_values(setup: Setup, alpha: FElem, skip: FPrimeIdeal) -> GaussianRational:
+def _scalar_product_of_values(setup: Setup, alpha: FElem, skip: FPrimeIdeal) -> int:
+    """Product of the center values at every place but ``skip``."""
     ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
-    out = GaussianRational(Fraction(1))
+    out = _ARCH_PRODUCT
     for prm, _ in ideal.entries:
-        if prm == skip:
-            continue
-        out = out * whittaker_finite(setup, alpha, prm).value0
-    # both archimedean values of a totally positive index
-    out = out * _MINUS_2I * _MINUS_2I
+        if prm != skip:
+            out *= whittaker_finite(setup, alpha, prm).value0
     return out
 
 
@@ -342,15 +281,13 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
         raise ValueError("assembly needs a single obstruction prime")
     prm = diff[0]
     scalar = _scalar_product_of_values(setup, alpha, prm)
-    if not scalar.is_real:
-        raise AssertionError("archimedean constants must square to a real number")
-    result = whittaker_finite(setup, alpha, prm).deriv0.scale(scalar.re)
+    result = whittaker_finite(setup, alpha, prm).deriv0.scale(scalar)
     if any(c < 0 for c in result.terms().values()):
-        raise AssertionError("coefficient must be nonnegative")
+        raise InvariantError("coefficient must be nonnegative")
     return result
 
 
-def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> Fraction:
+def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
     """Center value of the coefficient for the twisted quadratic space.
 
     Assembled as (-1) * prod of untouched center values * (-2i)^2 and
@@ -360,13 +297,10 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> Fracti
     diff = diff_set(setup, ideal)
     if len(diff) != 1 or diff[0] != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
-    swapped = whittaker_finite(setup, alpha, prm, section="coherent_swap")
-    scalar = swapped.value0 * _scalar_product_of_values(setup, alpha, prm)
-    if not scalar.is_real:
-        raise AssertionError("coherent center value is not real")
-    value = scalar.re
+    # the section twisted at P has center value -1 there
+    value = -_scalar_product_of_values(setup, alpha, prm)
     if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
-        raise AssertionError("coherent center value disagrees with 4 * rho")
+        raise InvariantError("coherent center value disagrees with 4 * rho")
     return value
 
 

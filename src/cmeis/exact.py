@@ -23,7 +23,7 @@ import mpmath
 __all__ = [
     "OO",
     "Factorization",
-    "GaussianRational",
+    "InvariantError",
     "LogLinear",
     "factor",
     "hasse_invariant",
@@ -36,6 +36,10 @@ __all__ = [
 
 # The archimedean place, usable wherever a rational prime is expected.
 OO = float("inf")
+
+
+class InvariantError(AssertionError):
+    """A violated internal invariant, raised explicitly so ``python -O`` keeps it."""
 
 
 def _small_primes(limit: int = 1000) -> tuple[int, ...]:
@@ -337,43 +341,6 @@ def sqrt_mod_prime_power(D: int, p: int, k: int) -> int:
         # Newton step x -> (x^2 + D)/(2x), stays = r0 mod p
         r = (r + D * pow(r, -1, mod)) * pow(2, -1, mod) % mod
     return r % p**k
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i) with exact rational parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + (-other)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
 
 
 @lru_cache(maxsize=1 << 10)

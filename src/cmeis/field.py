@@ -34,6 +34,7 @@ from functools import lru_cache
 
 from .exact import (
     OO,
+    InvariantError,
     factor,
     hasse_invariant,
     hilbert_symbol,
@@ -321,7 +322,7 @@ def element_valuation(setup: Setup, beta: FElem, prm: FPrimeIdeal) -> int:
     if prm.kind == "inert":
         t = padic_val(beta.norm(setup.D), p)
         if t % 2:
-            raise AssertionError("odd norm valuation at an inert prime")
+            raise InvariantError("odd norm valuation at an inert prime")
         return t // 2
     if prm.kind == "ramified":
         return padic_val(beta.norm(setup.D), p)
@@ -349,7 +350,7 @@ def principal_ideal(setup: Setup, beta: FElem) -> FIdealFactored:
             if e:
                 pairs.append((prm, e))
         if checksum != padic_val(nrm, p):
-            raise AssertionError("valuations disagree with the norm")
+            raise InvariantError("valuations disagree with the norm")
     return FIdealFactored.from_pairs(pairs)
 
 
@@ -375,7 +376,7 @@ def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
         for prm in prime_ideals_above(setup, p):
             if prm.kind == "inert":
                 if e % 2:
-                    raise AssertionError("odd norm valuation at an inert prime")
+                    raise InvariantError("odd norm valuation at an inert prime")
                 v = e // 2
             elif prm.kind == "ramified":
                 v = e
@@ -385,7 +386,7 @@ def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
             if v:
                 entries.append((prm, v))
         if checksum != e:
-            raise AssertionError("valuations disagree with the norm")
+            raise InvariantError("valuations disagree with the norm")
     return FIdealFactored(tuple(entries))
 
 

@@ -9,17 +9,16 @@ asserts that for free.
 
 rho(b) counts integral ideals of K with relative norm b: the local factor
 at P is e+1 when chi(P) = +1 and (1 if e even else 0) when chi(P) = -1,
-and 0 whenever b has a pole.  The same local factors appear as values of
-the finite Whittaker functions, so the local series is kept symbolically
-as ``LocalNormSeries``.
+and 0 whenever b has a pole.  The same local factors reappear as the
+center values of the finite Whittaker functions, where
+``eisenstein.whittaker_finite`` sums them term by term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import kronecker
+from .exact import InvariantError, kronecker
 from .field import (
     FElem,
     FIdealFactored,
@@ -30,7 +29,6 @@ from .field import (
 )
 
 __all__ = [
-    "LocalNormSeries",
     "diff_set",
     "genus_char_ideal",
     "genus_char_prime",
@@ -49,7 +47,7 @@ def genus_char_prime(setup: Setup, prm: FPrimeIdeal) -> int:
         if d % prm.p != 0
     }
     if len(vals) != 1:
-        raise AssertionError("base-change character values disagree")
+        raise InvariantError("base-change character values disagree")
     return vals.pop()
 
 
@@ -86,27 +84,6 @@ def norm_ideal_count(setup: Setup, ideal: FIdealFactored) -> int:
         if out == 0:
             return 0
     return out
-
-
-@dataclass(frozen=True)
-class LocalNormSeries:
-    """The finite local series sum_{r=0..t} (eps * N^-s)^r at one prime.
-
-    Stored as (p, f, eps, t) with N = p^f.  The value at s = 0 and the
-    weighted sum sum r * eps^r, from which the derivative at s = 0 is
-    built, are both exact.
-    """
-
-    p: int
-    f: int
-    eps: int
-    t: int
-
-    def value_at_zero(self) -> int:
-        return sum(self.eps**r for r in range(self.t + 1))
-
-    def weighted_sum(self) -> int:
-        return sum(r * self.eps**r for r in range(self.t + 1))
 
 
 def _is_valid_reflex(setup: Setup, prm: FPrimeIdeal) -> bool:

@@ -63,24 +63,28 @@ def test_coeffs_json_roundtrip_byte_identical(capsys):
 
 
 def test_coeffs_csv_agrees_with_json(capsys):
-    args = ("coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
-    code, json_out, _ = _run(capsys, *args)
-    assert code == 0
-    code, csv_out, _ = _run(capsys, *args, "--format", "csv")
-    assert code == 0
-    json_records = [json.loads(line) for line in json_out.splitlines()]
-    reader = csv.DictReader(io.StringIO(csv_out))
-    csv_records = list(reader)
-    assert len(csv_records) == len(json_records)
-    for jr, cr in zip(json_records, csv_records):
-        assert int(cr["m"]) == jr["m"]
-        assert int(cr["x"]) == jr["x"]
-        assert [cr["alpha_u"], cr["alpha_v"]] == jr["alpha"]
-        assert json.loads(cr["diff"]) == jr["diff"]
-        assert json.loads(cr["a_alpha"]) == jr["a_alpha"]
-        assert json.loads(cr["deg_X"]) == jr["deg_X"]
-        assert cr["a_alpha_float"] == jr["a_alpha_float"]
-        assert cr["nu"] == jr["nu"]
+    base = ("coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
+    # the second input adds the constant and mixed records: m = 0, empty diff, {} maps
+    for args in (base, (*base, "--v1", "1", "--v2", "0.5")):
+        code, json_out, _ = _run(capsys, *args)
+        assert code == 0
+        code, csv_out, _ = _run(capsys, *args, "--format", "csv")
+        assert code == 0
+        json_records = [json.loads(line) for line in json_out.splitlines()]
+        reader = csv.DictReader(io.StringIO(csv_out))
+        csv_records = list(reader)
+        assert len(csv_records) == len(json_records)
+        for jr, cr in zip(json_records, csv_records):
+            assert int(cr["m"]) == jr["m"]
+            assert int(cr["x"]) == jr["x"]
+            assert [cr["alpha_u"], cr["alpha_v"]] == jr["alpha"]
+            assert json.loads(cr["diff"]) == jr["diff"]
+            assert json.loads(cr["a_alpha"]) == jr["a_alpha"]
+            assert json.loads(cr["deg_X"]) == jr["deg_X"]
+            assert cr["a_alpha_float"] == jr["a_alpha_float"]
+            assert cr["nu"] == jr["nu"]
+    assert any(r["m"] == 0 for r in json_records)
+    assert any(r["diff"] == [] and r["a_alpha"] == {} and r["m"] for r in json_records)
 
 
 def test_coeffs_with_v_emits_constant_and_mixed(capsys):
@@ -150,6 +154,45 @@ def test_imaginary_part_not_positive_and_finite_is_exit_2(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "setup error" in err
+
+
+def test_tiny_imaginary_part_is_a_setup_error():
+    # the mixed scan would need ~1e301 values of x per trace: refuse up front
+    argv = ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmeis.cli", *argv, "--v1", "1e-300", "--v2", "1e-300"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("setup error: imaginary parts too small")
+
+
+_BROKEN_SPLIT_VALUATION = """
+import sys
+import cmeis.field
+from cmeis.cli import main
+cmeis.field._split_valuation = lambda *args: 0
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_violated_invariant_is_exit_1_with_json():
+    argv = ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SPLIT_VALUATION, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ['{"invariant":"valuations disagree with the norm"}']
 
 
 def test_degree_command(capsys):

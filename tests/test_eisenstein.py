@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -16,12 +17,19 @@ from cmeis.eisenstein import (
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
-    whittaker_arch,
     whittaker_finite,
 )
-from cmeis.exact import GaussianRational, LogLinear
-from cmeis.field import FElem, Setup, enumerate_trace_slice, prime_ideals_above, support
-from cmeis.genus import diff_set
+from cmeis.exact import LogLinear
+from cmeis.field import (
+    FElem,
+    Setup,
+    element_valuation,
+    enumerate_trace_slice,
+    prime_ideals_above,
+    principal_ideal,
+    support,
+)
+from cmeis.genus import diff_set, genus_char_prime
 from cmeis.oracle import class_number
 
 S37 = Setup(-3, -7)
@@ -36,7 +44,7 @@ ALPHA_X1 = FElem(Fraction(1, 2), Fraction(1, 42))  # trace-1 slice, x = 1
 def test_whittaker_finite_unramified_trivial():
     (inert2,) = prime_ideals_above(S37, 2)
     w = whittaker_finite(S37, ALPHA_X1, inert2)
-    assert w.value0 == GaussianRational(1, 0)
+    assert w.value0 == 1
     assert w.deriv0 == LogLinear.zero()
 
 
@@ -45,24 +53,45 @@ def test_whittaker_finite_ramified_outside_index():
     # carries only the |D|^(-s/2) factor
     (ram7,) = prime_ideals_above(S37, 7)
     w = whittaker_finite(S37, ALPHA_X1, ram7)
-    assert w.value0 == GaussianRational(1, 0)
+    assert w.value0 == 1
     assert w.deriv0 == LogLinear({7: 1})
 
 
 def test_whittaker_finite_at_obstruction():
     _, minus = prime_ideals_above(S37, 5)
     w = whittaker_finite(S37, ALPHA_X1, minus)
-    assert w.value0 == GaussianRational(0, 0)
+    assert w.value0 == 0
     assert w.deriv0 == LogLinear({5: -1})  # -(1/2) * 2 * log 5
 
 
-def test_whittaker_coherent_swap():
-    _, minus = prime_ideals_above(S37, 5)
-    w = whittaker_finite(S37, ALPHA_X1, minus, section="coherent_swap")
-    assert w.value0 == GaussianRational(-1, 0)
+def _local_sums_case(setup, alpha, prm, eps, t):
+    assert genus_char_prime(setup, prm) == eps
+    assert element_valuation(setup, alpha.times_sqrtD(setup.D), prm) == t
+    return whittaker_finite(setup, alpha, prm)
+
+
+def test_whittaker_finite_local_sums():
+    # the center value is sum eps^r and the derivative f * sum r eps^r at
+    # an unramified prime, for r = 0..t
     plus, _ = prime_ideals_above(S37, 5)
-    with pytest.raises(ValueError):
-        whittaker_finite(S37, ALPHA_X1, plus, section="coherent_swap")
+    w = _local_sums_case(S37, ALPHA_X1, plus, -1, 0)
+    assert (w.value0, w.deriv0) == (1, LogLinear.zero())
+    # (-3, -7), m = 4, x = 4: the inert prime above 2 (residue degree 2)
+    (inert2,) = prime_ideals_above(S37, 2)
+    alpha = FElem(2, Fraction(4, 42))
+    w = _local_sums_case(S37, alpha, inert2, 1, 2)
+    assert w.value0 == 3
+    assert w.deriv0 == LogLinear({2: 6})
+
+
+def test_whittaker_coherent_swap():
+    # the section twisted at the obstruction prime swaps its vanishing
+    # center value for -1; every other factor, (-2i)^2 included, stays
+    _, minus = prime_ideals_above(S37, 5)
+    ideal = principal_ideal(S37, ALPHA_X1.times_sqrtD(S37.D))
+    others = [whittaker_finite(S37, ALPHA_X1, prm).value0 for prm, _ in ideal.entries]
+    others.remove(whittaker_finite(S37, ALPHA_X1, minus).value0)
+    assert coherent_coefficient(S37, ALPHA_X1, minus) == -1 * -4 * math.prod(others)
 
 
 def test_whittaker_finite_rejects_pole():
@@ -78,19 +107,6 @@ def test_whittaker_finite_rejects_pole():
     assert polar
     with pytest.raises(ValueError):
         whittaker_finite(S37, bad, polar[0])
-
-
-def test_whittaker_arch_values():
-    w = whittaker_arch(S37, ALPHA_X1, 1, 1.0)
-    assert w.value0 == GaussianRational(0, -2) and w.has_q_factor
-    wz = whittaker_arch(S37, FElem(0, 0), 2, 2.0)
-    assert wz.value0 == GaussianRational(0, -1)
-    mixed = FElem(Fraction(1, 2), Fraction(-5, 42))
-    wm = whittaker_arch(S37, mixed, 1, 1.0)
-    assert wm.value0 == GaussianRational(0, 0)
-    assert wm.deriv0_numeric is not None and wm.deriv0_numeric.real == 0
-    with pytest.raises(ValueError):
-        whittaker_arch(S37, ALPHA_X1, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +199,10 @@ setup = Setup(-3, -7)
 if sys.argv[1] == "trace_degree":
     eisenstein.prime_multiplicity = lambda *args: 0
     call = lambda: eisenstein.trace_degree(setup, 1)
+elif sys.argv[1] == "assemble_derivative":
+    eisenstein._ARCH_PRODUCT = 4  # (-2i)^2 with its sign flipped
+    (e,) = [e for e in enumerate_trace_slice(setup, 1) if e.x == 1]
+    call = lambda: eisenstein.assemble_derivative(setup, e.alpha)
 else:
     eisenstein.norm_ideal_count = lambda *args: 0
     (e,) = [e for e in enumerate_trace_slice(setup, 1) if e.x == -3]
@@ -196,7 +216,7 @@ raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
 """
 
 
-@pytest.mark.parametrize("sabotage", ["trace_degree", "coherent_coefficient"])
+@pytest.mark.parametrize("sabotage", ["trace_degree", "coherent_coefficient", "assemble_derivative"])
 def test_trace_degree_check_survives_optimize(sabotage):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(

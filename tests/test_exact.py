@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cmeis.exact import (
     OO,
-    GaussianRational,
     LogLinear,
     factor,
     hasse_invariant,
@@ -234,21 +233,6 @@ def test_loglinear_module_laws(d1, d2, r):
     assert (t1 + t2) - t2 == t1
     assert (t1 + t2).scale(r) == t1.scale(r) + t2.scale(r)
     assert (t1 == t2) == (abs(t1.to_float(128) - t2.to_float(128)) < mpmath.mpf(2) ** -90)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-
-
-def test_gaussian_rational_arithmetic():
-    minus_2i = GaussianRational(0, -2)
-    assert (minus_2i * minus_2i) == GaussianRational(-4, 0)
-    assert (minus_2i * minus_2i).is_real
-    assert not minus_2i.is_real
-    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
-    assert z + (-z) == GaussianRational(0, 0)
-    assert z.conjugate().im == Fraction(3, 4)
-    assert (z * z.conjugate()).is_real
 
 
 def test_padic_val():

@@ -5,6 +5,8 @@ and ``singular-moduli`` op of the behaviour fingerprint in a fresh
 interpreter and compares the sha256 of its stdout with the recorded one
 in ``perfbench/expected.json``.  The mixed-signature ops and the trace-60
 op of (-7, -23) are checked here against the same file's ``workload_ops``.
+The harness's own tests and its span tracer run here too, so a change that
+deletes a name the tracer wraps fails in this suite.
 """
 
 import hashlib
@@ -48,3 +50,40 @@ def test_trace_60_output_matches_workload_ops(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)]
+
+
+def test_perfbench_self_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_TRACED_DEGREE = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+code = tracer.run_op(0, ["degree", "--d1", "-3", "--d2", "-7", "--m", "1"])
+print(json.dumps({"code": code, "summary": tracer.summary()}))
+"""
+
+
+def test_span_tracer_wraps_every_target():
+    # install() looks up every TARGETS name, summary() every CACHED lru_cache
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_DEGREE],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["summary"]["layers"]["eisenstein.trace_degree"]["calls"] == 1

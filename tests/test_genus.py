@@ -16,7 +16,6 @@ from cmeis.field import (
     principal_ideal,
 )
 from cmeis.genus import (
-    LocalNormSeries,
     diff_set,
     genus_char_ideal,
     genus_char_prime,
@@ -152,20 +151,6 @@ def test_norm_ideal_count_multiplicative(pair, p1, p2, e1, e2):
     a = FIdealFactored.from_pairs([(prm, e1) for prm in prime_ideals_above(s, p1)])
     b = FIdealFactored.from_pairs([(prm, e2) for prm in prime_ideals_above(s, p2)])
     assert norm_ideal_count(s, a * b) == norm_ideal_count(s, a) * norm_ideal_count(s, b)
-
-
-# ---------------------------------------------------------------------------
-# the local series
-
-
-def test_local_norm_series_values():
-    assert LocalNormSeries(5, 1, -1, 0).value_at_zero() == 1
-    assert LocalNormSeries(5, 1, 1, 0).value_at_zero() == 1
-    s_neg = LocalNormSeries(5, 1, -1, 1)
-    assert s_neg.value_at_zero() == 0
-    assert s_neg.weighted_sum() == -1
-    assert LocalNormSeries(5, 1, 1, 2).value_at_zero() == 3
-    assert LocalNormSeries(5, 1, 1, 2).weighted_sum() == 3
 
 
 # ---------------------------------------------------------------------------
