@@ -33,7 +33,7 @@ from .eisenstein import (
     trace_degree,
 )
 from .exact import InvariantError, LogLinear, factor
-from .field import FElem, FPrimeIdeal, Setup, SetupError, _half_slice
+from .field import FPrimeIdeal, Setup, SetupError, _half_slice
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
 
@@ -42,7 +42,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-# most values of x per trace the mixed-signature scan may be asked to walk
+# most values of x, over all traces, the mixed-signature scan may be asked to walk
 _MAX_MIXED_SCAN = 10**5
 
 
@@ -107,21 +107,17 @@ def _mirror(D, record, report):
 
 
 def _mixed_records(setup, m, v1, v2, digits, bits):
-    """Nonzero mixed-signature records at trace m, largest terms first by |x|.
+    """Nonzero mixed-signature records at trace m, in the order of the scan.
 
-    Trace fixes only a line in the lattice, so the scan walks outward in x
-    and stops once a divisor-count bound on the coefficient falls below
-    the display cutoff (the terms decay like exp(-c|x|)).
+    Trace fixes only a line in the lattice, so the scan walks outward in
+    |x| (-x, then x) and stops once a divisor-count bound on the coefficient
+    falls below the display cutoff (the terms decay like exp(-c|x|)).
     """
     D = setup.D
     cutoff = mpmath.mpf(10) ** (-(digits + 2))
-    xmax = math.isqrt(m * m * D - 1)
-    parity = (m * D) % 2
-    start = xmax + 1
-    if start % 2 != parity:
-        start += 1
+    x = math.isqrt(m * m * D - 1) + 1  # the first x with x^2 > m^2 D ...
+    x += (x - m * D) % 2  # ... and (x + m sqrt(D))/2 integral
     records = []
-    x = start
     while True:
         n = (x * x - m * m * D) // 4
         with mpmath.mp.workprec(bits):
@@ -134,13 +130,12 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
         if bound < cutoff:
             break
         for sx in (-x, x):
-            alpha = FElem(Fraction(m, 2), Fraction(sx, 2 * D))
-            value = mixed_coefficient(setup, alpha, v1, v2, bits)
+            value = mixed_coefficient(setup, m, sx, v1, v2, bits)
             if abs(value) < cutoff:
                 continue
             records.append(_record(D, m, sx, _NUMERIC_ONLY, _float_str(value, digits)))
         x += 2
-    return sorted(records, key=lambda r: r["x"])
+    return records
 
 
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
@@ -217,11 +212,12 @@ def _cmd_coeffs(args) -> int:
         # the mixed scan stops no earlier than sigma* = ln(2/cutoff)/(4 pi min(v1, v2)),
         # which is about sqrt(D) * sigma* values of x per trace, whatever m is
         log_ratio = math.log(2) + (args.digits + 2) * math.log(10)
-        scan = math.sqrt(setup.D) * log_ratio / (4 * math.pi * min(args.v1, args.v2))
+        sigma = log_ratio / (4 * math.pi * min(args.v1, args.v2))
+        scan = args.trace_max * math.sqrt(setup.D) * sigma
         if scan > _MAX_MIXED_SCAN:
             raise SetupError(
                 f"imaginary parts too small: the mixed-signature scan needs about {scan:.3g} "
-                f"values of x per trace (at most {_MAX_MIXED_SCAN})"
+                f"values of x (at most {_MAX_MIXED_SCAN} per run)"
             )
     records = coefficient_records(
         setup, args.trace_max, v1=args.v1, v2=args.v2, digits=args.digits

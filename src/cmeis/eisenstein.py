@@ -119,28 +119,27 @@ def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
     return arakelov_degree(setup, alpha).coefficient
 
 
-def mixed_coefficient(setup: Setup, alpha: FElem, v1, v2, precision: int = 53):
-    """Coefficient of a mixed-signature index: 2 rho * e1(4 pi |sigma_l| v_l).
+def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):
+    """Coefficient of the index alpha = m/2 + (x/(2D)) sqrt(D) of mixed signature.
 
-    l is the embedding where alpha is negative; decays to 0 as v_l grows.
+    The signature is mixed when x^2 > m^2 D.  The value is 0 unless x - mD
+    is even, i.e. sqrt(D) * alpha = (x + m sqrt(D))/2 is integral, and is
+    else 2 rho * e1(4 pi |sigma_l| v_l), where l is the embedding at which
+    alpha is negative (1 for x < 0, 2 for x > 0); it decays to 0 as v_l grows.
     """
-    s1 = alpha.embedding_sign(setup.D, 1)
-    s2 = alpha.embedding_sign(setup.D, 2)
-    if s1 * s2 >= 0:
+    D = setup.D
+    if x * x <= m * m * D:
         raise ValueError("expected a mixed-signature element")
-    gen = alpha.times_sqrtD(setup.D)
-    if not gen.is_integral(setup.D):
+    if (x - m * D) % 2:
         return mpmath.mpf(0)
-    x, m = int(2 * gen.u), int(2 * gen.v)
-    ideal = _slice_ideal(setup, m, x, abs(m * m * setup.D - x * x) // 4)
-    rho = norm_ideal_count(setup, ideal)
+    rho = norm_ideal_count(setup, _slice_ideal(setup, m, x, (x * x - m * m * D) // 4))
     if rho == 0:
         return mpmath.mpf(0)
-    l, v_l = (1, v1) if s1 < 0 else (2, v2)
+    v_l = v1 if x < 0 else v2
     if not v_l > 0:
         raise ValueError("imaginary parts must be positive")
     with mpmath.mp.workprec(precision + 16):
-        mag = abs(alpha.embedding(setup.D, l, precision + 16))
+        mag = abs(mpmath.mpf(m) / 2 - mpmath.mpf(abs(x)) / (2 * D) * mpmath.sqrt(D))
         return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision))
 
 
@@ -183,7 +182,10 @@ def fourier_coefficient(setup: Setup, alpha: FElem, v1=None, v2=None, precision:
         return LogLinear.zero()
     if v1 is None or v2 is None:
         raise ValueError("mixed-signature coefficients need both imaginary parts")
-    return mixed_coefficient(setup, alpha, v1, v2, precision)
+    gen = alpha.times_sqrtD(setup.D)
+    if not gen.is_integral(setup.D):
+        return mpmath.mpf(0)
+    return mixed_coefficient(setup, int(2 * gen.v), int(2 * gen.u), v1, v2, precision)
 
 
 @dataclass(frozen=True)

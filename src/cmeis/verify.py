@@ -18,6 +18,7 @@ import mpmath
 from . import eisenstein, genus, oracle
 from .exact import (
     OO,
+    InvariantError,
     LogLinear,
     factor,
     hilbert_symbol,
@@ -406,9 +407,9 @@ def _trace_degree_two_paths(rng: random.Random) -> str | None:
     for setup in _setups():
         for m in range(1, 21):
             try:
-                eisenstein.trace_degree(setup, m)  # asserts both paths agree
-            except AssertionError:
-                return f"trace degree paths split at m={m}, {setup}"
+                eisenstein.trace_degree(setup, m)  # raises unless both paths agree
+            except InvariantError as exc:
+                return f"trace degree paths split at m={m}, {setup}: {exc}"
     return None
 
 
@@ -425,10 +426,10 @@ def _coherent_ratio(rng: random.Random) -> str | None:
 
 def _mixed_coefficient_decay(rng: random.Random) -> str | None:
     setup = _setups()[0]
-    mixed = FElem(Fraction(1, 2), Fraction(-5, 2 * setup.D))
+    # m = 1, x = -5: alpha = 1/2 - (5/(2D)) sqrt(D), negative at the first embedding
     prev = None
     for v in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 100.0, 800.0):
-        val = eisenstein.mixed_coefficient(setup, mixed, v, 1.0, 80)
+        val = eisenstein.mixed_coefficient(setup, 1, -5, v, 1.0, 80)
         if prev is not None and not val < prev:
             return f"mixed coefficient not decreasing at v={v}"
         prev = val

@@ -171,6 +171,21 @@ def test_tiny_imaginary_part_is_a_setup_error():
     assert proc.stderr.startswith("setup error: imaginary parts too small")
 
 
+def test_mixed_scan_cap_counts_every_trace():
+    # about 7,500 values of x per trace is admitted at trace 1 but not 20 times over
+    argv = ["coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmeis.cli", *argv, "--v1", "0.01", "--v2", "0.01"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("setup error: imaginary parts too small")
+
+
 _BROKEN_SPLIT_VALUATION = """
 import sys
 import cmeis.field
@@ -321,6 +336,7 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
 
 
 # Each sabotaged dependency must make the named check return a failure.
+_prime_multiplicity = cmeis.eisenstein.prime_multiplicity
 FAULTS = {
     "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
     "trace-slice-invariants": (
@@ -331,12 +347,20 @@ FAULTS = {
         "eisenstein", cmeis.eisenstein, "assemble_derivative",
         lambda setup, alpha: LogLinear.zero(),
     ),
+    "trace-degree-two-paths": (
+        "eisenstein", cmeis.eisenstein, "prime_multiplicity",
+        lambda *args: _prime_multiplicity(*args) + 1,
+    ),
     "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
 }
+# the text a failure's detail must contain: the violated invariant, where one is named
+FAULT_DETAILS = {"trace-degree-two-paths": "multiplicity sums"}
 
 
 @pytest.mark.parametrize("check", FAULTS)
 def test_verify_check_can_fail(monkeypatch, check):
     suite, module, attr, broken = FAULTS[check]
     monkeypatch.setattr(module, attr, broken)
-    assert SUITES[suite][check](random.Random(0))
+    detail = SUITES[suite][check](random.Random(0))
+    assert detail
+    assert FAULT_DETAILS.get(check, "") in detail

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from cmeis.eisenstein import (
     coherent_coefficient,
     coherent_ratio_check,
     constant_term,
+    fourier_coefficient,
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
@@ -29,8 +31,9 @@ from cmeis.field import (
     principal_ideal,
     support,
 )
-from cmeis.genus import diff_set, genus_char_prime
-from cmeis.oracle import class_number
+from cmeis.genus import diff_set, genus_char_prime, norm_ideal_count
+from cmeis.oracle import class_number, e1
+from cmeis.verify import TEST_MATRIX
 
 S37 = Setup(-3, -7)
 S34 = Setup(-3, -4)
@@ -280,7 +283,7 @@ def test_coherent_ratio_identity():
 def test_mixed_coefficient_against_quadrature():
     alpha = FElem(Fraction(1, 2), Fraction(-5, 42))
     v1 = 0.75
-    got = mixed_coefficient(S37, alpha, v1, 1.0, 80)
+    got = mixed_coefficient(S37, 1, -5, v1, 1.0, 80)
     with mpmath.mp.workprec(120):
         sigma = abs(alpha.embedding(S37.D, 1, 120))
         x = 4 * mpmath.pi * sigma * v1
@@ -295,19 +298,55 @@ def test_mixed_coefficient_against_quadrature():
 
 def test_mixed_coefficient_zero_cases():
     # x = 9: norm 15 has an odd exponent at the chi = -1 prime over 3
-    dead = FElem(Fraction(1, 2), Fraction(9, 42))
-    assert mixed_coefficient(S37, dead, 1.0, 1.0, 60) == 0
+    assert mixed_coefficient(S37, 1, 9, 1.0, 1.0, 60) == 0
     # x = 7: norm 7 sits over the split-in-K ramified prime, rho = 2
-    live = FElem(Fraction(1, 2), Fraction(7, 42))
-    assert mixed_coefficient(S37, live, 1.0, 1.0, 60) > 0
+    assert mixed_coefficient(S37, 1, 7, 1.0, 1.0, 60) > 0
     with pytest.raises(ValueError):
-        mixed_coefficient(S37, ALPHA_X1, 1.0, 1.0)
+        mixed_coefficient(S37, 1, 1, 1.0, 1.0)  # ALPHA_X1 is totally positive
 
 
 def test_mixed_coefficient_decreasing():
-    alpha = FElem(Fraction(1, 2), Fraction(-5, 42))
-    vals = [mixed_coefficient(S37, alpha, v, 1.0, 80) for v in (0.5, 1, 2, 4, 8)]
+    vals = [mixed_coefficient(S37, 1, -5, v, 1.0, 80) for v in (0.5, 1, 2, 4, 8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _mixed_reference(setup, m, x, v1, v2, precision):
+    """mixed_coefficient rebuilt from the FElem alpha = m/2 + (x/(2D)) sqrt(D)."""
+    alpha = FElem(Fraction(m, 2), Fraction(x, 2 * setup.D))
+    gen = alpha.times_sqrtD(setup.D)
+    if not gen.is_integral(setup.D):
+        return mpmath.mpf(0)
+    rho = norm_ideal_count(setup, principal_ideal(setup, gen))
+    l, v_l = (1, v1) if alpha.embedding_sign(setup.D, 1) < 0 else (2, v2)
+    with mpmath.mp.workprec(precision + 16):
+        mag = abs(alpha.embedding(setup.D, l, precision + 16))
+        return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision))
+
+
+def test_mixed_coefficient_bit_identical_to_felem_reference():
+    # the slice coordinates give the same bits as the FElem embedding, on both
+    # sides of the totally positive range and at both parities of x
+    rng = random.Random(20121)
+    kinds = {"zero": 0, "nonzero": 0}
+    for d1, d2 in TEST_MATRIX:
+        setup = Setup(d1, d2)
+        for _ in range(3):
+            m = rng.randint(-3, 6)
+            base = math.isqrt(m * m * setup.D) + 1 + rng.randrange(12)
+            v1, v2 = rng.choice(((0.5, 1.25), (1.0, 0.75), (2.0, 0.1)))
+            precision = rng.choice((53, 80, 128))
+            for x in (base, base + 1, -base, -base - 1):
+                got = mixed_coefficient(setup, m, x, v1, v2, precision)
+                assert got == _mixed_reference(setup, m, x, v1, v2, precision), (setup, m, x)
+                kinds["zero" if got == 0 else "nonzero"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_fourier_coefficient_mixed_outside_inverse_different():
+    # sqrt(D) * alpha = -5/2 + sqrt(21)/3, and -3 + sqrt(21)/2 (x - mD odd)
+    for alpha in (FElem(Fraction(1, 3), Fraction(-5, 42)), FElem(Fraction(1, 2), Fraction(-6, 42))):
+        assert alpha.embedding_sign(S37.D, 1) < 0 < alpha.embedding_sign(S37.D, 2)
+        assert fourier_coefficient(S37, alpha, 1.0, 1.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +399,7 @@ def test_fourier_coefficient_dispatch():
     )
     mixed = FElem(Fraction(1, 2), Fraction(-5, 42))
     assert fourier_coefficient(S37, mixed, 1.0, 1.0) == mixed_coefficient(
-        S37, mixed, 1.0, 1.0, 128
+        S37, 1, -5, 1.0, 1.0, 128
     )
     with pytest.raises(ValueError):
         fourier_coefficient(S37, mixed)  # mixed needs imaginary parts

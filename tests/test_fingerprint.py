@@ -3,13 +3,14 @@
 ``perfbench/run.py --check-fingerprint`` runs every ``coeffs``, ``degree``
 and ``singular-moduli`` op of the behaviour fingerprint in a fresh
 interpreter and compares the sha256 of its stdout with the recorded one
-in ``perfbench/expected.json``.  The mixed-signature ops and the trace-60
-op of (-7, -23) are checked here against the same file's ``workload_ops``.
+in ``perfbench/expected.json``.  All 81 mixed-signature ops and the
+trace-60 op of (-7, -23) are checked here against the same file's ``workload_ops``.
 The harness's own tests and its span tracer run here too, so a change that
 deletes a name the tracer wraps fails in this suite.
 """
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -35,12 +36,14 @@ def test_cli_output_matches_fingerprint():
 
 def test_mixed_signature_output_matches_workload_ops(capsys):
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+    # every pair at every v1, v2 in {0.9, 1, 1.1}: v1 != v2 tells the embeddings apart
     for d1, d2 in TEST_MATRIX:
-        argv = ["coeffs", "--d1", str(d1), "--d2", str(d2), "--trace-max", "3"]
-        argv += ["--v1", "1", "--v2", "1"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)], argv
+        for v1, v2 in itertools.product(("0.9", "1", "1.1"), repeat=2):
+            argv = ["coeffs", "--d1", str(d1), "--d2", str(d2), "--trace-max", "3"]
+            argv += ["--v1", v1, "--v2", v2]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == expected[" ".join(argv)], argv
 
 
 def test_trace_60_output_matches_workload_ops(capsys):
