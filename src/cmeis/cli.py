@@ -28,6 +28,7 @@ import mpmath
 from .eisenstein import (
     DegreeReport,
     _degree_report,
+    _mixed_rho,
     constant_term,
     mixed_coefficient,
     trace_degree,
@@ -129,11 +130,12 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
             bound = 2 * divisors**2 * mpmath.exp(-4 * mpmath.pi * sigma * min(v1, v2))
         if bound < cutoff:
             break
-        for sx in (-x, x):
-            value = mixed_coefficient(setup, m, sx, v1, v2, bits)
-            if abs(value) < cutoff:
-                continue
-            records.append(_record(D, m, sx, _NUMERIC_ONLY, _float_str(value, digits)))
+        if _mixed_rho(setup, m, x):  # shared by -x and x; 0 for most x
+            for sx in (-x, x):
+                value = mixed_coefficient(setup, m, sx, v1, v2, bits)
+                if abs(value) < cutoff:
+                    continue
+                records.append(_record(D, m, sx, _NUMERIC_ONLY, _float_str(value, digits)))
         x += 2
     return records
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -119,6 +120,16 @@ def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
     return arakelov_degree(setup, alpha).coefficient
 
 
+@lru_cache(maxsize=64)
+def _mixed_rho(setup: Setup, m: int, x: int) -> int:
+    """rho of the integral ((x + m sqrt(D))/2), x >= 0, of mixed signature.
+
+    The ideal at -x is the Galois conjugate of this one, with the same rho,
+    so a scan over x and -x factors once.
+    """
+    return norm_ideal_count(setup, _slice_ideal(setup, m, x, (x * x - m * m * setup.D) // 4))
+
+
 def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):
     """Coefficient of the index alpha = m/2 + (x/(2D)) sqrt(D) of mixed signature.
 
@@ -132,7 +143,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
         raise ValueError("expected a mixed-signature element")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
-    rho = norm_ideal_count(setup, _slice_ideal(setup, m, x, (x * x - m * m * D) // 4))
+    rho = _mixed_rho(setup, m, abs(x))
     if rho == 0:
         return mpmath.mpf(0)
     v_l = v1 if x < 0 else v2
@@ -185,7 +196,8 @@ def fourier_coefficient(setup: Setup, alpha: FElem, v1=None, v2=None, precision:
     gen = alpha.times_sqrtD(setup.D)
     if not gen.is_integral(setup.D):
         return mpmath.mpf(0)
-    return mixed_coefficient(setup, int(2 * gen.v), int(2 * gen.u), v1, v2, precision)
+    k = 2 // gen.c  # gen = (x + m*sqrt(D))/2, and c is 1 or 2
+    return mixed_coefficient(setup, k * gen.b, k * gen.a, v1, v2, precision)
 
 
 @dataclass(frozen=True)
@@ -243,18 +255,17 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     The two must agree exactly, else InvariantError; the common value is returned.
     """
     slice_elements = enumerate_trace_slice(setup, m)
-    total_a = LogLinear.zero()
+    total_a: dict[int, Fraction] = {}
+    total_b: dict[int, int] = {}  # twice path (b), kept integral
     for elt in slice_elements:
-        total_a = total_a + _degree_report(setup, elt.ideal).degree
-    total_b = LogLinear.zero()
-    for elt in slice_elements:
+        for p, c in _degree_report(setup, elt.ideal).degree.terms().items():
+            total_a[p] = total_a.get(p, 0) + c
         for p in elt.ideal.rational_primes():
-            fp = prime_multiplicity(setup, elt.ideal, p)
-            if fp:
-                total_b = total_b + LogLinear({p: Fraction(fp, 2)})
-    if total_a != total_b:
+            total_b[p] = total_b.get(p, 0) + prime_multiplicity(setup, elt.ideal, p)
+    degree = LogLinear._unchecked(total_a)
+    if degree != LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_b.items()}):
         raise InvariantError("slice decomposition disagrees with multiplicity sums")
-    return total_a
+    return degree
 
 
 def _scalar_product_of_values(setup: Setup, alpha: FElem, skip: FPrimeIdeal) -> int:

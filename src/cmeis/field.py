@@ -5,9 +5,11 @@ then D = d1*d2 is a positive fundamental discriminant, F = Q(sqrt(D)) has
 ring of integers Z[(D+sqrt(D))/2], and the different of F/Q is the
 principal ideal (sqrt(D)).
 
-Elements are pairs (u, v) of rationals meaning u + v*sqrt(D).  Prime
-ideals carry their splitting data; fractional ideals are kept in factored
-form throughout, so no class-group machinery is ever needed.
+Elements (``FElem``, the check paths' representation) are integer
+triples (a, b, c) meaning (a + b*sqrt(D))/c, with c > 0 and gcd 1, built
+from rationals u + v*sqrt(D).  Prime ideals carry their splitting data;
+fractional ideals are kept in factored form throughout, so no class-group
+machinery is ever needed.
 
 Trace-slice parametrization.  The dual lattice of the integers under the
 trace form is (1/sqrt(D)) * O_F, so its elements with trace m and both
@@ -114,59 +116,80 @@ class Setup:
         return _unit_count(self.d2)
 
 
-@dataclass(frozen=True)
 class FElem:
-    """u + v*sqrt(D) with exact rational u, v."""
+    """(a + b*sqrt(D))/c in canonical form: integers with c > 0, gcd(a, b, c) = 1.
 
-    u: Fraction
-    v: Fraction
+    ``FElem(u, v)`` builds u + v*sqrt(D) from rationals (c, the lcm of the
+    denominators, leaves gcd 1 already), and ``.u``, ``.v`` read them back;
+    equality, hashing and every method run on the triple.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, u, v):
+        u, v = Fraction(u), Fraction(v)
+        c = math.lcm(u.denominator, v.denominator)
+        self.a = u.numerator * (c // u.denominator)
+        self.b = v.numerator * (c // v.denominator)
+        self.c = c
+
+    @classmethod
+    def from_triple(cls, a: int, b: int, c: int) -> "FElem":
+        """(a + b*sqrt(D))/c for integers a, b and c != 0."""
+        g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+        out = cls.__new__(cls)
+        out.a, out.b, out.c = a // g, b // g, c // g
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FElem) and (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self) -> str:
+        return f"FElem(u={self.u!r}, v={self.v!r})"
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.a, self.c)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.b, self.c)
 
     @property
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self.a == 0 and self.b == 0
 
     def trace(self) -> Fraction:
-        return 2 * self.u
+        return Fraction(2 * self.a, self.c)
 
     def norm(self, D: int) -> Fraction:
-        return self.u * self.u - D * self.v * self.v
+        return Fraction(self.a * self.a - D * self.b * self.b, self.c * self.c)
 
     def conjugate(self) -> "FElem":
-        return FElem(self.u, -self.v)
+        return FElem.from_triple(self.a, -self.b, self.c)
 
     def times_sqrtD(self, D: int) -> "FElem":
-        return FElem(self.v * D, self.u)
+        return FElem.from_triple(self.b * D, self.a, self.c)
 
     def embedding_sign(self, D: int, l: int) -> int:
-        """Exact sign of sigma_l, l in {1, 2}, sigma_1 = u + v*sqrt(D)."""
-        v = self.v if l == 1 else -self.v
-        u = self.u
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        big = u * u > D * v * v  # |u| dominates |v*sqrt(D)|
-        if u > 0:
-            return 1 if big else -1
-        return -1 if big else 1
+        """Exact sign of sigma_l, l in {1, 2}, sigma_1 = (a + b*sqrt(D))/c."""
+        a, b = self.a, self.b if l == 1 else -self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        sign = 1 if b > 0 else -1
+        if a * sign >= 0 or b * b * D > a * a:  # b*sqrt(D) carries the sign
+            return sign
+        return -sign
 
     def is_totally_positive(self, D: int) -> bool:
         return self.embedding_sign(D, 1) > 0 and self.embedding_sign(D, 2) > 0
 
     def is_integral(self, D: int) -> bool:
-        a = 2 * self.u
-        b = 2 * self.v
-        if a.denominator != 1 or b.denominator != 1:
-            return False
-        return (int(a) - int(b) * D) % 2 == 0
+        # 2u and 2v integral forces c | 2; at c = 2, a = 2u and b = 2v
+        return self.c == 1 or (self.c == 2 and (self.a - self.b * D) % 2 == 0)
 
     def embedding(self, D: int, l: int, precision: int = 53):
         """sigma_l as an mpmath float at the requested bit precision."""
@@ -174,8 +197,8 @@ class FElem:
 
         with mpmath.mp.workprec(precision):
             s = mpmath.sqrt(D)
-            u = mpmath.mpf(self.u.numerator) / self.u.denominator
-            v = mpmath.mpf(self.v.numerator) / self.v.denominator
+            u = mpmath.mpf(self.a) / self.c
+            v = mpmath.mpf(self.b) / self.c
             return +(u + v * s) if l == 1 else +(u - v * s)
 
 
@@ -310,28 +333,25 @@ def _split_valuation(D: int, a: int, b: int, t: int, prm: FPrimeIdeal) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def element_valuation(setup: Setup, beta: FElem, prm: FPrimeIdeal) -> int:
-    """ord of beta at a prime of F.
+    """ord of beta = (a + b*sqrt(D))/c at a prime of F.
 
     Inert and ramified primes read the valuation off the norm.  At a split
-    prime the element is cleared to a + b*sqrt(D) with integer a, b and
-    handed to ``_split_valuation``.
+    prime the integral a + b*sqrt(D) goes to ``_split_valuation`` and the
+    denominator c comes off.
     """
     if beta.is_zero:
         raise ValueError("valuation of 0")
     p = prm.p
+    a, b, c = beta.a, beta.b, beta.c
+    t = padic_val(a * a - setup.D * b * b, p)  # nonzero: D is not a square
     if prm.kind == "inert":
-        t = padic_val(beta.norm(setup.D), p)
         if t % 2:
             raise InvariantError("odd norm valuation at an inert prime")
-        return t // 2
+        return t // 2 - padic_val(c, p)
     if prm.kind == "ramified":
-        return padic_val(beta.norm(setup.D), p)
-    den = math.lcm(beta.u.denominator, beta.v.denominator)
-    a = int(beta.u * den)
-    b = int(beta.v * den)
-    t = padic_val(a * a - setup.D * b * b, p)  # nonzero: D is not a square
+        return t - 2 * padic_val(c, p)
     val = _split_valuation(setup.D, a, b, t, prm)
-    return val - padic_val(den, p) if den > 1 else val
+    return val - padic_val(c, p) if c > 1 else val
 
 
 @lru_cache(maxsize=1 << 15)
@@ -408,36 +428,30 @@ def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
     """All totally positive alpha in the trace dual with trace m, by x."""
     half = list(_half_slice(setup, m))
     mirror = [(-x, n, ideal.conjugate()) for x, n, ideal in reversed(half) if x]
-    u = Fraction(m, 2)
+    D = setup.D
     return [
-        TraceSliceElement(FElem(u, Fraction(x, 2 * setup.D)), x, n, ideal)
+        TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, n, ideal)
         for x, n, ideal in mirror + half
     ]
 
 
-def _binary_trace_form(setup: Setup, beta: FElem) -> tuple[Fraction, Fraction]:
-    """Rational diagonalization of t -> Tr(beta * t^2) on F.
-
-    In the basis {1, sqrt(D)} the Gram matrix is
-    [[2*b0, 2*b1*D], [2*b1*D, 2*b0*D]]; congruence diagonalizes it to
-    (2*b0, 2*D*N(beta)/b0) as long as the trace of beta is nonzero, which
-    holds for the totally positive inputs this is used on.
-    """
-    b0 = beta.u
-    if b0 == 0:
-        raise ValueError("trace-zero binary form is not handled")
-    return 2 * b0, 2 * setup.D * beta.norm(setup.D) / b0
-
-
 @lru_cache(maxsize=1 << 14)
 def _invariant_diagonal(setup: Setup, alpha: FElem) -> tuple[int, ...]:
+    """Diagonal of Tr(alpha t^2) + Tr(-d1 * alpha t^2), as square classes.
+
+    For beta = (a + b*sqrt(D))/c of nonzero trace, the Gram matrix of
+    t -> Tr(beta * t^2) in the basis {1, sqrt(D)} diagonalizes by congruence
+    to (2a/c, 2D(a^2 - D*b^2)/(a*c)), i.e. (2*b0, 2*D*N(beta)/b0); each entry
+    is kept as the integer num*den/gcd^2 of its square class.
+    """
     if alpha.is_zero or not alpha.is_totally_positive(setup.D):
         raise ValueError("local invariants need a totally positive element")
-    first = _binary_trace_form(setup, alpha)
-    scaled = FElem(-setup.d1 * alpha.u, -setup.d1 * alpha.v)
-    second = _binary_trace_form(setup, scaled)
-    # integer square-class representatives keep the symbol arithmetic fast
-    return tuple(f.numerator * f.denominator for f in (*first, *second))
+    D, c, out = setup.D, alpha.c, []
+    for a, b in ((alpha.a, alpha.b), (-setup.d1 * alpha.a, -setup.d1 * alpha.b)):
+        for num, den in ((2 * a, c), (2 * D * (a * a - D * b * b), a * c)):
+            g = math.gcd(num, den)
+            out.append(num * den // (g * g))
+    return tuple(out)
 
 
 def local_invariant(setup: Setup, alpha: FElem, place) -> int:

@@ -3,7 +3,9 @@
 ``SUITES`` maps each suite to its checks, in run order.  A check takes a
 seeded ``random.Random`` and returns the detail of its first failure, or
 None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
-tests share ``TEST_MATRIX`` and the counting helpers, not the suites.
+``eisenstein`` checks sweep fixed ranges and draw nothing from theirs, so
+every seed runs the same sweep there.  The tests share ``TEST_MATRIX`` and
+the counting helpers, not the suites.
 """
 
 from __future__ import annotations

@@ -276,6 +276,31 @@ def test_slice_path_skips_the_felem_factorization():
     assert element_valuation.cache_info().misses == 0
 
 
+def test_mixed_scan_factors_each_pair_once(monkeypatch):
+    # the ideal at -x is the conjugate of the one at x: one factoring per |x|,
+    # and no mixed_coefficient call at all for a pair with rho = 0
+    setup = Setup(-7, -23)
+    real_slice_ideal = cmeis.eisenstein._slice_ideal
+    real_mixed = cmeis.cli.mixed_coefficient
+    factored, valued = [], []
+    monkeypatch.setattr(
+        cmeis.eisenstein,
+        "_slice_ideal",
+        lambda s, m, x, n: factored.append(x) or real_slice_ideal(s, m, x, n),
+    )
+    monkeypatch.setattr(
+        cmeis.cli,
+        "mixed_coefficient",
+        lambda s, m, x, *rest: valued.append(x) or real_mixed(s, m, x, *rest),
+    )
+    cmeis.eisenstein._mixed_rho.cache_clear()
+    records = cmeis.cli._mixed_records(setup, 1, 1.0, 1.0, 30, 128)
+    assert records and min(factored) > 0
+    assert len(factored) == len(set(factored))
+    assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
+    assert 0 < len(valued) < 2 * len(factored)
+
+
 def test_singular_moduli_command(capsys):
     code, out, _ = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
     assert code == 0

@@ -364,3 +364,108 @@ def test_valuations_recover_norm_order():
                     for prm in prime_ideals_above(s, p)
                 )
                 assert got == padic_val(nrm, p)
+
+
+# ---------------------------------------------------------------------------
+# FElem against the rational definitions u + v*sqrt(D)
+
+
+def _triple(elem):
+    """(a, b, c) with elem = (a + b*sqrt(D))/c, c > 0 and gcd(a, b, c) = 1."""
+    c = math.lcm(elem.u.denominator, elem.v.denominator)
+    return int(elem.u * c), int(elem.v * c), c
+
+
+def test_felem_canonical_form():
+    half = FElem(Fraction(1, 2), Fraction(1, 2))
+    for other in (FElem(Fraction(2, 4), Fraction(2, 4)), FElem(Fraction(-3, -6), Fraction(5, 10))):
+        assert other == half and hash(other) == hash(half)
+    assert _triple(half) == (1, 1, 2)
+    assert FElem(Fraction(1, 2), Fraction(1, 3)) != FElem(Fraction(1, 3), Fraction(1, 2))
+    assert _triple(FElem(Fraction(-1, 6), Fraction(5, -4))) == (-2, -15, 12)
+    assert _triple(FElem(0, 0)) == (0, 0, 1)
+    # the stored triple is the canonical one, however the element was built
+    assert FElem.from_triple(2, 2, 4) == half and hash(FElem.from_triple(-2, -2, -4)) == hash(half)
+    built = (FElem(Fraction(-1, 6), Fraction(5, -4)), FElem.from_triple(6, -9, -3), FElem.from_triple(0, 0, -7))
+    for elem in (half, *built):
+        assert (elem.a, elem.b, elem.c) == _triple(elem) and elem.c > 0
+
+
+_rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+def _reference_sigma(u: Fraction, v: Fraction, D: int, l: int, precision: int):
+    """sigma_l(u + v*sqrt(D)) in mpmath, apart from FElem."""
+    import mpmath
+
+    with mpmath.mp.workprec(precision):
+        s = mpmath.sqrt(D) if l == 1 else -mpmath.sqrt(D)
+        return mpmath.mpf(u.numerator) / u.denominator + mpmath.mpf(v.numerator) / v.denominator * s
+
+
+@example(Setup(-3, -7), Fraction(0), Fraction(-1, 42))
+@example(Setup(-3, -7), Fraction(-5, 2), Fraction(0))
+@example(Setup(-7, -23), Fraction(0), Fraction(0))
+@example(Setup(-7, -23), Fraction(1, 2), Fraction(-1, 22))
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([Setup(*pair) for pair in MATRIX]), _rationals, _rationals)
+def test_felem_matches_rational_definitions(s, u, v):
+    D = s.D
+    elem = FElem(u, v)
+    assert (elem.u, elem.v) == (u, v)
+    assert elem.is_zero == (u == 0 and v == 0)
+    assert elem.trace() == 2 * u
+    assert elem.norm(D) == u * u - D * v * v
+    assert elem.conjugate() == FElem(u, -v)
+    assert elem.times_sqrtD(D) == FElem(v * D, u)
+    a, b = 2 * u, 2 * v
+    integral = a.denominator == 1 and b.denominator == 1 and (a - b * D) % 2 == 0
+    assert elem.is_integral(D) == integral
+    for l in (1, 2):
+        sigma = _reference_sigma(u, v, D, l, 200)
+        assert elem.embedding(D, l, 200) == sigma
+        assert elem.embedding_sign(D, l) == (sigma > 0) - (sigma < 0)
+
+
+def _rational_valuation(s, beta, prm):
+    """ord of beta at prm from u and v: clear denominators, then split/norm."""
+    p = prm.p
+    if prm.kind != "split_plus" and prm.kind != "split_minus":
+        t = padic_val(beta.norm(s.D), p)
+        return t // 2 if prm.kind == "inert" else t
+    den = math.lcm(beta.u.denominator, beta.v.denominator)
+    a, b = int(beta.u * den), int(beta.v * den)
+    t = padic_val(a * a - s.D * b * b, p)
+    return cmeis.field._split_valuation(s.D, a, b, t, prm) - padic_val(den, p)
+
+
+@example(Setup(-7, -23), Fraction(1, 4), Fraction(3, 4))  # 2 splits, 2 in both denominators
+@example(Setup(-3, -7), Fraction(25), Fraction(25))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Setup(*pair) for pair in MATRIX]), _rationals, _rationals)
+def test_element_valuation_matches_rational_clearing(s, u, v):
+    assume(u or v)
+    beta = FElem(u, v)
+    ps = {2, 3, 5, 7} | set(factor(abs(beta.norm(s.D).numerator)).primes())
+    for p in ps:
+        for prm in prime_ideals_above(s, p):
+            assert element_valuation(s, beta, prm) == _rational_valuation(s, beta, prm)
+
+
+# (setup, u, v) -> _invariant_diagonal, recorded from the Fraction implementation
+_DIAGONALS = [
+    ((-3, -7), Fraction(1, 2), Fraction(1, 42), (1, 20, 3, 60)),
+    ((-3, -7), Fraction(2), Fraction(2, 21), (4, 80, 12, 240)),
+    ((-3, -4), Fraction(1), Fraction(0), (2, 24, 6, 72)),
+    ((-7, -23), Fraction(3, 2), Fraction(17, 322), (3, 3480, 21, 24360)),
+    ((-7, -23), Fraction(5, 2), Fraction(-31, 322), (5, 15320, 35, 107240)),
+    ((-8, -11), Fraction(7, 3), Fraction(-1, 5), (42, 40009200, 336, 320073600)),
+    ((-4, -11), Fraction(1, 2), Fraction(3, 44), (1, 8, 4, 32)),
+]
+
+
+@pytest.mark.parametrize("pair,u,v,expected", _DIAGONALS)
+def test_invariant_diagonal_golden(pair, u, v, expected):
+    from cmeis.field import _invariant_diagonal
+
+    assert _invariant_diagonal(Setup(*pair), FElem(u, v)) == expected
