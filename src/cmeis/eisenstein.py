@@ -20,6 +20,9 @@ Coefficients are computed through two deliberately disjoint paths:
 The matching Arakelov degree of the zero-dimensional CM locus is one
 quarter of the coefficient; ``trace_degree`` sums a trace slice and also
 recomputes it through the per-prime multiplicity sums as a cross-check.
+Both sums walk only the half slice x >= 0 (``field._half_slice``), with
+weight 2 for x > 0 and 1 for x = 0, since the index at -x carries the
+Galois conjugate ideal and the same degree and multiplicities.
 
 Derivative convention: the finite Whittaker derivative at s = 0 is taken
 in the variable for which the coefficient identities above hold, i.e.
@@ -46,9 +49,9 @@ from .field import (
     FIdealFactored,
     FPrimeIdeal,
     Setup,
+    _half_slice,
     _slice_ideal,
     element_valuation,
-    enumerate_trace_slice,
     principal_ideal,
 )
 from .genus import diff_set, genus_char_prime, norm_ideal_count, prime_multiplicity
@@ -252,16 +255,20 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
 
     (a) sum of per-index degrees over the trace slice;
     (b) one half of the double sum of per-prime multiplicities.
-    The two must agree exactly, else InvariantError; the common value is returned.
+    Both walk the half slice x >= 0 and weight each index 2 for x > 0 and
+    1 for x = 0: the index at -x has the Galois conjugate ideal, and
+    degrees and multiplicities depend only on norms and chi, which the
+    conjugation keeps.  The two must agree exactly, else InvariantError;
+    the common value is returned.
     """
-    slice_elements = enumerate_trace_slice(setup, m)
     total_a: dict[int, Fraction] = {}
     total_b: dict[int, int] = {}  # twice path (b), kept integral
-    for elt in slice_elements:
-        for p, c in _degree_report(setup, elt.ideal).degree.terms().items():
-            total_a[p] = total_a.get(p, 0) + c
-        for p in elt.ideal.rational_primes():
-            total_b[p] = total_b.get(p, 0) + prime_multiplicity(setup, elt.ideal, p)
+    for x, _, ideal in _half_slice(setup, m):
+        weight = 2 if x else 1
+        for p, c in _degree_report(setup, ideal).degree.terms().items():
+            total_a[p] = total_a.get(p, 0) + weight * c
+        for p in ideal.rational_primes():
+            total_b[p] = total_b.get(p, 0) + weight * prime_multiplicity(setup, ideal, p)
     degree = LogLinear._unchecked(total_a)
     if degree != LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_b.items()}):
         raise InvariantError("slice decomposition disagrees with multiplicity sums")

@@ -273,14 +273,19 @@ def hilbert_symbol(a, b, place) -> int:
 
 
 def hasse_invariant(diag, place) -> int:
-    """Hasse invariant prod_{i<j} (a_i, a_j) of a diagonal quadratic form."""
+    """Hasse invariant prod_{i<j} (a_i, a_j) of a diagonal quadratic form.
+
+    The symbol is bimultiplicative, so the product equals
+    prod_j (a_1 * ... * a_{j-1}, a_j): a running prefix product takes
+    n - 1 Hilbert symbols instead of n(n-1)/2.
+    """
     entries = [_square_class_rep(x) for x in diag]
     if not entries:
         raise ValueError("empty diagonal")
-    s = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            s *= hilbert_symbol(entries[i], entries[j], place)
+    s, prefix = 1, entries[0]
+    for a in entries[1:]:
+        s *= hilbert_symbol(prefix, a, place)
+        prefix *= a
     return s
 
 

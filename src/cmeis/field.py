@@ -356,11 +356,22 @@ def element_valuation(setup: Setup, beta: FElem, prm: FPrimeIdeal) -> int:
 
 @lru_cache(maxsize=1 << 15)
 def principal_ideal(setup: Setup, beta: FElem) -> FIdealFactored:
-    """Factor the principal fractional ideal (beta)."""
+    """Factor the principal fractional ideal (beta).
+
+    The candidate primes are those of the reduced norm and the split
+    primes of c: at a split p | c the valuations at P and its conjugate
+    can cancel in the norm, which then shows no p although (beta) has it.
+    An inert or ramified p has one prime above it, so the norm shows it.
+    """
     if beta.is_zero:
         raise ValueError("(0) is not a fractional ideal")
     nrm = beta.norm(setup.D)
-    ps = set(factor(abs(nrm.numerator)).primes()) | set(factor(nrm.denominator).primes())
+    ps = set(factor(abs(nrm.numerator)).primes())
+    # nrm.denominator divides c^2, so its primes are among c's
+    ps.update(
+        p for p in factor(beta.c).primes()
+        if nrm.denominator % p == 0 or kronecker(setup.D, p) == 1
+    )
     pairs = []
     for p in sorted(ps):
         checksum = 0

@@ -12,6 +12,7 @@ import pytest
 
 import cmeis.cli
 import cmeis.eisenstein
+import cmeis.field
 import cmeis.genus
 import cmeis.oracle
 import cmeis.verify
@@ -362,10 +363,15 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
 
 # Each sabotaged dependency must make the named check return a failure.
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
+_hasse_invariant = cmeis.field.hasse_invariant
 FAULTS = {
     "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
     "trace-slice-invariants": (
         "field", cmeis.verify, "principal_ideal", lambda setup, gen: FIdealFactored()
+    ),
+    "support-odd-and-matches": (
+        "field", cmeis.field, "hasse_invariant",
+        lambda diag, place: _hasse_invariant(diag[:-1], place),
     ),
     "orbital-product": ("genus", cmeis.genus, "orbital_value", lambda *args: 0),
     "degree-coefficient-identity": (
@@ -379,7 +385,10 @@ FAULTS = {
     "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
 }
 # the text a failure's detail must contain: the violated invariant, where one is named
-FAULT_DETAILS = {"trace-degree-two-paths": "multiplicity sums"}
+FAULT_DETAILS = {
+    "trace-degree-two-paths": "multiplicity sums",
+    "support-odd-and-matches": "support vs obstruction prime mismatch",
+}
 
 
 @pytest.mark.parametrize("check", FAULTS)

@@ -349,6 +349,17 @@ def test_fourier_coefficient_mixed_outside_inverse_different():
         assert fourier_coefficient(S37, alpha, 1.0, 1.0) == 0
 
 
+def test_totally_positive_index_with_cancelling_valuations():
+    # sqrt(D) * alpha = (-21 + 11*sqrt(21))/5 has valuations +1 and -1 above
+    # 5 although its norm is prime to 5: alpha is outside the inverse different
+    alpha = FElem(Fraction(11, 5), Fraction(-1, 5))
+    assert alpha.is_totally_positive(S37.D)
+    assert fourier_coefficient(S37, alpha) == LogLinear.zero()
+    assert arakelov_degree(S37, alpha).reflex is None
+    with pytest.raises(ValueError, match="outside the inverse different"):
+        assemble_derivative(S37, alpha)
+
+
 # ---------------------------------------------------------------------------
 # constant term
 

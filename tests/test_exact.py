@@ -163,6 +163,19 @@ def test_hasse_examples():
     assert hasse_invariant([2, 3, 5], 2) == hasse_invariant([5, 2, 3], 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=5))
+def test_hasse_matches_pairwise_product(diag):
+    # the prefix-product form against the defining prod_{i<j} (a_i, a_j)
+    for place in (OO, 2, 3, 5, 7, 11):
+        pairwise = math.prod(
+            hilbert_symbol(diag[i], diag[j], place)
+            for i in range(len(diag))
+            for j in range(i + 1, len(diag))
+        )
+        assert hasse_invariant(diag, place) == pairwise
+
+
 # ---------------------------------------------------------------------------
 # square roots mod p^k
 

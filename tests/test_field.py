@@ -140,6 +140,38 @@ def test_principal_ideal_norms_random():
             assert principal_ideal(s, beta).norm() == abs(beta.norm(s.D))
 
 
+def test_principal_ideal_keeps_primes_cancelling_in_the_norm():
+    # sqrt(D) * alpha = (-21 + 11*sqrt(21))/5 has norm -2100/25 = -84, a
+    # 5-adic unit, but valuations +1 and -1 at the two primes above 5
+    s = Setup(-3, -7)
+    gen = FElem(Fraction(11, 5), Fraction(-1, 5)).times_sqrtD(s.D)
+    ideal = principal_ideal(s, gen)
+    above5 = prime_ideals_above(s, 5)
+    assert sorted(ideal.ord_at(prm) for prm in above5) == [-1, 1]
+    assert ideal.norm() == abs(gen.norm(s.D))
+
+
+def test_principal_ideal_matches_element_valuation_random():
+    # every prime of (a^2 - D b^2) * c, checked one by one
+    rng = random.Random(11)
+    for d1, d2 in MATRIX:
+        s = Setup(d1, d2)
+        for _ in range(40):
+            c = rng.choice([1, 2, 5, 6, 15, 35, 77, rng.randint(1, 200)])
+            beta = FElem.from_triple(rng.randint(-300, 300), rng.randint(-30, 30), c)
+            if beta.is_zero:
+                continue
+            ideal = principal_ideal(s, beta)
+            a, b = beta.a, beta.b
+            ps = factor(abs(a * a - s.D * b * b) * beta.c).primes()
+            expected = {
+                prm: element_valuation(s, beta, prm)
+                for p in ps
+                for prm in prime_ideals_above(s, p)
+            }
+            assert {prm: e for prm, e in expected.items() if e} == dict(ideal.entries)
+
+
 def test_different_ideal():
     # the different of F/Q is (sqrt(D)), of norm D
     sqrt_d = FElem(0, 1)
