@@ -43,7 +43,7 @@ from .field import (
     TraceSliceElement,
     element_valuation,
     enumerate_trace_slice,
-    local_invariant,
+    local_invariants,
     prime_ideals_above,
     principal_ideal,
     support,

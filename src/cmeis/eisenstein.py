@@ -275,9 +275,13 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     return degree
 
 
-def _scalar_product_of_values(setup: Setup, alpha: FElem, skip: FPrimeIdeal) -> int:
-    """Product of the center values at every place but ``skip``."""
-    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
+def _scalar_product_of_values(
+    setup: Setup, alpha: FElem, ideal: FIdealFactored, skip: FPrimeIdeal
+) -> int:
+    """Product of the center values at every place but ``skip``.
+
+    ``ideal`` is alpha * (different); the finite values are 1 off its primes.
+    """
     out = _ARCH_PRODUCT
     for prm, _ in ideal.entries:
         if prm != skip:
@@ -291,16 +295,17 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     Requires a single obstruction prime P: only the term with the
     derivative at P survives, so the result is the local derivative at P
     times all the other center values (finite and archimedean).  The code
-    path shares nothing with the closed form: every factor is the literal
-    finite sum.
+    path shares nothing with the closed form but the ideal alpha * (different):
+    every factor is the literal finite sum.
     """
-    if not alpha.times_sqrtD(setup.D).is_integral(setup.D):
+    ideal = _index_ideal(setup, alpha)
+    if not ideal.is_integral:  # sqrt(D) * alpha is integral exactly when its ideal is
         raise ValueError("index is outside the inverse different")
-    diff = diff_set(setup, _index_ideal(setup, alpha))
+    diff = diff_set(setup, ideal)
     if len(diff) != 1:
         raise ValueError("assembly needs a single obstruction prime")
     prm = diff[0]
-    scalar = _scalar_product_of_values(setup, alpha, prm)
+    scalar = _scalar_product_of_values(setup, alpha, ideal, prm)
     result = whittaker_finite(setup, alpha, prm).deriv0.scale(scalar)
     if any(c < 0 for c in result.terms().values()):
         raise InvariantError("coefficient must be nonnegative")
@@ -318,7 +323,7 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
     if len(diff) != 1 or diff[0] != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
     # the section twisted at P has center value -1 there
-    value = -_scalar_product_of_values(setup, alpha, prm)
+    value = -_scalar_product_of_values(setup, alpha, ideal, prm)
     if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
         raise InvariantError("coherent center value disagrees with 4 * rho")
     return value
@@ -327,19 +332,17 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
 def coherent_ratio_check(setup: Setup, alpha: FElem) -> bool:
     """Exact identity: derivative = nu * log p * coherent center value.
 
-    All three ingredients (assembled derivative, nu from the ideal, the
-    coherent value) come from separate code paths; the closed-form
-    coefficient is compared as well.
+    One ``arakelov_degree`` report gives the obstruction prime P, nu and
+    the closed-form coefficient; P and nu are the ingredients shared with
+    the other two sides.  The assembled derivative (``whittaker_finite``'s
+    literal sums at P and the product of center values) and the coherent
+    value (the twisted product, asserted against 4 * rho) stay disjoint
+    from the closed form; the assembly and the report's coefficient are
+    each compared with nu * log p * (coherent value).
     """
-    ideal = _index_ideal(setup, alpha)
-    diff = diff_set(setup, ideal)
-    if len(diff) != 1:
+    report = arakelov_degree(setup, alpha)
+    if report.reflex is None:
         raise ValueError("identity needs a single obstruction prime")
-    prm = diff[0]
-    nu = Fraction(ideal.ord_at(prm) + 1, 2)
-    coherent = coherent_coefficient(setup, alpha, prm)
-    expected = LogLinear({prm.p: nu * coherent})
-    return (
-        assemble_derivative(setup, alpha) == expected
-        and holomorphic_coefficient(setup, alpha) == expected
-    )
+    prm = report.reflex
+    expected = LogLinear({prm.p: report.nu * coherent_coefficient(setup, alpha, prm)})
+    return assemble_derivative(setup, alpha) == expected and report.coefficient == expected

@@ -54,7 +54,7 @@ __all__ = [
     "TraceSliceElement",
     "element_valuation",
     "enumerate_trace_slice",
-    "local_invariant",
+    "local_invariants",
     "prime_ideals_above",
     "principal_ideal",
     "support",
@@ -208,16 +208,16 @@ _CONJUGATE_KIND = {"split_plus": "split_minus", "split_minus": "split_plus"}
 
 @dataclass(frozen=True)
 class FPrimeIdeal:
-    """Prime of F above p, with splitting kind and canonical root data.
+    """Prime of F above p, with its splitting kind.
 
-    For split p the two primes are (p, sqrt(D) - r) and (p, sqrt(D) + r)
-    where r is the canonical square root of D mod p; the labels are
-    deterministic because r is.
+    For split p, "split_plus" is (p, sqrt(D) - r) and "split_minus" is
+    (p, sqrt(D) + r), where r = sqrt_mod_prime_power(D, p, k) is the
+    canonical root; its lifts to higher k agree mod p, so the labels are
+    deterministic.
     """
 
     p: int
     kind: str
-    root: int | None = None
 
     @property
     def norm(self) -> int:
@@ -237,7 +237,7 @@ class FPrimeIdeal:
     def conjugate(self) -> "FPrimeIdeal":
         """The Galois conjugate: the two split primes swap, the others stay."""
         kind = _CONJUGATE_KIND.get(self.kind)
-        return self if kind is None else FPrimeIdeal(self.p, kind, self.root)
+        return self if kind is None else FPrimeIdeal(self.p, kind)
 
     def __repr__(self) -> str:
         tag = {"split_plus": "+", "split_minus": "-", "inert": "", "ramified": "r"}
@@ -249,11 +249,7 @@ def prime_ideals_above(setup: Setup, p: int) -> tuple[FPrimeIdeal, ...]:
     """Dedekind splitting of a rational prime in F, driven by (D|p)."""
     sym = kronecker(setup.D, p)
     if sym == 1:
-        r = sqrt_mod_prime_power(setup.D, p, 1)
-        return (
-            FPrimeIdeal(p, "split_plus", r),
-            FPrimeIdeal(p, "split_minus", r),
-        )
+        return (FPrimeIdeal(p, "split_plus"), FPrimeIdeal(p, "split_minus"))
     if sym == -1:
         return (FPrimeIdeal(p, "inert"),)
     return (FPrimeIdeal(p, "ramified"),)
@@ -446,7 +442,6 @@ def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
     ]
 
 
-@lru_cache(maxsize=1 << 14)
 def _invariant_diagonal(setup: Setup, alpha: FElem) -> tuple[int, ...]:
     """Diagonal of Tr(alpha t^2) + Tr(-d1 * alpha t^2), as square classes.
 
@@ -465,27 +460,32 @@ def _invariant_diagonal(setup: Setup, alpha: FElem) -> tuple[int, ...]:
     return tuple(out)
 
 
-def local_invariant(setup: Setup, alpha: FElem, place) -> int:
-    """Obstruction sign at one place for representing alpha.
+def local_invariants(setup: Setup, alpha: FElem) -> dict:
+    """Obstruction sign of representing alpha at OO, 2 and the diagonal's primes.
 
     The four-dimensional rational form Tr(alpha * x * xbar) on the
     biquadratic algebra splits as Tr(alpha t^2) + Tr(-alpha d1 t^2); the
-    invariant is the Hasse invariant of that diagonal times (-1,-1) at the
-    place.  The product over all places (OO included) is +1.
+    sign at a place is the Hasse invariant of that diagonal times (-1,-1)
+    there.  At an odd prime dividing no entry the diagonal is a unit form
+    and both factors are +1, so the keys (OO first, then the primes in
+    increasing order) are the only places where a sign can be -1, and the
+    product of the values is the full product formula: +1.
     """
     diag = _invariant_diagonal(setup, alpha)
-    return hasse_invariant(diag, place) * hilbert_symbol(-1, -1, place)
+    primes = {2}
+    for entry in diag:
+        primes.update(factor(abs(entry)).primes())
+    return {
+        pl: hasse_invariant(diag, pl) * hilbert_symbol(-1, -1, pl)
+        for pl in (OO, *sorted(primes))
+    }
 
 
 def support(setup: Setup, alpha: FElem) -> set[int]:
     """Finite places where the local obstruction sign is -1.
 
-    The defining sign carries an extra flip at OO, but for totally
-    positive alpha the archimedean invariant is -1 so OO never enters;
-    the set is finite and of odd cardinality by the product formula.
+    For totally positive alpha the sign at OO is -1 (the diagonal is
+    positive definite, and (-1,-1) is -1 there), so by the product formula
+    the set is finite and of odd cardinality.
     """
-    diag = _invariant_diagonal(setup, alpha)
-    places = {2}
-    for entry in diag:
-        places.update(factor(abs(entry)).primes())
-    return {p for p in places if local_invariant(setup, alpha, p) == -1}
+    return {pl for pl, sign in local_invariants(setup, alpha).items() if sign == -1} - {OO}

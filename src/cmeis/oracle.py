@@ -561,7 +561,7 @@ class SingularModuliReport:
     precision_used: int
 
 
-def singular_moduli_check(setup: Setup, precision: int | None = None) -> SingularModuliReport:
+def singular_moduli_check(setup: Setup) -> SingularModuliReport:
     """Compare the trace-1 degree against the scaled factored resultant.
 
     The classical statement: the norm of the difference of the two CM
@@ -572,9 +572,7 @@ def singular_moduli_check(setup: Setup, precision: int | None = None) -> Singula
     """
     from .eisenstein import trace_degree
 
-    prec = precision or max(
-        class_poly_start_precision(setup.d1), class_poly_start_precision(setup.d2)
-    )
+    prec = max(class_poly_start_precision(setup.d1), class_poly_start_precision(setup.d2))
     for _ in range(12):
         try:
             h_poly_1 = hilbert_class_poly(setup.d1, prec)

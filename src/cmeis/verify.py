@@ -33,11 +33,11 @@ from .field import (
     FElem,
     FIdealFactored,
     Setup,
-    _invariant_diagonal,
     _is_fundamental_discriminant,
+    _unit_count,
     element_valuation,
     enumerate_trace_slice,
-    local_invariant,
+    local_invariants,
     prime_ideals_above,
     principal_ideal,
     support,
@@ -219,22 +219,15 @@ def _support_odd_and_matches(rng: random.Random) -> str | None:
     for setup in _setups():
         for m in range(1, 9):
             for e in enumerate_trace_slice(setup, m):
-                spt = support(setup, e.alpha)
+                signs = local_invariants(setup, e.alpha)
+                spt = {pl for pl, sign in signs.items() if sign == -1} - {OO}
                 if len(spt) % 2 == 0:
                     return f"even support for x={e.x}, {setup}"
                 diff = genus.diff_set(setup, e.ideal)
                 if len(diff) == 1 and {diff[0].p} != spt:
                     return f"support vs obstruction prime mismatch at x={e.x}"
-                # product over all places: away from the diagonal's primes
-                # every invariant is +1, so this finite product must close up
-                diag = _invariant_diagonal(setup, e.alpha)
-                places: set = {2, OO}
-                for entry in diag:
-                    places.update(factor(abs(entry)).primes())
-                prod = 1
-                for pl in places:
-                    prod *= local_invariant(setup, e.alpha, pl)
-                if prod != 1:
+                # every sign off these places is +1: this is the full product formula
+                if math.prod(signs.values()) != 1:
                     return f"invariant product formula failed at x={e.x}"
     return None
 
@@ -521,7 +514,7 @@ def _l_value_class_number(rng: random.Random) -> str | None:
         if not _is_fundamental_discriminant(d):
             continue
         h = oracle.class_number(d)
-        w = 6 if d == -3 else 4 if d == -4 else 2
+        w = _unit_count(d)
         center = oracle.lambda_at_zero(d, 96)
         if center.l_value_exact != Fraction(2 * h, w):
             return f"exact L(0) != 2h/w at d={d}"

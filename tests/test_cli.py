@@ -18,7 +18,7 @@ import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
-from cmeis.exact import Factorization, LogLinear
+from cmeis.exact import OO, Factorization, LogLinear
 from cmeis.field import FIdealFactored, Setup, element_valuation, principal_ideal
 from cmeis.oracle import PrecisionError
 from cmeis.verify import SUITES
@@ -364,6 +364,7 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
 # Each sabotaged dependency must make the named check return a failure.
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
 _hasse_invariant = cmeis.field.hasse_invariant
+_hilbert_symbol = cmeis.field.hilbert_symbol
 FAULTS = {
     "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
     "trace-slice-invariants": (
@@ -375,6 +376,10 @@ FAULTS = {
     ),
     "orbital-product": ("genus", cmeis.genus, "orbital_value", lambda *args: 0),
     "degree-coefficient-identity": (
+        "eisenstein", cmeis.eisenstein, "assemble_derivative",
+        lambda setup, alpha: LogLinear.zero(),
+    ),
+    "coherent-ratio": (
         "eisenstein", cmeis.eisenstein, "assemble_derivative",
         lambda setup, alpha: LogLinear.zero(),
     ),
@@ -398,3 +403,13 @@ def test_verify_check_can_fail(monkeypatch, check):
     detail = SUITES[suite][check](random.Random(0))
     assert detail
     assert FAULT_DETAILS.get(check, "") in detail
+
+
+def test_support_check_catches_a_broken_product_formula(monkeypatch):
+    # a wrong sign at OO leaves the finite support alone; only the product shows it
+    monkeypatch.setattr(
+        cmeis.field, "hilbert_symbol",
+        lambda a, b, place: 1 if place == OO else _hilbert_symbol(a, b, place),
+    )
+    detail = SUITES["field"]["support-odd-and-matches"](random.Random(0))
+    assert detail and "invariant product formula failed" in detail

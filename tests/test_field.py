@@ -7,17 +7,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cmeis.field
-from cmeis.exact import factor, padic_val
+from cmeis.exact import factor, hilbert_symbol, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
     FPrimeIdeal,
     Setup,
     SetupError,
+    _invariant_diagonal,
     _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
-    local_invariant,
+    local_invariants,
     prime_ideals_above,
     principal_ideal,
     support,
@@ -70,7 +71,6 @@ def test_prime_splitting_examples():
     s = Setup(-3, -7)
     plus, minus = prime_ideals_above(s, 5)
     assert plus.kind == "split_plus" and minus.kind == "split_minus"
-    assert plus.root == 1  # least root of 21 mod 5
     (ram,) = prime_ideals_above(s, 3)
     assert ram.kind == "ramified" and ram.norm == 3
     (inert,) = prime_ideals_above(s, 2)  # 21 = 5 mod 8
@@ -309,24 +309,45 @@ def test_support_example():
 
 
 def test_support_odd_and_product_formula():
-    from cmeis.field import _invariant_diagonal
-
     for d1, d2 in MATRIX[:4]:
         s = Setup(d1, d2)
         for m in (1, 2, 3):
             for e in enumerate_trace_slice(s, m):
+                signs = local_invariants(s, e.alpha)
                 spt = support(s, e.alpha)
                 assert len(spt) % 2 == 1
-                # all invariants away from the diagonal's primes are +1, so
-                # the product over these places is the full product formula
-                places = {2, OO}
-                for entry in _invariant_diagonal(s, e.alpha):
-                    places.update(factor(abs(entry)).primes())
-                assert spt <= places
-                prod = 1
-                for pl in places:
-                    prod *= local_invariant(s, e.alpha, pl)
-                assert prod == 1
+                assert spt == {pl for pl, sign in signs.items() if sign == -1} - {OO}
+                # every sign off these places is +1: this is the full product formula
+                assert math.prod(signs.values()) == 1
+
+
+@st.composite
+def _totally_positive_indices(draw):
+    """(setup, alpha) for alpha = m/2 + (x/(2D)) sqrt(D) on a trace-m slice,
+    often scaled by a common factor so that gcd(x, m) carries primes."""
+    s = Setup(*draw(st.sampled_from(MATRIX)))
+    m = draw(st.integers(1, 12))
+    xmax = math.isqrt(m * m * s.D - 1)
+    first = -xmax + (xmax - m * s.D) % 2
+    x = first + 2 * draw(st.integers(0, (xmax - first) // 2))
+    g = draw(st.sampled_from((1, 1, 2, 3, 5, 7, 23)))
+    return s, FElem.from_triple(g * m * s.D, g * x, 2 * s.D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_totally_positive_indices())
+def test_local_invariants_match_pairwise_symbols(index):
+    s, alpha = index
+    diag = _invariant_diagonal(s, alpha)
+    signs = local_invariants(s, alpha)
+    for pl, sign in signs.items():
+        pairwise = math.prod(
+            hilbert_symbol(diag[i], diag[j], pl) for i in range(4) for j in range(i + 1, 4)
+        )
+        assert sign == pairwise * hilbert_symbol(-1, -1, pl)
+    assert signs[OO] == -1
+    assert math.prod(signs.values()) == 1
+    assert support(s, alpha) == {pl for pl, sign in signs.items() if sign == -1} - {OO}
 
 
 def test_local_invariant_rejects_mixed():
@@ -498,6 +519,25 @@ _DIAGONALS = [
 
 @pytest.mark.parametrize("pair,u,v,expected", _DIAGONALS)
 def test_invariant_diagonal_golden(pair, u, v, expected):
-    from cmeis.field import _invariant_diagonal
-
     assert _invariant_diagonal(Setup(*pair), FElem(u, v)) == expected
+
+
+# the per-place signs at the _DIAGONALS inputs, recorded from the per-place implementation
+_SIGNS = [
+    {OO: -1, 2: 1, 3: 1, 5: -1},
+    {OO: -1, 2: 1, 3: 1, 5: -1},
+    {OO: -1, 2: 1, 3: -1},
+    {OO: -1, 2: 1, 3: 1, 5: -1, 7: 1, 29: 1},
+    {OO: -1, 2: 1, 5: 1, 7: 1, 383: -1},
+    {OO: -1, 2: -1, 3: 1, 5: 1, 7: 1, 11: 1, 433: 1},
+    {OO: -1, 2: -1},
+]
+
+
+@pytest.mark.parametrize(
+    "pair,u,v,expected", [row[:3] + (signs,) for row, signs in zip(_DIAGONALS, _SIGNS)]
+)
+def test_local_invariants_golden(pair, u, v, expected):
+    s, alpha = Setup(*pair), FElem(u, v)
+    assert local_invariants(s, alpha) == expected
+    assert support(s, alpha) == {pl for pl, sign in expected.items() if sign == -1} - {OO}

@@ -458,10 +458,11 @@ def test_singular_moduli_scale():
     assert rep47.resultant_abs == 5103  # |1728 + 3375| = 3^6 * 7
 
 
-def test_singular_moduli_large_class_number_with_retry():
+def test_singular_moduli_large_class_number_with_retry(monkeypatch):
     # class number 16 and a 126-digit resultant; the forced 64-bit start
     # must fail the rounding certificate and double until it clears
-    rep = singular_moduli_check(Setup(-4, -471), precision=64)
+    monkeypatch.setenv("CMEIS_PRECISION_BITS", "64")
+    rep = singular_moduli_check(Setup(-4, -471))
     assert rep.ok
     assert rep.h2 == 16
     assert rep.precision_used > 64
