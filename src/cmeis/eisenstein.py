@@ -12,10 +12,9 @@ Coefficients are computed through two deliberately disjoint paths:
   obstruction prime (``arakelov_degree``, whose coefficient is also
   ``holomorphic_coefficient``), and
 * a product-rule assembly of finite local Whittaker values and the one
-  local derivative (``assemble_derivative``), whose per-prime factors are
-  the literal finite sums, not the evaluated closed forms.  The two
-  archimedean center values of a totally positive index are the constant
-  -2i each, so the assembly multiplies integers and ``LogLinear``s only.
+  local derivative (``assemble_derivative``): literal finite sums at the
+  primes of the norm, the obstruction prime found as the one center value
+  0, no ideal built.  Each archimedean center value is the constant -2i.
 
 The matching Arakelov degree of the zero-dimensional CM locus is one
 quarter of the coefficient; ``trace_degree`` sums a trace slice and also
@@ -37,13 +36,14 @@ every holomorphic coefficient nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
-from .exact import InvariantError, LogLinear, padic_val
+from .exact import InvariantError, LogLinear, factor, padic_val
 from .field import (
     FElem,
     FIdealFactored,
@@ -52,6 +52,7 @@ from .field import (
     _half_slice,
     _slice_ideal,
     element_valuation,
+    prime_ideals_above,
     principal_ideal,
 )
 from .genus import diff_set, genus_char_prime, norm_ideal_count, prime_multiplicity
@@ -144,14 +145,14 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
     D = setup.D
     if x * x <= m * m * D:
         raise ValueError("expected a mixed-signature element")
+    if not (v1 > 0 and v2 > 0):
+        raise ValueError("imaginary parts must be positive")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
     rho = _mixed_rho(setup, m, abs(x))
     if rho == 0:
         return mpmath.mpf(0)
     v_l = v1 if x < 0 else v2
-    if not v_l > 0:
-        raise ValueError("imaginary parts must be positive")
     with mpmath.mp.workprec(precision + 16):
         mag = abs(mpmath.mpf(m) / 2 - mpmath.mpf(abs(x)) / (2 * D) * mpmath.sqrt(D))
         return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision))
@@ -194,8 +195,8 @@ def fourier_coefficient(setup: Setup, alpha: FElem, v1=None, v2=None, precision:
         return holomorphic_coefficient(setup, alpha)
     if s1 < 0 and s2 < 0:
         return LogLinear.zero()
-    if v1 is None or v2 is None:
-        raise ValueError("mixed-signature coefficients need both imaginary parts")
+    if v1 is None or v2 is None or not (v1 > 0 and v2 > 0):
+        raise ValueError("mixed-signature coefficients need two positive imaginary parts")
     gen = alpha.times_sqrtD(setup.D)
     if not gen.is_integral(setup.D):
         return mpmath.mpf(0)
@@ -275,18 +276,26 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     return degree
 
 
-def _scalar_product_of_values(
-    setup: Setup, alpha: FElem, ideal: FIdealFactored, skip: FPrimeIdeal
-) -> int:
-    """Product of the center values at every place but ``skip``.
+def _local_factors(setup: Setup, alpha: FElem) -> tuple[WhittakerData, int]:
+    """The obstruction place's Whittaker data and the product of the other center values.
 
-    ``ideal`` is alpha * (different); the finite values are 1 off its primes.
+    Finite values are 1 off the primes of N(sqrt(D) * alpha); the obstruction
+    place is the unique one where sum_{r<=t} chi(P)^r = 0 (chi(P) = -1, t odd).
     """
-    out = _ARCH_PRODUCT
-    for prm, _ in ideal.entries:
-        if prm != skip:
-            out *= whittaker_finite(setup, alpha, prm).value0
-    return out
+    if alpha.is_zero or not alpha.is_totally_positive(setup.D):
+        raise ValueError("expected a nonzero totally positive element")
+    gen = alpha.times_sqrtD(setup.D)
+    if not gen.is_integral(setup.D):
+        raise ValueError("index is outside the inverse different")
+    local = [
+        whittaker_finite(setup, alpha, prm)
+        for p in factor(abs(gen.norm(setup.D).numerator)).primes()
+        for prm in prime_ideals_above(setup, p)
+    ]
+    zeros = [data for data in local if data.value0 == 0]
+    if len(zeros) != 1:
+        raise ValueError("assembly needs a single obstruction prime")
+    return zeros[0], _ARCH_PRODUCT * math.prod(data.value0 for data in local if data.value0)
 
 
 def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
@@ -294,19 +303,11 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
 
     Requires a single obstruction prime P: only the term with the
     derivative at P survives, so the result is the local derivative at P
-    times all the other center values (finite and archimedean).  The code
-    path shares nothing with the closed form but the ideal alpha * (different):
-    every factor is the literal finite sum.
+    times all the other center values (finite and archimedean).  Nothing
+    is shared with the closed form: every factor is the literal finite sum.
     """
-    ideal = _index_ideal(setup, alpha)
-    if not ideal.is_integral:  # sqrt(D) * alpha is integral exactly when its ideal is
-        raise ValueError("index is outside the inverse different")
-    diff = diff_set(setup, ideal)
-    if len(diff) != 1:
-        raise ValueError("assembly needs a single obstruction prime")
-    prm = diff[0]
-    scalar = _scalar_product_of_values(setup, alpha, ideal, prm)
-    result = whittaker_finite(setup, alpha, prm).deriv0.scale(scalar)
+    obstruction, scalar = _local_factors(setup, alpha)
+    result = obstruction.deriv0.scale(scalar)
     if any(c < 0 for c in result.terms().values()):
         raise InvariantError("coefficient must be nonnegative")
     return result
@@ -315,16 +316,14 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
 def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
     """Center value of the coefficient for the twisted quadratic space.
 
-    Assembled as (-1) * prod of untouched center values * (-2i)^2 and
-    asserted against the closed form 4 * rho(alpha*D/P).
+    Assembled as (-1) * prod of untouched center values * (-2i)^2, as in
+    ``assemble_derivative``, and asserted against 4 * rho(alpha*D/P).
     """
-    ideal = _index_ideal(setup, alpha)
-    diff = diff_set(setup, ideal)
-    if len(diff) != 1 or diff[0] != prm:
+    obstruction, scalar = _local_factors(setup, alpha)
+    if obstruction.place != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
-    # the section twisted at P has center value -1 there
-    value = -_scalar_product_of_values(setup, alpha, ideal, prm)
-    if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
+    value = -scalar  # the section twisted at P has center value -1 there
+    if value != 4 * norm_ideal_count(setup, _index_ideal(setup, alpha).times(prm, -1)):
         raise InvariantError("coherent center value disagrees with 4 * rho")
     return value
 
@@ -334,11 +333,11 @@ def coherent_ratio_check(setup: Setup, alpha: FElem) -> bool:
 
     One ``arakelov_degree`` report gives the obstruction prime P, nu and
     the closed-form coefficient; P and nu are the ingredients shared with
-    the other two sides.  The assembled derivative (``whittaker_finite``'s
-    literal sums at P and the product of center values) and the coherent
-    value (the twisted product, asserted against 4 * rho) stay disjoint
-    from the closed form; the assembly and the report's coefficient are
-    each compared with nu * log p * (coherent value).
+    the other two sides.  The assembled derivative and the coherent value
+    (asserted against 4 * rho) both come from ``whittaker_finite``'s
+    literal sums, which find P on their own as the center value 0; the
+    assembly and the report's coefficient are each compared with
+    nu * log p * (coherent value).
     """
     report = arakelov_degree(setup, alpha)
     if report.reflex is None:

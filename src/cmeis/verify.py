@@ -379,10 +379,11 @@ def _orbital_product(rng: random.Random) -> str | None:
 
 
 def _degree_coefficient_identity(rng: random.Random) -> str | None:
+    # closed form from the slice's factorization (what coeffs prints), assembly from valuations
     for setup in _setups():
         for m in range(1, 21):
             for e in enumerate_trace_slice(setup, m):
-                rep = eisenstein.arakelov_degree(setup, e.alpha)
+                rep = eisenstein._degree_report(setup, e.ideal)
                 if len(rep.diff) % 2 == 0:
                     return f"even obstruction set at x={e.x}, m={m}, {setup}"
                 if len(rep.diff) > 1:

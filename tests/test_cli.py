@@ -196,6 +196,19 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def test_degree_table_script_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "degree_table.py"), "--max-trace", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("match: True") == 9
+    assert "match: False" not in proc.stdout
+
+
 def test_violated_invariant_is_exit_1_with_json():
     argv = ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"]
     proc = subprocess.run(
@@ -403,6 +416,22 @@ def test_verify_check_can_fail(monkeypatch, check):
     detail = SUITES[suite][check](random.Random(0))
     assert detail
     assert FAULT_DETAILS.get(check, "") in detail
+
+
+def test_degree_identity_reads_the_slice_factorization(monkeypatch):
+    # one exponent off in the factorization coeffs prints, at trace 13 only
+    original = cmeis.field._slice_ideal
+
+    def bumped(setup, m, x, n):
+        ideal = original(setup, m, x, n)
+        if m != 13 or ideal.is_unit_ideal:
+            return ideal
+        (prm, e), *rest = ideal.entries
+        return FIdealFactored(((prm, e + 2), *rest))
+
+    monkeypatch.setattr(cmeis.field, "_slice_ideal", bumped)
+    detail = SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0))
+    assert detail and "4*degree != coefficient" in detail and "m=13" in detail
 
 
 def test_support_check_catches_a_broken_product_formula(monkeypatch):

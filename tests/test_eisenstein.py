@@ -9,7 +9,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import cmeis.eisenstein as eisenstein
 from cmeis.eisenstein import (
+    _degree_report,
     arakelov_degree,
     assemble_derivative,
     coherent_coefficient,
@@ -240,17 +242,30 @@ def test_assembly_matches_closed_form_x1():
     assert assemble_derivative(S37, ALPHA_X1) == LogLinear({5: 4})
 
 
-def test_assembly_identity_on_slices():
+def test_assembly_identity_on_slices(monkeypatch):
+    # the closed form reads the slice's factorization first; the assembly then
+    # runs with no ideal factorization and no obstruction set to read
+    cases = []
     for s in (S37, S34, Setup(-4, -7), Setup(-7, -23)):
         for m in (1, 2, 3, 4, 5):
             for e in enumerate_trace_slice(s, m):
-                report = arakelov_degree(s, e.alpha)
-                if len(report.diff) != 1 or report.degree.is_zero:
-                    continue
-                assembled = assemble_derivative(s, e.alpha)
-                assert assembled == report.coefficient
-                assert assembled == report.degree.scale(4)
-                assert set(assembled.terms()) == support(s, e.alpha)
+                cases.append((s, e.alpha, _degree_report(s, e.ideal), support(s, e.alpha)))
+    assert {report.reflex is None for *_, report, _ in cases} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("the assembly must not read the closed form's ideal data")
+
+    monkeypatch.setattr(eisenstein, "principal_ideal", refuse)
+    monkeypatch.setattr(eisenstein, "diff_set", refuse)
+    for s, alpha, report, spt in cases:
+        if report.reflex is None:
+            with pytest.raises(ValueError, match="single obstruction prime"):
+                assemble_derivative(s, alpha)
+            continue
+        assembled = assemble_derivative(s, alpha)
+        assert assembled == report.coefficient
+        assert assembled == report.degree.scale(4)
+        assert set(assembled.terms()) == spt
 
 
 def test_assembly_rejects_long_diff():
@@ -303,6 +318,17 @@ def test_mixed_coefficient_zero_cases():
     assert mixed_coefficient(S37, 1, 7, 1.0, 1.0, 60) > 0
     with pytest.raises(ValueError):
         mixed_coefficient(S37, 1, 1, 1.0, 1.0)  # ALPHA_X1 is totally positive
+
+
+def test_nonpositive_imaginary_part_is_rejected_whatever_the_value():
+    # x = 9 has rho = 0, x = 8 has x - mD odd and x = 7 reads only v2:
+    # both imaginary parts are checked before any of that
+    for x, v1, v2 in ((9, -1.0, -1.0), (8, -1.0, -1.0), (7, -1.0, 1.0), (7, 1.0, -1.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            mixed_coefficient(S37, 1, x, v1, v2)
+    outside = FElem(Fraction(1, 3), Fraction(-5, 42))  # mixed, sqrt(D) * alpha not integral
+    with pytest.raises(ValueError, match="positive imaginary parts"):
+        fourier_coefficient(S37, outside, -1.0, 1.0)
 
 
 def test_mixed_coefficient_decreasing():
