@@ -9,9 +9,9 @@ are mpmath's own (``mpmath.e1``, ``mpmath.loggamma``).
 The two j routes share only the point q = e^(2 pi i tau).  Route one
 takes E4 and the eta-product from Jacobi theta sums at the nome
 e^(i pi tau), in mpmath, with O(sqrt N) products.  Route two sums the
-integer q-series of j (built once per table size by series division) in
-fixed point on Python integers, with an absolute error of about one unit
-of the working precision.
+integer q-series of j (built once per table size from the differential
+equation E4 theta(j) + E6 j = 0) in fixed point on Python integers, with
+an absolute error of about one unit of the working precision.
 
 Nothing in here touches the exact ideal-theoretic pipeline except through
 the single reconciliation ``singular_moduli_check``, which compares the
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exact import LogLinear, _small_primes, kronecker
+from .exact import InvariantError, LogLinear, _small_primes, kronecker
 from .field import Setup, SetupError, _is_fundamental_discriminant
 
 __all__ = [
@@ -101,71 +101,32 @@ def class_number(d: int) -> int:
 # ---------------------------------------------------------------------------
 # q-series with integer coefficients
 
-def _poly_mul_trunc(a, b, N):
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > N:
-            continue
-        lim = min(len(b), N - i + 1)
-        for j in range(lim):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _eta24_coeffs(N: int) -> tuple[int, ...]:
-    """Coefficients of prod_{n>=1} (1 - q^n)^24 up to q^N.
-
-    The single product f is sparse by the pentagonal number theorem, and
-    its power g = f^24 follows from f g' = 24 f' g (J. C. P. Miller's
-    recurrence): n g_n = sum_{i>=1} (25 i - n) f_i g_{n-i}, exact over Z.
-    """
-    sparse = []  # (i, f_i) for the nonzero f_i, i >= 1, in increasing i
-    k = 1
-    while k * (3 * k - 1) // 2 <= N:
-        sign = -1 if k % 2 else 1
-        sparse.append((k * (3 * k - 1) // 2, sign))
-        if k * (3 * k + 1) // 2 <= N:
-            sparse.append((k * (3 * k + 1) // 2, sign))
-        k += 1
-    g = [1] + [0] * N
-    for n in range(1, N + 1):
-        acc = 0
-        for i, fi in sparse:
-            if i > n:
-                break
-            acc += (25 * i - n) * fi * g[n - i]
-        g[n] = acc // n
-    return tuple(g)
-
-
-def _e4_coeffs(N: int) -> tuple[int, ...]:
-    s3 = [0] * (N + 1)
+def _divisor_sigmas(N: int) -> tuple[list[int], list[int]]:
+    """sigma_3(n) and sigma_5(n) for 0 <= n <= N, from one divisor sieve."""
+    s3, s5 = [0] * (N + 1), [0] * (N + 1)
     for dd in range(1, N + 1):
-        cube = dd * dd * dd
         for mult in range(dd, N + 1, dd):
-            s3[mult] += cube
-    return tuple([1] + [240 * s3[n] for n in range(1, N + 1)])
+            s3[mult] += dd**3
+            s5[mult] += dd**5
+    return s3, s5
 
 
 @lru_cache(maxsize=None)
 def _j_table(N: int) -> tuple[int, ...]:
     """cs[i] = integer coefficient of q^(i-1) of the modular j-function, i <= N.
 
-    Solved from j * Delta = E4^3 by the division recurrence; the Delta
-    series is monic in q so everything stays over Z.  (Spot values
-    c_0 = 744, c_1 = 196884 are pinned in the tests.)
+    From E4 theta(j) + E6 j = 0 (theta = q d/dq; Zagier 2008), for i >= 1:
+    i cs[i] = -sum_{t=1..i} (240 sigma_3(t) (i-1-t) - 504 sigma_5(t)) cs[i-t].
+    The division by i is exact over Z; a remainder raises ``InvariantError``.
     """
-    e4 = _e4_coeffs(N)
-    a = _poly_mul_trunc(_poly_mul_trunc(e4, e4, N), e4, N)
-    tau = _eta24_coeffs(N)  # Delta = sum_m tau[m-1] q^m
-    cs = [0] * (N + 1)
-    for n in range(N + 1):
-        acc = a[n]
-        for k in range(-1, n - 1):
-            acc -= cs[k + 1] * tau[n - k - 1]
-        cs[n] = acc
+    s3, s5 = _divisor_sigmas(N)
+    low = [-240 * s3[t] * (t + 1) - 504 * s5[t] for t in range(N + 1)]  # the weight at i = 0
+    cs = [1] + [0] * N
+    for i in range(1, N + 1):
+        acc = sum((240 * s3[t] * i + low[t]) * cs[i - t] for t in range(1, i + 1))
+        cs[i], rem = divmod(-acc, i)
+        if rem:
+            raise InvariantError(f"j-series recurrence leaves a remainder at q^{i - 1}")
     return tuple(cs)
 
 
@@ -275,7 +236,7 @@ def j_value(form: ReducedForm, precision: int):
     Jacobi theta sums at the nome r = e^(i pi tau) (``_theta_e4_eta``);
     this is j = 32 (theta2^8 + theta3^8 + theta4^8)^3 / (theta2 theta3
     theta4)^8 and takes O(sqrt N) products.  Route two: the integer
-    q-series of j, obtained by series division, summed in fixed point
+    q-series of j, from its differential equation, summed in fixed point
     (``_fixed_point_series``, within (|j q| + 1/8) 2^-work before the
     division by q).  The two must agree to 2^(16 - precision) = 2^64
     units of 2^-work relatively, else ``PrecisionError``.  Route one is
@@ -306,12 +267,19 @@ def j_value(form: ReducedForm, precision: int):
         return +j_quotient
 
 
+def _height_precision(d: int) -> int:
+    # the height bound for the class polynomial of d, with a generous guard
+    weight = sum(1.0 / f.a for f in class_reps(d))
+    est = 3.5 * math.pi * math.sqrt(-d) * weight / math.log(2)
+    return max(128, math.ceil(est) + 64)
+
+
 def class_poly_start_precision(d: int) -> int:
     """Initial working precision for the class polynomial of d.
 
-    Height bound with a generous guard; CMEIS_PRECISION_BITS overrides
-    the start, and the retry loop doubles on any certificate failure, so
-    the constant is not critical.
+    ``_height_precision`` unless CMEIS_PRECISION_BITS overrides the
+    start; the retry loop doubles on any certificate failure, so the
+    constant is not critical.
     """
     env = os.environ.get("CMEIS_PRECISION_BITS")
     if env:
@@ -319,9 +287,7 @@ def class_poly_start_precision(d: int) -> int:
             return max(int(env), 64)
         except ValueError:
             raise SetupError(f"CMEIS_PRECISION_BITS={env!r} is not an integer") from None
-    weight = sum(1.0 / f.a for f in class_reps(d))
-    est = 3.5 * math.pi * math.sqrt(-d) * weight / math.log(2)
-    return max(128, math.ceil(est) + 64)
+    return _height_precision(d)
 
 
 def _times_monic(coeffs, low):

@@ -486,8 +486,9 @@ def _class_count_brute_force(rng: random.Random) -> str | None:
 
 
 def _class_poly_certificate(rng: random.Random) -> str | None:
+    # the absolute bound 2^-(prec/2) holds at the height precision, not at any override
     for d in (-3, -4, -7, -8, -11, -23, -47):
-        prec = oracle.class_poly_start_precision(d)
+        prec = oracle._height_precision(d)
         coeffs = oracle.hilbert_class_poly(d, prec)
         with mpmath.mp.workprec(prec + 48):
             for form in oracle.class_reps(d):

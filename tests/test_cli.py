@@ -378,6 +378,9 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
 _hasse_invariant = cmeis.field.hasse_invariant
 _hilbert_symbol = cmeis.field.hilbert_symbol
+_class_reps = cmeis.oracle.class_reps
+_hilbert_class_poly = cmeis.oracle.hilbert_class_poly
+_class_number = cmeis.oracle.class_number
 FAULTS = {
     "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
     "trace-slice-invariants": (
@@ -400,7 +403,13 @@ FAULTS = {
         "eisenstein", cmeis.eisenstein, "prime_multiplicity",
         lambda *args: _prime_multiplicity(*args) + 1,
     ),
+    "class-count-brute-force": ("oracle", cmeis.oracle, "class_reps", lambda d: _class_reps(d)[1:]),
+    "class-poly-certificate": (
+        "oracle", cmeis.oracle, "hilbert_class_poly",
+        lambda d, precision: [c + (i == 0) for i, c in enumerate(_hilbert_class_poly(d, precision))],
+    ),
     "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
+    "l-value-class-number": ("oracle", cmeis.oracle, "class_number", lambda d: _class_number(d) + 1),
 }
 # the text a failure's detail must contain: the violated invariant, where one is named
 FAULT_DETAILS = {
@@ -416,6 +425,15 @@ def test_verify_check_can_fail(monkeypatch, check):
     detail = SUITES[suite][check](random.Random(0))
     assert detail
     assert FAULT_DETAILS.get(check, "") in detail
+
+
+def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):
+    # the override moves where singular_moduli_check starts, not the check's precision
+    monkeypatch.setenv("CMEIS_PRECISION_BITS", "64")
+    check = SUITES["oracle"]["class-poly-certificate"]
+    assert check(random.Random(0)) is None
+    monkeypatch.setattr(cmeis.oracle, "hilbert_class_poly", FAULTS["class-poly-certificate"][3])
+    assert "class poly residual too big at d=-3" in check(random.Random(0))
 
 
 def test_degree_identity_reads_the_slice_factorization(monkeypatch):

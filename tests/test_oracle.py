@@ -104,18 +104,22 @@ def test_j_coeffs_slice_matches_fresh_recurrence():
     assert len(_j_coeffs(96)) == 97
 
 
-def test_eta24_matches_literal_power():
-    from cmeis.oracle import _eta24_coeffs, _poly_mul_trunc
+def test_j_table_golden():
+    from cmeis.oracle import _j_table
 
-    N = 40
-    eta = [1] + [0] * N
-    for n in range(1, N + 1):
-        eta = [c - (eta[i - n] if i >= n else 0) for i, c in enumerate(eta)]
-    power = [1] + [0] * N
-    for _ in range(24):
-        power = _poly_mul_trunc(power, eta, N)
-    assert _eta24_coeffs(N) == tuple(power)
-    assert power[:6] == [1, -24, 252, -1472, 4830, -6048]  # Ramanujan's tau
+    cs = _j_table(1024)
+    digest = hashlib.sha256(repr(cs).encode()).hexdigest()
+    assert digest == "7aaa88d82687855db20a544d1f7075b2f283558a0a686dd1f004f52d711ccfc6"
+    assert cs[4:12] == (  # OEIS A000521
+        864299970,
+        20245856256,
+        333202640600,
+        4252023300096,
+        44656994071935,
+        401490886656000,
+        3176440229784420,
+        22567393309593600,
+    )
 
 
 def _nome(form):
@@ -494,6 +498,7 @@ def test_singular_moduli_bound_is_inclusive():
 _SABOTAGE = """
 import sys
 import cmeis.oracle as oracle
+from cmeis.exact import InvariantError
 from cmeis.field import Setup
 if __debug__:
     raise SystemExit("asserts are still on")
@@ -506,6 +511,15 @@ elif sys.argv[1] == "class_reps":
     oracle.class_reps = lambda d: reps(d) + [oracle.ReducedForm(1, -1, 2)]
     call = lambda: oracle.hilbert_class_poly(-7, 128)
     expect = ArithmeticError, "not monic of degree 2"
+elif sys.argv[1] == "sigma3":
+    sigmas = oracle._divisor_sigmas
+    def bumped(N):
+        s3, s5 = sigmas(N)
+        s3[1] += 1
+        return s3, s5
+    oracle._divisor_sigmas = bumped
+    call = lambda: oracle._j_table.__wrapped__(64)
+    expect = InvariantError, "remainder at q^6"
 else:
     if sys.argv[1] == "theta4":
         # theta4 with the sign of its odd terms flipped is theta3
@@ -529,7 +543,7 @@ raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
 """
 
 
-@pytest.mark.parametrize("sabotage", ["resultant", "class_reps", "theta4", "j_coeffs"])
+@pytest.mark.parametrize("sabotage", ["resultant", "class_reps", "sigma3", "theta4", "j_coeffs"])
 def test_oracle_checks_survive_optimize(sabotage):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
