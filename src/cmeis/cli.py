@@ -21,12 +21,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import mpmath
 
 from .eisenstein import (
-    DegreeReport,
     _degree_report,
     _mixed_rho,
     constant_term,
@@ -68,43 +66,34 @@ def _display_bits(digits: int) -> int:
     return max(128, 4 * digits + 32)
 
 
-# the report of the numeric-only terms: the constant and the mixed records
-_NUMERIC_ONLY = DegreeReport((), LogLinear.zero(), LogLinear.zero(), None, Fraction(0))
-
-
 def _ratio_text(a: int, b: int) -> str:
     """a/b in lowest terms as ``str(Fraction(a, b))`` prints it, for b > 0."""
     g = math.gcd(a, b)
     return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
-def _diff(primes):
-    return [{"p": q.p, "kind": q.kind} for q in primes]
+def _diff_text(primes) -> str:
+    return "[" + ",".join(f'{{"p":{q.p},"kind":"{q.kind}"}}' for q in primes) + "]"
 
 
-def _record(D, m, x, report, float_text):
-    return {
-        "m": m,
-        "x": x,
-        "alpha": [_ratio_text(m, 2), _ratio_text(x, 2 * D)],
-        "diff": _diff(report.diff),
-        "a_alpha": _loglinear_map(report.coefficient),
-        "deg_X": _loglinear_map(report.degree),
-        "a_alpha_float": float_text,
-        "nu": str(report.nu),
-    }
+def _tail(report, digits, bits):
+    """The a_alpha, deg_X, float and nu texts: a function of (P's p, 2 nu, rho) alone."""
+    nu = _ratio_text(report.two_nu, 2)
+    if report.reflex is None:
+        return "{}", "{}", _float_str(0, digits), nu
+    p, count = report.reflex.p, report.two_nu * report.rho  # degree = count/2 * log p
+    return (
+        f'{{"{p}":"{2 * count}"}}',
+        f'{{"{p}":"{_ratio_text(count, 2)}"}}',
+        _float_str(report.coefficient.to_float(bits), digits),
+        nu,
+    )
 
 
-def _mirror(D, record, report):
-    """The record at -x from the one at x.
-
-    The index at -x is the Galois conjugate of the one at x: only the
-    sqrt(D) part of alpha and the kinds of the split primes change.
-    """
-    x = -record["x"]
-    diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
-    alpha = [record["alpha"][0], _ratio_text(x, 2 * D)]
-    return {**record, "x": x, "alpha": alpha, "diff": _diff(diff)}
+def _numeric_record(D, m, x, float_text):
+    """The record of the constant or a mixed term: empty diff and maps, nu 0."""
+    alpha = (_ratio_text(m, 2), _ratio_text(x, 2 * D))
+    return (str(m), str(x), *alpha, "[]", "{}", "{}", float_text, "0")
 
 
 def _mixed_records(setup, m, v1, v2, digits, bits):
@@ -116,13 +105,15 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
     """
     D = setup.D
     cutoff = mpmath.mpf(10) ** (-(digits + 2))
+    with mpmath.mp.workprec(bits):
+        sqrt_D = mpmath.sqrt(D)
     x = math.isqrt(m * m * D - 1) + 1  # the first x with x^2 > m^2 D ...
     x += (x - m * D) % 2  # ... and (x + m sqrt(D))/2 integral
     records = []
     while True:
         n = (x * x - m * m * D) // 4
         with mpmath.mp.workprec(bits):
-            sigma = (x * mpmath.sqrt(D) / D - m) / 2  # |negative embedding|
+            sigma = (x * sqrt_D / D - m) / 2  # |negative embedding|
             divisors = 1
             for _, e in factor(n):
                 divisors *= e + 1
@@ -135,7 +126,7 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
                 value = mixed_coefficient(setup, m, sx, v1, v2, bits)
                 if abs(value) < cutoff:
                     continue
-                records.append(_record(D, m, sx, _NUMERIC_ONLY, _float_str(value, digits)))
+                records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
         x += 2
     return records
 
@@ -143,65 +134,61 @@ def _mixed_records(setup, m, v1, v2, digits, bits):
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     """Yield the emitted records in order, one trace m at a time.
 
-    Always one record per trace-slice element for 1 <= m <= trace_max;
-    each pair x, -x is factored and reported once, the record at -x being
-    the Galois mirror of the one at x.  With imaginary parts given, also
-    the constant term (m = 0) and the mixed-signature terms whose numeric
-    size clears the display cutoff.
+    Each record is the tuple of its nine field texts, in the order of the
+    CSV columns.  Always one record per trace-slice element for
+    1 <= m <= trace_max: each pair x, -x is factored and reported once, and
+    the record at -x is the Galois mirror of the one at x, sharing its
+    tail (the a_alpha, deg_X, float and nu texts).  Tails are built once
+    per key (P's p, 2 nu, rho) of the integer report.  With imaginary
+    parts given, also the constant term (m = 0) and the mixed-signature
+    terms whose numeric size clears the display cutoff.
     """
     bits = _display_bits(digits)
     D = setup.D
-    float_texts = {}  # coefficient -> its display text; few distinct values recur
-
-    def float_text(coefficient):
-        text = float_texts.get(coefficient)
-        if text is None:
-            value = 0 if coefficient.is_zero else coefficient.to_float(bits)
-            text = float_texts[coefficient] = _float_str(value, digits)
-        return text
+    tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
 
     if v1 is not None:
-        value = constant_term(setup, v1, v2, bits)
-        yield _record(D, 0, 0, _NUMERIC_ONLY, _float_str(value, digits))
+        yield _numeric_record(D, 0, 0, _float_str(constant_term(setup, v1, v2, bits), digits))
     for m in range(1, trace_max + 1):
+        m_text, u = str(m), _ratio_text(m, 2)
         below, per_m = [], []
         for x, _, ideal in _half_slice(setup, m):
             report = _degree_report(setup, ideal)
-            record = _record(D, m, x, report, float_text(report.coefficient))
+            key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _tail(report, digits, bits)
+            x_text, v = str(x), _ratio_text(x, 2 * D)
+            per_m.append((m_text, x_text, u, v, _diff_text(report.diff), *tail))
             if x:
-                below.append(_mirror(D, record, report))
-            per_m.append(record)
+                # the conjugate index: the split primes swap their kinds
+                diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
+                below.append((m_text, "-" + x_text, u, "-" + v, _diff_text(diff), *tail))
         per_m[:0] = reversed(below)
         if v1 is not None:
             per_m.extend(_mixed_records(setup, m, v1, v2, digits, bits))
-            per_m.sort(key=lambda r: r["x"])
+            per_m.sort(key=lambda r: int(r[1]))
         yield from per_m
+
+
+# one record as a JSON line; every field text is already JSON-safe
+_JSON_LINE = (
+    '{"m":%s,"x":%s,"alpha":["%s","%s"],"diff":%s,"a_alpha":%s,"deg_X":%s,'
+    '"a_alpha_float":"%s","nu":"%s"}\n'
+)
 
 
 def _emit_json(records, out) -> None:
     for rec in records:
-        out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        out.write(_JSON_LINE % rec)
 
 
 def _emit_csv(records, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
-        ["m", "x", "alpha_u", "alpha_v", "diff", "a_alpha", "deg_X", "a_alpha_float", "nu"]
+        ("m", "x", "alpha_u", "alpha_v", "diff", "a_alpha", "deg_X", "a_alpha_float", "nu")
     )
-    for rec in records:
-        writer.writerow(
-            [
-                rec["m"],
-                rec["x"],
-                rec["alpha"][0],
-                rec["alpha"][1],
-                json.dumps(rec["diff"], separators=(",", ":")),
-                json.dumps(rec["a_alpha"], separators=(",", ":")),
-                json.dumps(rec["deg_X"], separators=(",", ":")),
-                rec["a_alpha_float"],
-                rec["nu"],
-            ]
-        )
+    writer.writerows(records)
 
 
 def _cmd_coeffs(args) -> int:

@@ -208,33 +208,50 @@ def fourier_coefficient(setup: Setup, alpha: FElem, v1=None, v2=None, precision:
 class DegreeReport:
     """Degree of the CM locus at one index, with the matching coefficient.
 
-    Exactly 4 * degree = coefficient when the locus is nonempty; both
-    are zero otherwise.  ``nu`` is the common length of the local rings,
-    ``reflex`` the unique obstruction prime (None for the empty locus).
+    Stores integers only: the obstruction set ``diff``, its one prime
+    ``reflex`` (None for the empty locus), ``two_nu`` = ord_P(alpha*P*D)
+    and ``rho`` = rho(alpha*D/P), both 0 for the empty locus.  ``nu`` (the
+    common length of the local rings), ``degree`` = nu * rho * log p and
+    ``coefficient`` = 4 * degree are derived on access; both are zero for
+    the empty locus.
     """
 
     diff: tuple[FPrimeIdeal, ...]
-    coefficient: LogLinear
-    degree: LogLinear
     reflex: FPrimeIdeal | None
-    nu: Fraction
+    two_nu: int
+    rho: int
+
+    @property
+    def nu(self) -> Fraction:
+        return Fraction(self.two_nu, 2)
+
+    def _log_p(self, c: Fraction) -> LogLinear:
+        return LogLinear.zero() if self.reflex is None else LogLinear._unchecked({self.reflex.p: c})
+
+    @property
+    def degree(self) -> LogLinear:
+        return self._log_p(Fraction(self.two_nu * self.rho, 2))
+
+    @property
+    def coefficient(self) -> LogLinear:
+        return self._log_p(Fraction(2 * self.two_nu * self.rho))
 
 
 def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
-    """``arakelov_degree`` of the index whose ideal alpha * (different) is ``ideal``."""
+    """``arakelov_degree`` of the index whose ideal alpha * (different) is ``ideal``.
+
+    Finds the obstruction set, its one prime P, ord_P(ideal) + 1 and rho of
+    the ideal with P's entry taken off; builds no ``LogLinear`` or ``Fraction``.
+    """
     diff = diff_set(setup, ideal)
     if not ideal.is_integral or len(diff) != 1:
-        zero = LogLinear.zero()
-        return DegreeReport(diff, zero, zero, None, Fraction(0))
+        return DegreeReport(diff, None, 0, 0)
     prm = diff[0]
     if prm.residue_degree != 1:
         raise InvariantError("obstruction primes have residue degree 1")
-    nu = Fraction(ideal.ord_at(prm) + 1, 2)
     # rho(ideal / P): P's own factor is 1 (chi(P) = -1, even exponent left)
     rest = FIdealFactored(tuple(entry for entry in ideal.entries if entry[0] != prm))
-    degree = nu * norm_ideal_count(setup, rest)
-    coefficient = LogLinear._unchecked({prm.p: 4 * degree})
-    return DegreeReport(diff, coefficient, LogLinear._unchecked({prm.p: degree}), prm, nu)
+    return DegreeReport(diff, prm, ideal.ord_at(prm) + 1, norm_ideal_count(setup, rest))
 
 
 def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:

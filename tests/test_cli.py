@@ -19,9 +19,9 @@ import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
 from cmeis.exact import OO, Factorization, LogLinear
-from cmeis.field import FIdealFactored, Setup, element_valuation, principal_ideal
+from cmeis.field import FIdealFactored, Setup, _half_slice, element_valuation, principal_ideal
 from cmeis.oracle import PrecisionError
-from cmeis.verify import SUITES
+from cmeis.verify import SUITES, TEST_MATRIX
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "coefficient-record-schema-v1.json"
@@ -53,22 +53,41 @@ def test_coeffs_example_records(capsys):
         assert r["alpha"][0] == "1/2"
 
 
+def _matrix_coeffs_runs(capsys, *extra):
+    """(args, stdout) of ``coeffs`` at trace 6 on every matrix pair, with and
+    without imaginary parts (the constant and mixed records)."""
+    for d1, d2 in TEST_MATRIX:
+        for v in ((), ("--v1", "0.9", "--v2", "1.1")):
+            args = ("coeffs", "--d1", str(d1), "--d2", str(d2), "--trace-max", "6", *v)
+            code, out, _ = _run(capsys, *args, *extra)
+            assert code == 0
+            yield args, out
+
+
 def test_coeffs_json_roundtrip_byte_identical(capsys):
-    code, out, _ = _run(
-        capsys, "coeffs", "--d1", "-3", "--d2", "-4", "--trace-max", "3",
-        "--v1", "1.5", "--v2", "0.5",
-    )
-    assert code == 0
-    for line in out.splitlines():
-        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+    # each line is one template filled with field texts: it must be the
+    # canonical compact JSON of the record it encodes
+    kinds, seen = set(), set()
+    for _, out in _matrix_coeffs_runs(capsys):
+        for line in out.splitlines():
+            assert json.dumps(json.loads(line), separators=(",", ":")) == line
+            record = json.loads(line)
+            kinds.update(q["kind"] for q in record["diff"])
+            if record["m"] == 0:
+                seen.add("constant")
+            elif record["nu"] != "0":
+                seen.add("located")
+            else:  # {} maps; an empty locus prints the float 0, a mixed term does not
+                seen.add("empty" if record["a_alpha_float"] == "0" else "mixed")
+                assert record["a_alpha"] == record["deg_X"] == {}
+            seen.add("empty diff" if record["diff"] == [] else "diff")
+    # inert primes have chi = +1, so they never enter an obstruction set
+    assert kinds == {"split_plus", "split_minus", "ramified"}
+    assert seen == {"constant", "located", "empty", "mixed", "empty diff", "diff"}
 
 
 def test_coeffs_csv_agrees_with_json(capsys):
-    base = ("coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
-    # the second input adds the constant and mixed records: m = 0, empty diff, {} maps
-    for args in (base, (*base, "--v1", "1", "--v2", "0.5")):
-        code, json_out, _ = _run(capsys, *args)
-        assert code == 0
+    for args, json_out in _matrix_coeffs_runs(capsys):
         code, csv_out, _ = _run(capsys, *args, "--format", "csv")
         assert code == 0
         json_records = [json.loads(line) for line in json_out.splitlines()]
@@ -84,8 +103,6 @@ def test_coeffs_csv_agrees_with_json(capsys):
             assert json.loads(cr["deg_X"]) == jr["deg_X"]
             assert cr["a_alpha_float"] == jr["a_alpha_float"]
             assert cr["nu"] == jr["nu"]
-    assert any(r["m"] == 0 for r in json_records)
-    assert any(r["diff"] == [] and r["a_alpha"] == {} and r["m"] for r in json_records)
 
 
 def test_coeffs_with_v_emits_constant_and_mixed(capsys):
@@ -288,6 +305,28 @@ def test_slice_path_skips_the_felem_factorization():
     trace_degree(setup, 5)
     assert principal_ideal.cache_info().misses == 0
     assert element_valuation.cache_info().misses == 0
+
+
+def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
+    # one report per half-slice index, shared with the mirror at -x, and one
+    # float text per tail key (P's p, 2 nu, rho)
+    setup = Setup(-7, -23)
+    real_report, real_float = cmeis.cli._degree_report, cmeis.cli._float_str
+    reports, floats = [], []
+
+    def counting_report(s, ideal):
+        reports.append(real_report(s, ideal))
+        return reports[-1]
+
+    monkeypatch.setattr(cmeis.cli, "_degree_report", counting_report)
+    monkeypatch.setattr(cmeis.cli, "_float_str", lambda *a: floats.append(a) or real_float(*a))
+    code, out, _ = _run(capsys, "coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20")
+    assert code == 0
+    half = [x for m in range(1, 21) for x, _, _ in _half_slice(setup, m)]
+    assert len(reports) == len(half)
+    assert len(out.splitlines()) == 2 * len(half) - half.count(0)
+    keys = {(r.reflex and r.reflex.p, r.two_nu, r.rho) for r in reports}
+    assert 1 < len(floats) == len(keys) < len(reports)
 
 
 def test_mixed_scan_factors_each_pair_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -27,6 +28,7 @@ from cmeis.exact import LogLinear
 from cmeis.field import (
     FElem,
     Setup,
+    _half_slice,
     element_valuation,
     enumerate_trace_slice,
     prime_ideals_above,
@@ -171,6 +173,29 @@ def test_degree_example_x1():
     assert report.nu == 1
     assert report.reflex.p == 5 and report.reflex.kind == "split_minus"
     assert report.coefficient == report.degree.scale(4)
+
+
+# (count, sha256) of the lines "m x diff reflex nu degree coefficient" (reprs
+# of the report's values) over the half slices m <= 8, recorded from the
+# report that stored nu, degree and coefficient as Fraction and LogLinear
+_REPORT_GOLDEN = {
+    (-3, -7): (84, "6f6968761dcd25c1cbf24fb835df94303a917e035ea460699d25ae1ff607accc"),
+    (-4, -7): (99, "aa165db8aba96b0c3a84f940136df8f719e8e831456ca8dff6a7fd346fe96f15"),
+    (-8, -11): (173, "4346b1288f5444bea95410987aac92c91f990a900e994e557107a557eff0db4b"),
+    (-7, -23): (230, "75ef0875a6d8789f4b89f271de17d9b1fb43b58b1428869277380d467cf7c66e"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_REPORT_GOLDEN))
+def test_degree_report_golden(pair):
+    s, lines = Setup(*pair), []
+    for m in range(1, 9):
+        for x, _, ideal in _half_slice(s, m):
+            r = _degree_report(s, ideal)
+            lines.append(f"{m} {x} {r.diff!r} {r.reflex!r} {r.nu} {r.degree!r} {r.coefficient!r}")
+            assert type(r.nu) is Fraction and r.coefficient == r.degree.scale(4)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == _REPORT_GOLDEN[pair]
 
 
 def test_degree_example_d34_x2():
