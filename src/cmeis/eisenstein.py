@@ -131,7 +131,8 @@ def _mixed_rho(setup: Setup, m: int, x: int) -> int:
     The ideal at -x is the Galois conjugate of this one, with the same rho,
     so a scan over x and -x factors once.
     """
-    return norm_ideal_count(setup, _slice_ideal(setup, m, x, (x * x - m * m * setup.D) // 4))
+    n = (x * x - m * m * setup.D) // 4
+    return norm_ideal_count(setup, _slice_ideal(setup, m, x, factor(n)))
 
 
 def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):

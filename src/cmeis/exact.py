@@ -63,7 +63,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
+        if p * p > n:  # no prime factor up to sqrt(n)
             return True
         if n % p == 0:
             return False

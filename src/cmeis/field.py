@@ -20,11 +20,18 @@ real embeddings positive are exactly
 writing sqrt(D)*alpha = (x + m*sqrt(D))/2, integrality forces x integral
 of the displayed parity, trace(alpha) = m, and total positivity is
 |x| < m*sqrt(D).  The attached integral ideal is (sqrt(D)*alpha), of
-absolute norm n = (m^2*D - x^2)/4.  The slice factors it from the
-integers (m, x, n) alone: one factor(n), ord_p(n) at inert and ramified
-p, ord_p(x +/- m*r) at split p (r a root of D mod a power of p).
-Only x >= 0 is factored: x -> -x is the Galois conjugation of F, so the
-ideal at -x is the conjugate of the one at x (the split primes swap).
+absolute norm n(x) = (m^2*D - x^2)/4.  The slice factors it from the
+integers (m, x) alone.  Along one trace n(x) is a quadratic in x, so an
+odd p divides it only for x in its root classes mod p (x = 0 when
+p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
+p not dividing m): one sieve over the line divides each small p out at
+those indices only, as in the quadratic sieve.  The ideal then comes
+from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
+all of e to the one prime whose root class holds x (both primes can
+hold x only when p | gcd(x, m); there ord_p(x +/- m*r) decides, with r
+lifted to a higher power of p).  Only x >= 0 is factored: x -> -x is
+the Galois conjugation of F, so the ideal at -x is the conjugate of the
+one at x (the split primes swap).
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
+    _SMALL_PRIMES,
     OO,
     InvariantError,
     factor,
     hasse_invariant,
     hilbert_symbol,
+    is_prime,
     kronecker,
     padic_val,
     sqrt_mod_prime_power,
@@ -190,16 +199,6 @@ class FElem:
     def is_integral(self, D: int) -> bool:
         # 2u and 2v integral forces c | 2; at c = 2, a = 2u and b = 2v
         return self.c == 1 or (self.c == 2 and (self.a - self.b * D) % 2 == 0)
-
-    def embedding(self, D: int, l: int, precision: int = 53):
-        """sigma_l as an mpmath float at the requested bit precision."""
-        import mpmath
-
-        with mpmath.mp.workprec(precision):
-            s = mpmath.sqrt(D)
-            u = mpmath.mpf(self.a) / self.c
-            v = mpmath.mpf(self.b) / self.c
-            return +(u + v * s) if l == 1 else +(u - v * s)
 
 
 _KIND_ORDER = {"split_plus": 0, "split_minus": 1, "inert": 2, "ramified": 3}
@@ -391,44 +390,106 @@ class TraceSliceElement:
     ideal: FIdealFactored  # (sqrt(D) * alpha), integral of norm n
 
 
-def _slice_ideal(setup: Setup, m: int, x: int, n: int) -> FIdealFactored:
-    """Factor the integral ((x + m*sqrt(D))/2) in integers, whatever its signs.
+@lru_cache(maxsize=1 << 14)
+def _root_mod(D: int, p: int) -> int:
+    """The canonical root of D at a split p, mod p (mod 4 at p = 2, where it is 1)."""
+    return sqrt_mod_prime_power(D, p, 1 + (p == 2))
 
-    n = |x^2 - m^2*D|/4 is the absolute value of its norm; the entries
+
+def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
+    """The integral ((x + m*sqrt(D))/2), whatever its signs, from its norm's factors.
+
+    ``factors`` are the (p, e) pairs of n = |x^2 - m^2*D|/4, p increasing.
+    An inert p takes e/2 and a ramified p takes e.  At a split p not
+    dividing gcd(x, m) the element lies in one prime above p only, so all
+    of e goes to split_plus = (p, sqrt(D) - r) when x = -m*r (mod p) and to
+    split_minus when x = m*r, r the canonical root (mod 4 at p = 2);
+    exactly one of the two must hold.  At a split p | gcd(x, m) each prime
+    takes ``_split_valuation`` and the two must add up to e.  The entries
     come out in sort_key order.
     """
+    D = setup.D
+    g = math.gcd(x, m)
     entries = []
-    for p, e in factor(n):
-        checksum = 0
-        for prm in prime_ideals_above(setup, p):
-            if prm.kind == "inert":
-                if e % 2:
-                    raise InvariantError("odd norm valuation at an inert prime")
-                v = e // 2
-            elif prm.kind == "ramified":
-                v = e
-            else:  # x + m*sqrt(D) has norm +/-4n; take off ord_P(2)
-                v = _split_valuation(setup.D, x, m, e + 2 * (p == 2), prm) - (p == 2)
-            checksum += v * prm.residue_degree
-            if v:
-                entries.append((prm, v))
-        if checksum != e:
-            raise InvariantError("valuations disagree with the norm")
+    for p, e in factors:
+        prms = prime_ideals_above(setup, p)
+        kind = prms[0].kind
+        if kind == "inert":
+            if e % 2:
+                raise InvariantError("odd norm valuation at an inert prime")
+            entries.append((prms[0], e // 2))
+        elif kind == "ramified":
+            entries.append((prms[0], e))
+        elif g % p:
+            q, r = 4 if p == 2 else p, _root_mod(D, p)
+            plus, minus = (x + m * r) % q == 0, (x - m * r) % q == 0
+            if plus == minus:
+                raise InvariantError("x is not in exactly one root class of a split prime")
+            entries.append((prms[0] if plus else prms[1], e))
+        else:
+            checksum = 0
+            for prm in prms:  # x + m*sqrt(D) has norm +/-4n; take off ord_P(2)
+                v = _split_valuation(D, x, m, e + 2 * (p == 2), prm) - (p == 2)
+                checksum += v
+                if v:
+                    entries.append((prm, v))
+            if checksum != e:
+                raise InvariantError("valuations disagree with the norm")
     return FIdealFactored(tuple(entries))
 
 
 def _half_slice(setup: Setup, m: int):
     """Yield (x, n, ideal) over the trace-m slice for x >= 0, x increasing.
 
-    The element at -x is the Galois conjugate of the one at x, and so is
-    its ideal: the other half of the slice is the mirror of this one.
+    The norms n(x) = (m^2*D - x^2)/4 of the line are factored in one sieve:
+    the 2-part comes off each by bit arithmetic, and each odd prime
+    p <= min(sqrt(max n), 997) is divided out only at the indices of its
+    root classes mod p (see the module docstring).  What is left of each
+    n(x) is 1 or prime, unless n > 997^2, when a composite rest goes to
+    ``factor``.  The element at -x is the Galois conjugate of the one at
+    x, and so is its ideal: the other half of the slice is the mirror of
+    this one.
     """
     if m < 1:
         raise ValueError("trace must be a positive integer")
     D = setup.D
-    for x in range((m * D) % 2, math.isqrt(m * m * D - 1) + 1, 2):
-        n = (m * m * D - x * x) // 4
-        yield x, n, _slice_ideal(setup, m, x, n)
+    x0, mmD = (m * D) % 2, m * m * D
+    xs = range(x0, math.isqrt(mmD - 1) + 1, 2)
+    ns = [(mmD - x * x) // 4 for x in xs]
+    rest, factors = [], []
+    for n in ns:
+        e = (n & -n).bit_length() - 1
+        rest.append(n >> e)
+        factors.append([(2, e)] if e else [])
+    bound = min(math.isqrt(ns[0]), _SMALL_PRIMES[-1])
+    for p in _SMALL_PRIMES[1:]:
+        if p > bound:
+            break
+        if (m * D) % p == 0:
+            classes = (0,)
+        elif prime_ideals_above(setup, p)[0].kind == "inert":
+            continue
+        else:
+            c = m * _root_mod(D, p) % p
+            classes = (c, p - c)
+        half = (p + 1) // 2  # 1/2 mod p: x = x0 + 2i is in class c at i = (c - x0)/2
+        for c in classes:
+            for i in range((c - x0) * half % p, len(ns), p):
+                v, e = rest[i], 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                if e:
+                    rest[i] = v
+                    factors[i].append((p, e))
+    for v, fs in zip(rest, factors):
+        if v > 1:
+            if is_prime(v):
+                fs.append((v, 1))
+            else:
+                fs.extend(factor(v))
+    for x, n, fs in zip(xs, ns, factors):
+        yield x, n, _slice_ideal(setup, m, x, fs)
 
 
 def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:

@@ -18,7 +18,7 @@ import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
-from cmeis.exact import OO, Factorization, LogLinear
+from cmeis.exact import OO, Factorization, LogLinear, factor
 from cmeis.field import FIdealFactored, Setup, _half_slice, element_valuation, principal_ideal
 from cmeis.oracle import PrecisionError
 from cmeis.verify import SUITES, TEST_MATRIX
@@ -204,13 +204,30 @@ def test_mixed_scan_cap_counts_every_trace():
     assert proc.stderr.startswith("setup error: imaginary parts too small")
 
 
-_BROKEN_SPLIT_VALUATION = """
+_BROKEN_RUN = """
 import sys
 import cmeis.field
 from cmeis.cli import main
-cmeis.field._split_valuation = lambda *args: 0
+%s
 sys.exit(main(sys.argv[1:]))
 """
+
+# (fault, argv, message): a wrong split valuation at p = 2 | gcd(x, m = 2) in
+# (-7, -23), and a wrong root at 5, which splits in Q(sqrt(21)) and divides
+# n(1) = 5 at m = 1
+_INVARIANT_FAULTS = (
+    (
+        "cmeis.field._split_valuation = lambda *args: 0",
+        ["degree", "--d1", "-7", "--d2", "-23", "--m", "2"],
+        "valuations disagree with the norm",
+    ),
+    (
+        "root = cmeis.field.sqrt_mod_prime_power\n"
+        "cmeis.field.sqrt_mod_prime_power = lambda D, p, k: root(D, p, k) + 1",
+        ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"],
+        "x is not in exactly one root class of a split prime",
+    ),
+)
 
 
 def test_degree_table_script_smoke():
@@ -227,18 +244,18 @@ def test_degree_table_script_smoke():
 
 
 def test_violated_invariant_is_exit_1_with_json():
-    argv = ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_SPLIT_VALUATION, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == ['{"invariant":"valuations disagree with the norm"}']
+    for fault, argv, message in _INVARIANT_FAULTS:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_RUN % fault, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ['{"invariant":"%s"}' % message]
 
 
 def test_degree_command(capsys):
@@ -307,6 +324,14 @@ def test_slice_path_skips_the_felem_factorization():
     assert element_valuation.cache_info().misses == 0
 
 
+def test_slice_path_factors_no_norm_one_by_one():
+    # the half slice's sieve factors every n(x) at trace <= 20, so factor sees none
+    setup = Setup(-7, -23)
+    factor.cache_clear()
+    list(coefficient_records(setup, 20))
+    assert factor.cache_info().misses == 0
+
+
 def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
     # one report per half-slice index, shared with the mirror at -x, and one
     # float text per tail key (P's p, 2 nu, rho)
@@ -339,7 +364,7 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     monkeypatch.setattr(
         cmeis.eisenstein,
         "_slice_ideal",
-        lambda s, m, x, n: factored.append(x) or real_slice_ideal(s, m, x, n),
+        lambda s, m, x, factors: factored.append(x) or real_slice_ideal(s, m, x, factors),
     )
     monkeypatch.setattr(
         cmeis.cli,
@@ -479,8 +504,8 @@ def test_degree_identity_reads_the_slice_factorization(monkeypatch):
     # one exponent off in the factorization coeffs prints, at trace 13 only
     original = cmeis.field._slice_ideal
 
-    def bumped(setup, m, x, n):
-        ideal = original(setup, m, x, n)
+    def bumped(setup, m, x, factors):
+        ideal = original(setup, m, x, factors)
         if m != 13 or ideal.is_unit_ideal:
             return ideal
         (prm, e), *rest = ideal.entries

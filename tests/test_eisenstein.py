@@ -320,12 +320,19 @@ def test_coherent_ratio_identity():
 # mixed-signature coefficients
 
 
+def _sigma(alpha, D, l):
+    """sigma_l((a + b*sqrt(D))/c), l in {1, 2}, at the working precision."""
+    u = mpmath.mpf(alpha.a) / alpha.c
+    v = mpmath.mpf(alpha.b) / alpha.c
+    return u + v * mpmath.sqrt(D) if l == 1 else u - v * mpmath.sqrt(D)
+
+
 def test_mixed_coefficient_against_quadrature():
     alpha = FElem(Fraction(1, 2), Fraction(-5, 42))
     v1 = 0.75
     got = mixed_coefficient(S37, 1, -5, v1, 1.0, 80)
     with mpmath.mp.workprec(120):
-        sigma = abs(alpha.embedding(S37.D, 1, 120))
+        sigma = abs(_sigma(alpha, S37.D, 1))
         x = 4 * mpmath.pi * sigma * v1
         direct = mpmath.quad(lambda u: mpmath.exp(-u * x) / u, [1, mpmath.inf])
         # rho(alpha * different) = 2 here: norm -5 splits over the minus prime
@@ -370,7 +377,7 @@ def _mixed_reference(setup, m, x, v1, v2, precision):
     rho = norm_ideal_count(setup, principal_ideal(setup, gen))
     l, v_l = (1, v1) if alpha.embedding_sign(setup.D, 1) < 0 else (2, v2)
     with mpmath.mp.workprec(precision + 16):
-        mag = abs(alpha.embedding(setup.D, l, precision + 16))
+        mag = abs(_sigma(alpha, setup.D, l))
         return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision))
 
 

@@ -50,6 +50,15 @@ def test_factor_roundtrip(n):
     assert list(f.primes()) == sorted(set(f.primes()))
 
 
+def test_is_prime_matches_trial_division():
+    # below 1009^2 the small-prime loop decides alone; past it Miller-Rabin does
+    def by_trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in [*range(-2, 5000), *range(1009**2 - 100, 1009**2 + 100)]:
+        assert is_prime(n) == by_trial(n)
+
+
 def test_factor_large_semiprime():
     p, q = 10**6 + 3, 10**6 + 33  # both prime, beyond the small-prime sieve
     assert factor(p * q).as_dict() == {p: 1, q: 1}

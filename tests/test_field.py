@@ -2,18 +2,20 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cmeis.field
-from cmeis.exact import factor, hilbert_symbol, padic_val
+from cmeis.exact import factor, hilbert_symbol, is_prime, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
     FPrimeIdeal,
     Setup,
     SetupError,
+    _half_slice,
     _invariant_diagonal,
     _slice_ideal,
     element_valuation,
@@ -256,12 +258,12 @@ def test_slice_ideal_matches_principal_ideal(index):
     s, m, x = index
     n = abs(m * m * s.D - x * x) // 4
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
-    assert _slice_ideal(s, m, x, n) == principal_ideal(s, gen)
+    assert _slice_ideal(s, m, x, factor(n)) == principal_ideal(s, gen)
 
 
 def _mirror_holds(s, m, x):
     n = abs(m * m * s.D - x * x) // 4
-    return _slice_ideal(s, m, x, n).conjugate() == _slice_ideal(s, m, -x, n)
+    return _slice_ideal(s, m, x, factor(n)).conjugate() == _slice_ideal(s, m, -x, factor(n))
 
 
 # (-7, -23): 2 splits in F; 2 | gcd(x, m), 5 | gcd(x, m), 3 | gcd(x, m)
@@ -287,10 +289,36 @@ def test_slice_ideal_mirror_can_fail(monkeypatch):
 
 
 def test_slice_ideal_checksum_can_fail(monkeypatch):
-    # a wrong split valuation must trip the norm checksum
+    # at a split p | gcd(x, m) a wrong split valuation must trip the norm
+    # checksum: in (-7, -23) 2 splits, and at m = 2 it divides every x
     monkeypatch.setattr(cmeis.field, "_split_valuation", lambda *args: 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="valuations disagree with the norm"):
+        enumerate_trace_slice(Setup(-7, -23), 2)
+    # at a split p not dividing gcd(x, m) a wrong root puts x in neither class
+    root_mod = cmeis.field._root_mod
+    monkeypatch.setattr(cmeis.field, "_root_mod", lambda D, p: root_mod(D, p) + 1)
+    with pytest.raises(AssertionError, match="not in exactly one root class"):
         enumerate_trace_slice(Setup(-7, -23), 1)
+
+
+_SIEVE_CASES = [(pair, range(1, 41)) for pair in MATRIX] + [
+    ((-191, -239), range(1, 4)),
+    ((-3, -479), range(1, 4)),
+    ((-479, -719), (4,)),  # sqrt(max n) ~ 1173 > 997: some rest is composite
+]
+
+
+def test_sieved_half_slice_matches_factor(monkeypatch):
+    # the sieve's factorization of each n(x) builds the ideal factor(n) does
+    setups = [(Setup(*pair), ms) for pair, ms in _SIEVE_CASES]
+    rests = []
+    monkeypatch.setattr(cmeis.field, "factor", lambda n: rests.append(n) or factor(n))
+    for s, ms in setups:
+        for m in ms:
+            for x, n, ideal in _half_slice(s, m):
+                assert ideal == _slice_ideal(s, m, x, factor(n))
+    # only a rest past 997^2 can be composite, and only then does the sieve call factor
+    assert rests and all(r > 997**2 and not is_prime(r) for r in rests)
 
 
 def test_trace_slice_rejects_bad_m():
@@ -449,8 +477,6 @@ _rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10
 
 def _reference_sigma(u: Fraction, v: Fraction, D: int, l: int, precision: int):
     """sigma_l(u + v*sqrt(D)) in mpmath, apart from FElem."""
-    import mpmath
-
     with mpmath.mp.workprec(precision):
         s = mpmath.sqrt(D) if l == 1 else -mpmath.sqrt(D)
         return mpmath.mpf(u.numerator) / u.denominator + mpmath.mpf(v.numerator) / v.denominator * s
@@ -476,7 +502,9 @@ def test_felem_matches_rational_definitions(s, u, v):
     assert elem.is_integral(D) == integral
     for l in (1, 2):
         sigma = _reference_sigma(u, v, D, l, 200)
-        assert elem.embedding(D, l, 200) == sigma
+        with mpmath.mp.workprec(200):
+            root = mpmath.sqrt(D) if l == 1 else -mpmath.sqrt(D)
+            assert mpmath.mpf(elem.a) / elem.c + mpmath.mpf(elem.b) / elem.c * root == sigma
         assert elem.embedding_sign(D, l) == (sigma > 0) - (sigma < 0)
 
 
