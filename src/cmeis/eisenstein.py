@@ -280,15 +280,17 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     conjugation keeps.  The two must agree exactly, else InvariantError;
     the common value is returned.
     """
-    total_a: dict[int, Fraction] = {}
-    total_b: dict[int, int] = {}  # twice path (b), kept integral
+    total_a: dict[int, int] = {}  # twice path (a), sum of weight * two_nu * rho
+    total_b: dict[int, int] = {}  # twice path (b)
     for x, _, ideal in _half_slice(setup, m):
         weight = 2 if x else 1
-        for p, c in _degree_report(setup, ideal).degree.terms().items():
-            total_a[p] = total_a.get(p, 0) + weight * c
+        report = _degree_report(setup, ideal)
+        if report.reflex is not None:
+            p = report.reflex.p
+            total_a[p] = total_a.get(p, 0) + weight * report.two_nu * report.rho
         for p in ideal.rational_primes():
             total_b[p] = total_b.get(p, 0) + weight * prime_multiplicity(setup, ideal, p)
-    degree = LogLinear._unchecked(total_a)
+    degree = LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_a.items()})
     if degree != LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_b.items()}):
         raise InvariantError("slice decomposition disagrees with multiplicity sums")
     return degree

@@ -234,25 +234,35 @@ def _square_class_rep(x) -> int:
     return x.numerator * x.denominator
 
 
-def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a rational place (prime or OO).
+def _local_parts(a: int, place) -> tuple[int, int]:
+    """(ord, unit) of a nonzero integer at a place: all a Hilbert symbol reads.
 
-    +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
-    completion.  Computed by the closed-form case analysis: signs at OO,
-    Legendre symbols of unit parts at odd p, the (u-1)/2 and (u^2-1)/8
-    invariants mod 8 at p = 2.
+    At a prime p, ord_p(a) and the unit a / p^ord reduced mod p, or mod 8
+    at p = 2.  At OO the sign stands in for the valuation: ord is 1 for a
+    negative a and 0 otherwise, and the unit is 1.
     """
-    a = _square_class_rep(a)
-    b = _square_class_rep(b)
-    if a == 0 or b == 0:
+    if a == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if place == OO:
-        return -1 if a < 0 and b < 0 else 1
+        return int(a < 0), 1
     p = int(place)
-    alpha = _int_val(a, p)
-    beta = _int_val(b, p)
-    u = a // p**alpha
-    v = b // p**beta
+    alpha = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    return alpha, a % (8 if p == 2 else p)
+
+
+def _local_symbol(alpha: int, u: int, beta: int, v: int, place) -> int:
+    """(p^alpha u, p^beta v) at the place, from ``_local_parts`` of each side.
+
+    The closed-form case analysis: the signs at OO, Legendre symbols of
+    the units at odd p, the (u-1)/2 and (u^2-1)/8 invariants mod 8 at
+    p = 2.  Only the parities of alpha and beta matter.
+    """
+    if place == OO:
+        return -1 if alpha % 2 and beta % 2 else 1
+    p = int(place)
     if p != 2:
         s = 1
         if alpha % 2 and beta % 2 and p % 4 == 3:
@@ -262,30 +272,42 @@ def hilbert_symbol(a, b, place) -> int:
         if alpha % 2:
             s *= kronecker(v, p)
         return s
-    um = u % 8
-    vm = v % 8
-    eps_u = (um - 1) // 2 % 2
-    eps_v = (vm - 1) // 2 % 2
-    omega_u = (um * um - 1) // 8 % 2
-    omega_v = (vm * vm - 1) // 8 % 2
+    eps_u = (u - 1) // 2 % 2
+    eps_v = (v - 1) // 2 % 2
+    omega_u = (u * u - 1) // 8 % 2
+    omega_v = (v * v - 1) // 8 % 2
     e = eps_u * eps_v + alpha * omega_v + beta * omega_u
     return -1 if e % 2 else 1
+
+
+def hilbert_symbol(a, b, place) -> int:
+    """Hilbert symbol (a, b) at a rational place (prime or OO).
+
+    +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
+    completion; ``_local_symbol`` of the two ``_local_parts``.
+    """
+    alpha, u = _local_parts(_square_class_rep(a), place)
+    beta, v = _local_parts(_square_class_rep(b), place)
+    return _local_symbol(alpha, u, beta, v, place)
 
 
 def hasse_invariant(diag, place) -> int:
     """Hasse invariant prod_{i<j} (a_i, a_j) of a diagonal quadratic form.
 
     The symbol is bimultiplicative, so the product equals
-    prod_j (a_1 * ... * a_{j-1}, a_j): a running prefix product takes
-    n - 1 Hilbert symbols instead of n(n-1)/2.
+    prod_j (a_1 * ... * a_{j-1}, a_j): n - 1 symbols instead of
+    n(n-1)/2.  Each entry is split once into ``_local_parts``, and the
+    prefix is carried as the sum of the valuations and the product of the
+    units, reduced as the units are (mod p, mod 8 at 2; 1 at OO).
     """
-    entries = [_square_class_rep(x) for x in diag]
-    if not entries:
+    parts = [_local_parts(_square_class_rep(x), place) for x in diag]
+    if not parts:
         raise ValueError("empty diagonal")
-    s, prefix = 1, entries[0]
-    for a in entries[1:]:
-        s *= hilbert_symbol(prefix, a, place)
-        prefix *= a
+    modulus = 2 if place == OO else 8 if place == 2 else int(place)
+    s, (alpha, u) = 1, parts[0]
+    for beta, v in parts[1:]:
+        s *= _local_symbol(alpha, u, beta, v, place)
+        alpha, u = alpha + beta, u * v % modulus
     return s
 
 

@@ -6,12 +6,15 @@ certificate, exact integer resultants, the exponential integral, and
 central values/derivatives of odd Dirichlet L-functions.  E1 and log Gamma
 are mpmath's own (``mpmath.e1``, ``mpmath.loggamma``).
 
-The two j routes share only the point q = e^(2 pi i tau).  Route one
-takes E4 and the eta-product from Jacobi theta sums at the nome
-e^(i pi tau), in mpmath, with O(sqrt N) products.  Route two sums the
-integer q-series of j (built once per table size from the differential
-equation E4 theta(j) + E6 j = 0) in fixed point on Python integers, with
-an absolute error of about one unit of the working precision.
+The two j routes share only the point q = e^(2 pi i tau), and both run
+on Python integers; mpmath gives the nome, sqrt(-d), the final division
+and the agreement check.  Route one takes E4 and the eta-product from
+Jacobi theta sums at the nome e^(i pi tau), as Gaussian integers at 32
+guard bits past the working precision, with O(sqrt N) products.  Route
+two sums the integer q-series of j (one table, grown in place from the
+differential equation E4 theta(j) + E6 j = 0) in fixed point, binned by
+the root of unity q / |q|, within (|j q| + 1/8) units of the working
+precision before the division by q.
 
 Nothing in here touches the exact ideal-theoretic pipeline except through
 the single reconciliation ``singular_moduli_check``, which compares the
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
 import mpmath
 
@@ -111,32 +115,43 @@ def _divisor_sigmas(N: int) -> tuple[list[int], list[int]]:
     return s3, s5
 
 
-@lru_cache(maxsize=None)
-def _j_table(N: int) -> tuple[int, ...]:
-    """cs[i] = integer coefficient of q^(i-1) of the modular j-function, i <= N.
+# cs[i] = integer coefficient of q^(i-1) of the modular j-function; every
+# request slices it, and ``_j_coeffs`` grows it in place, under the lock,
+# to the longest one
+_J_SERIES: list[int] = [1]
+_J_SERIES_LOCK = threading.Lock()
+
+
+def _extend_j_series(cs: list[int], N: int) -> None:
+    """Append to cs, the leading q-series coefficients of j, up to cs[N].
 
     From E4 theta(j) + E6 j = 0 (theta = q d/dq; Zagier 2008), for i >= 1:
     i cs[i] = -sum_{t=1..i} (240 sigma_3(t) (i-1-t) - 504 sigma_5(t)) cs[i-t].
-    The division by i is exact over Z; a remainder raises ``InvariantError``.
+    The division by i is exact over Z; a remainder raises ``InvariantError``
+    and leaves cs at the coefficients before it.
     """
     s3, s5 = _divisor_sigmas(N)
+    high = [240 * s for s in s3]  # the weight's slope in i
     low = [-240 * s3[t] * (t + 1) - 504 * s5[t] for t in range(N + 1)]  # the weight at i = 0
-    cs = [1] + [0] * N
-    for i in range(1, N + 1):
-        acc = sum((240 * s3[t] * i + low[t]) * cs[i - t] for t in range(1, i + 1))
-        cs[i], rem = divmod(-acc, i)
+    for i in range(len(cs), N + 1):
+        back = cs[i - 1 :: -1]  # cs[i - t] for t = 1..i
+        acc = i * sum(map(mul, high[1 : i + 1], back)) + sum(map(mul, low[1 : i + 1], back))
+        c, rem = divmod(-acc, i)
         if rem:
             raise InvariantError(f"j-series recurrence leaves a remainder at q^{i - 1}")
-    return tuple(cs)
+        cs.append(c)
 
 
 def _j_coeffs(N: int) -> tuple[int, ...]:
-    """The first N + 1 coefficients of ``_j_table``.
+    """The first N + 1 coefficients of j's q-series, cs[0] = 1 at q^-1.
 
     They do not depend on where the series is truncated, so every N is
-    sliced off one table built at the next power of two.
+    sliced off the one module table, grown first if it is shorter.
     """
-    return _j_table(1 << (N - 1).bit_length())[: N + 1]
+    if len(_J_SERIES) <= N:
+        with _J_SERIES_LOCK:
+            _extend_j_series(_J_SERIES, N)
+    return tuple(_J_SERIES[: N + 1])
 
 
 def _series_length(log_inv_q: float, bits: int) -> int:
@@ -149,84 +164,140 @@ def _series_length(log_inv_q: float, bits: int) -> int:
     return n
 
 
-def _eighth_power(x):
-    x = x * x
-    x = x * x
-    return x * x
+# Route one works on Gaussian integers (re, im) at a scale 2^scale.
 
 
-def _theta_sums(r, log_inv_r: float, bits: int):
+def _gmul(x, y, scale: int):
+    """x y at the scale 2^scale, each part floored (three products)."""
+    (a, b), (c, d) = x, y
+    ac, bd = a * c, b * d
+    return (ac - bd) >> scale, ((a + b) * (c + d) - ac - bd) >> scale
+
+
+def _eighth_power(x, scale: int):
+    """x^8 at the scale 2^scale, by three squarings (two products each)."""
+    for _ in range(3):
+        a, b = x
+        x = ((a + b) * (a - b)) >> scale, (a * b) >> (scale - 1)
+    return x
+
+
+def _theta_sums(r, log_inv_r: float, scale: int):
     """theta3, theta4 and T = sum_{n>=0} r^(n(n+1)) at the nome r.
 
     theta3 = 1 + 2 sum_{n>=1} r^(n^2) and theta4 = 1 + 2 sum_{n>=1}
-    (-1)^n r^(n^2).  The sums stop once |r|^(n^2) < 2^-(bits + 8), which takes O(sqrt N) products
-    where the q-series of j takes N terms.
+    (-1)^n r^(n^2).  r and the sums are Gaussian integers at the scale
+    2^scale; the sums stop once |r|^(n^2) < 2^-scale, which takes O(sqrt N)
+    products where the q-series of j takes N terms.
     """
-    terms = math.isqrt(int((bits + 8) * math.log(2) / log_inv_r)) + 1
-    even = odd = mpmath.mpc(0)
-    tri = mpmath.mpc(1)
-    rn = mpmath.mpc(1)  # r^n
-    power = mpmath.mpc(1)  # r^(n(n-1)), then r^(n^2), then r^(n(n+1))
+    one = 1 << scale
+    terms = math.isqrt(int(scale * math.log(2) / log_inv_r)) + 1
+    even_re = even_im = odd_re = odd_im = 0
+    tri_re, tri_im = one, 0
+    rn = power = (one, 0)  # r^n; r^(n(n-1)), then r^(n^2), then r^(n(n+1))
     for n in range(1, terms + 1):
-        rn *= r
-        power *= rn
+        rn = _gmul(rn, r, scale)
+        power = _gmul(power, rn, scale)
         if n % 2:
-            odd += power
+            odd_re += power[0]
+            odd_im += power[1]
         else:
-            even += power
-        power *= rn
-        tri += power
-    return 1 + 2 * (even + odd), 1 + 2 * (even - odd), tri
+            even_re += power[0]
+            even_im += power[1]
+        power = _gmul(power, rn, scale)
+        tri_re += power[0]
+        tri_im += power[1]
+    theta3 = one + 2 * (even_re + odd_re), 2 * (even_im + odd_im)
+    theta4 = one + 2 * (even_re - odd_re), 2 * (even_im - odd_im)
+    return theta3, theta4, (tri_re, tri_im)
 
 
-def _theta_e4_eta(r, log_inv_r: float, bits: int):
+def _theta_e4_eta(r, log_inv_r: float, scale: int):
     """E4(q) and prod_{n>=1} (1 - q^n)^3 at q = r^2, from ``_theta_sums``.
 
     theta2 = 2 r^(1/4) T, so theta2^8 = 256 q T^8 has no fractional
     power.  Then 2 E4 = theta2^8 + theta3^8 + theta4^8, and theta2 theta3
-    theta4 = 2 eta^3 gives T theta3 theta4 = prod (1 - q^n)^3.  Powers
-    are multiplication chains: ``mpc ** int`` would go through mpmath's
-    complex log and exp.
+    theta4 = 2 eta^3 gives T theta3 theta4 = prod (1 - q^n)^3.  All
+    Gaussian integers at the scale 2^scale, as r is.
     """
-    theta3, theta4, tri = _theta_sums(r, log_inv_r, bits)
-    q = r * r
-    e4 = (256 * q * _eighth_power(tri) + _eighth_power(theta3) + _eighth_power(theta4)) / 2
-    return e4, tri * theta3 * theta4
+    theta3, theta4, tri = _theta_sums(r, log_inv_r, scale)
+    q8 = _gmul(_gmul(r, r, scale), _eighth_power(tri, scale), scale)
+    (a, b), (c, d) = _eighth_power(theta3, scale), _eighth_power(theta4, scale)
+    e4 = (256 * q8[0] + a + c) >> 1, (256 * q8[1] + b + d) >> 1
+    return e4, _gmul(_gmul(tri, theta3, scale), theta4, scale)
 
 
-def _fixed_point_series(coeffs, q, bits: int):
+def _fixed_point_series(coeffs, q, period: int, bits: int):
     """sum_i coeffs[i] q^i on Python integers, as an mpc at the current precision.
 
-    The powers of q are Gaussian integers at the scale 2^W, W = bits +
-    (bits of the largest coefficient) + 8.  Before each step q is cut to
-    the size of the current power, so the operands shrink as |q|^i does,
-    and the sum stops once the power is 0.
+    Write q = rho zeta with rho = |q|.  At a CM point tau has real part
+    -b/(2a), so zeta^a = (-1)^b, and with period = a the terms c_i rho^i
+    are real: they go into period bins by i mod period, times the sign of
+    zeta^period to the power i div period, and the bins take period
+    Gaussian multiply-adds by zeta^k.  The rounding of q leaves
+    +-zeta^period = 1 + delta, |delta| about period units of 2^-bits; each
+    bin also sums its terms times i div period, and delta times those
+    sums gives the exact powers of q to first order in delta.
+
+    Everything is an integer at the scale 2^W, W = bits + (bits of the
+    largest coefficient) + 8: q's parts truncated, rho = isqrt(|q|^2) and
+    zeta = q / rho floored.  Before each step rho is cut to the size of
+    the current power, so the operands shrink as rho^i does, and the sum
+    stops once the power is 0.
 
     Error bound: |q| <= e^(-pi sqrt 3) for a reduced form, so each power
-    is off by less than 2 units of 2^-W and the integer sum, tail
-    included, by less than 4 (sum c_i) 2^-W.  That is below 2^-(bits + 3)
-    while sum c_i < 5.5 max c_i, as holds for every N <= 2048.  The
-    conversion to mpc rounds each part to the working precision, so the
-    result is within (|sum| + 1/8) 2^-bits of the exact sum at this q.
+    of rho is off by less than 2 units of 2^-W, and the bins, tails
+    included, by less than 4 (sum c_i) 2^-W.  zeta^k is off by less than
+    5k/rho units, and the bin's factor rho^k takes that to less than
+    5 sum_i i c_i rho^(i-1) < 2^15 units; the second order in delta is
+    below 2^-(2 bits - 32).  That is below 2^-(bits + 3) while sum c_i <
+    7.75 max c_i, as holds for every N <= 2048 (7.72 at 2048).  The conversion to mpc
+    rounds each part to the working precision, so the result is within
+    (|sum| + 1/8) 2^-bits of the exact sum at this q.
     Against a (2 bits + 400)-bit reference the whole error measured at
-    most 0.92 units of 2^-bits, over every form of -3, -4, -7, -191,
-    -479, -719 and -2351 at their start precisions.
+    most 0.86 units of 2^-bits, over every form of 22 discriminants from
+    -3 to -2351 at their start precisions; without the first-order step
+    it reached 2.4 units at -15 and -39.
     """
     scale = bits + max(c.bit_length() for c in coeffs) + 8
+    one = 1 << scale
     q_re = int(mpmath.ldexp(q.real, scale))
     q_im = int(mpmath.ldexp(q.imag, scale))
-    p_re, p_im = 1 << scale, 0
-    acc_re, acc_im = coeffs[0] << scale, 0
-    for c in coeffs[1:]:
-        cut = max(scale - max(abs(p_re), abs(p_im)).bit_length() - 4, 0)
-        t_re, t_im = q_re >> cut, q_im >> cut
-        shift = scale - cut
-        p_re, p_im = (p_re * t_re - p_im * t_im) >> shift, (p_re * t_im + p_im * t_re) >> shift
-        if not (p_re or p_im):
+    rho = math.isqrt(q_re * q_re + q_im * q_im)
+    if not rho:
+        return mpmath.mpc(coeffs[0])  # every power past q^0 is 0 at this scale
+    z_re, z_im = (q_re << scale) // rho, (q_im << scale) // rho
+    zetas = [(one, 0)]  # zeta^k for k = 0..period
+    for _ in range(period):
+        w_re, w_im = zetas[-1]
+        ac, bd = w_re * z_re, w_im * z_im
+        zetas.append(((ac - bd) >> scale, ((w_re + w_im) * (z_re + z_im) - ac - bd) >> scale))
+    flip = zetas[-1][0] < 0  # zeta^period is -1
+    bins, laps = [0] * period, [0] * period
+    bins[0] = coeffs[0] << scale
+    power = one
+    for i in range(1, len(coeffs)):
+        cut = max(scale - power.bit_length() - 4, 0)
+        power = power * (rho >> cut) >> (scale - cut)
+        if not power:
             break
-        acc_re += c * p_re
-        acc_im += c * p_im
-    return mpmath.mpc(mpmath.ldexp(acc_re, -scale), mpmath.ldexp(acc_im, -scale))
+        lap, k = divmod(i, period)
+        term = -coeffs[i] * power if flip and lap % 2 else coeffs[i] * power
+        bins[k] += term
+        laps[k] += lap * term
+    acc_re = acc_im = lap_re = lap_im = 0
+    for (w_re, w_im), b, lap in zip(zetas, bins, laps):
+        acc_re += w_re * b
+        acc_im += w_im * b
+        lap_re += w_re * lap
+        lap_im += w_im * lap
+    d_re, d_im = zetas[-1]  # delta = +-zeta^period - 1
+    if flip:
+        d_re, d_im = -d_re, -d_im
+    d_re -= one
+    acc_re += (d_re * lap_re - d_im * lap_im) >> scale
+    acc_im += (d_re * lap_im + d_im * lap_re) >> scale
+    return mpmath.mpc(mpmath.ldexp(acc_re, -2 * scale), mpmath.ldexp(acc_im, -2 * scale))
 
 
 def j_value(form: ReducedForm, precision: int):
@@ -235,12 +306,17 @@ def j_value(form: ReducedForm, precision: int):
     Route one: j = E4^3 / (q prod (1 - q^n)^24), both factors from the
     Jacobi theta sums at the nome r = e^(i pi tau) (``_theta_e4_eta``);
     this is j = 32 (theta2^8 + theta3^8 + theta4^8)^3 / (theta2 theta3
-    theta4)^8 and takes O(sqrt N) products.  Route two: the integer
-    q-series of j, from its differential equation, summed in fixed point
-    (``_fixed_point_series``, within (|j q| + 1/8) 2^-work before the
-    division by q).  The two must agree to 2^(16 - precision) = 2^64
-    units of 2^-work relatively, else ``PrecisionError``.  Route one is
-    returned.
+    theta4)^8 and takes O(sqrt N) products.  E4, the eta product and the
+    theta sums are near 1 in size, so they are Gaussian integers at the
+    scale 2^(work + 32), and the tiny factor q enters only in the final
+    mpmath division.  Against the same steps at 3 work bits, those integer
+    steps added at most 2.7e-7 units of 2^-work relative to max(1, |j|),
+    over every form of -3, -4, -7, -23, -191, -479 and -719.  Route two:
+    the integer q-series of j, from its differential equation, summed in
+    fixed point (``_fixed_point_series``, within (|j q| + 1/8) 2^-work
+    before the division by q).  The two must agree to 2^(16 - precision)
+    = 2^64 units of 2^-work relatively, else ``PrecisionError``.  Route
+    one is returned.
     """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
@@ -255,10 +331,14 @@ def j_value(form: ReducedForm, precision: int):
             mpmath.mpc(-mpmath.pi * rtd, -mpmath.pi * form.b) / (2 * form.a)
         )
         q = r * r
-        e4, eta3 = _theta_e4_eta(r, log_inv_q / 2, work)
-        j_quotient = e4 * e4 * e4 / (q * _eighth_power(eta3))
+        scale = work + 32
+        r_fixed = int(mpmath.ldexp(r.real, scale)), int(mpmath.ldexp(r.imag, scale))
+        e4, eta3 = _theta_e4_eta(r_fixed, log_inv_q / 2, scale)
+        e4_cube = _gmul(_gmul(e4, e4, scale), e4, scale)
+        eta24 = _eighth_power(eta3, scale)
+        j_quotient = mpmath.mpc(*e4_cube) / (q * mpmath.mpc(*eta24))
         coeffs = _j_coeffs(_series_length(log_inv_q, work))
-        j_series = _fixed_point_series(coeffs, q, work) / q
+        j_series = _fixed_point_series(coeffs, q, form.a, work) / q
         tol = mpmath.mpf(2) ** (16 - precision)
         if abs(j_quotient - j_series) > tol * max(1, abs(j_quotient)):
             raise PrecisionError(
@@ -278,8 +358,8 @@ def class_poly_start_precision(d: int) -> int:
     """Initial working precision for the class polynomial of d.
 
     ``_height_precision`` unless CMEIS_PRECISION_BITS overrides the
-    start; the retry loop doubles on any certificate failure, so the
-    constant is not critical.
+    start; the retry loop doubles on any certificate failure, up to twice
+    the height bound, so the constant is not critical.
     """
     env = os.environ.get("CMEIS_PRECISION_BITS")
     if env:
@@ -539,15 +619,18 @@ def singular_moduli_check(setup: Setup) -> SingularModuliReport:
     from .eisenstein import trace_degree
 
     prec = max(class_poly_start_precision(setup.d1), class_poly_start_precision(setup.d2))
-    for _ in range(12):
+    # a failure that recurs at every precision ends at the first attempt at
+    # twice the larger height bound, or at the 12th attempt
+    last = 2 * max(_height_precision(setup.d1), _height_precision(setup.d2))
+    for attempt in range(12):
         try:
             h_poly_1 = hilbert_class_poly(setup.d1, prec)
             h_poly_2 = hilbert_class_poly(setup.d2, prec)
             break
         except PrecisionError:
+            if prec >= last or attempt == 11:
+                raise PrecisionError("class polynomials failed at every precision tried") from None
             prec *= 2
-    else:
-        raise PrecisionError("class polynomials failed at every precision tried")
     res = resultant(h_poly_1, h_poly_2)
     if res == 0:
         raise ArithmeticError(

@@ -97,17 +97,22 @@ def test_j_series_constants():
 
 
 def test_j_coeffs_slice_matches_fresh_recurrence():
-    from cmeis.oracle import _j_coeffs, _j_table
+    from cmeis.oracle import _extend_j_series, _j_coeffs
 
-    # 96 is not a table size: the slice comes from the table at 128
-    assert _j_coeffs(96) == _j_table.__wrapped__(96)
+    # the slice comes from the module table, grown past 96 first; the fresh
+    # table grows in place in two steps
+    _j_coeffs(128)
+    fresh = [1]
+    _extend_j_series(fresh, 40)
+    _extend_j_series(fresh, 96)
+    assert _j_coeffs(96) == tuple(fresh)
     assert len(_j_coeffs(96)) == 97
 
 
 def test_j_table_golden():
-    from cmeis.oracle import _j_table
+    from cmeis.oracle import _j_coeffs
 
-    cs = _j_table(1024)
+    cs = _j_coeffs(1024)
     digest = hashlib.sha256(repr(cs).encode()).hexdigest()
     assert digest == "7aaa88d82687855db20a544d1f7075b2f283558a0a686dd1f004f52d711ccfc6"
     assert cs[4:12] == (  # OEIS A000521
@@ -129,8 +134,20 @@ def _nome(form):
     return r, float(mpmath.pi * rtd / (2 * form.a))
 
 
+def _theta_e4_eta_mpc(r, log_inv_r, bits):
+    # route one's E4 and eta^3 at 32 guard bits, as j_value forms them, back in mpmath
+    from cmeis.oracle import _theta_e4_eta
+
+    scale = bits + 32
+    fixed = int(mpmath.ldexp(r.real, scale)), int(mpmath.ldexp(r.imag, scale))
+    return [
+        mpmath.mpc(mpmath.ldexp(re, -scale), mpmath.ldexp(im, -scale))
+        for re, im in _theta_e4_eta(fixed, log_inv_r, scale)
+    ]
+
+
 def test_theta_eta_matches_literal_product():
-    from cmeis.oracle import _series_length, _theta_e4_eta
+    from cmeis.oracle import _series_length
 
     # theta2 theta3 theta4 = 2 eta^3, i.e. T theta3 theta4 = prod (1 - q^n)^3
     prec = 256
@@ -143,20 +160,18 @@ def test_theta_eta_matches_literal_product():
         for _ in range(_series_length(2 * log_inv_r, prec + 48)):
             qn *= q
             literal *= 1 - qn
-        _, eta3 = _theta_e4_eta(r, log_inv_r, prec + 48)
+        _, eta3 = _theta_e4_eta_mpc(r, log_inv_r, prec + 48)
         cube = literal * literal * literal
         assert abs(eta3 - cube) <= mpmath.mpf(2) ** (16 - prec) * abs(cube)
 
 
 def test_theta_e4_matches_divisor_sum():
-    from cmeis.oracle import _theta_e4_eta
-
     # E4 vanishes at the root of (1, 1, 1), so the tolerance is absolute
     prec = 256
     for form in (ReducedForm(2, 1, 3), ReducedForm(1, 1, 1), ReducedForm(3, 2, 5)):
         with mpmath.mp.workprec(prec):
             r, log_inv_r = _nome(form)
-            e4, _ = _theta_e4_eta(r, log_inv_r, prec)
+            e4, _ = _theta_e4_eta_mpc(r, log_inv_r, prec)
         with mpmath.mp.workprec(2 * prec):
             q = mpmath.mpc(r) * r  # the same r, squared at twice the precision
             reference = mpmath.mpc(1)
@@ -167,18 +182,20 @@ def test_theta_e4_matches_divisor_sum():
             assert abs(e4 - reference) <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(reference))
 
 
-@pytest.mark.parametrize("d", [-3, -4, -719])
+@pytest.mark.parametrize("d", [-3, -4, -15, -719, -2351])
 def test_fixed_point_series_within_its_bound(d):
     from cmeis.oracle import _fixed_point_series, _j_coeffs, _series_length
 
     # the docstring bound: (|sum| + 1/8) units of 2^-work; the largest a
-    # of -719 gives the longest series
+    # of -719 and -2351 gives the longest series, and at -15 the terms past
+    # q^a are large enough that the first-order step in delta keeps the bound
     work = class_poly_start_precision(d) + 48
     for form in class_reps(d):
         with mpmath.mp.workprec(work):
             r, log_inv_r = _nome(form)
             q = r * r
-            got = _fixed_point_series(_j_coeffs(_series_length(2 * log_inv_r, work)), q, work)
+            coeffs = _j_coeffs(_series_length(2 * log_inv_r, work))
+            got = _fixed_point_series(coeffs, q, form.a, work)
         hi = 2 * work + 400
         with mpmath.mp.workprec(hi):
             reference = mpmath.mpc(0)
@@ -186,6 +203,31 @@ def test_fixed_point_series_within_its_bound(d):
                 reference = reference * q + c
             bound = (abs(reference) + mpmath.mpf(1) / 8) * mpmath.mpf(2) ** -work
             assert abs(got - reference) <= bound, form
+
+
+@pytest.mark.parametrize("d", [-3, -4, -23, -191, -719])
+def test_j_value_matches_kleinj(d):
+    # a third route, mpmath's own Klein j, at twice the precision
+    precision = class_poly_start_precision(d)
+    for form in class_reps(d):
+        if form.b < 0:
+            continue
+        j = j_value(form, precision)
+        with mpmath.mp.workprec(2 * precision):
+            tau = mpmath.mpc(-form.b, mpmath.sqrt(-d)) / (2 * form.a)
+            reference = 1728 * mpmath.kleinj(tau)
+            tol = mpmath.mpf(2) ** (16 - precision) * max(1, abs(reference))
+            assert abs(j - reference) <= tol, form
+
+
+def test_j_value_where_q_is_below_the_fixed_point_scale():
+    # at 64 bits (CMEIS_PRECISION_BITS can start there) the a = 1 form of
+    # -2351 has |q| near 2^-219, below route two's scale of 2^-187
+    form = ReducedForm(1, 1, 588)
+    j = j_value(form, 64)
+    with mpmath.mp.workprec(128):
+        reference = 1728 * mpmath.kleinj(mpmath.mpc(-1, mpmath.sqrt(2351)) / 2)
+        assert abs(j - reference) <= mpmath.mpf(2) ** (16 - 64) * abs(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +560,7 @@ elif sys.argv[1] == "sigma3":
         s3[1] += 1
         return s3, s5
     oracle._divisor_sigmas = bumped
-    call = lambda: oracle._j_table.__wrapped__(64)
+    call = lambda: oracle._extend_j_series([1], 64)
     expect = InvariantError, "remainder at q^6"
 else:
     if sys.argv[1] == "theta4":
@@ -570,7 +612,29 @@ def test_exhausted_retry_is_one_precision_failure(monkeypatch, capsys):
     assert captured.err.splitlines() == [
         "precision failure: class polynomials failed at every precision tried"
     ]
-    assert tried == [128 << k for k in range(12)]
+    # the cap: the first attempt at twice the height bound of -3 and -7, 128
+    assert tried == [128, 256]
+
+
+def test_recurring_disagreement_stops_at_twice_the_height(monkeypatch, capsys):
+    # the j_coeffs sabotage fails at every precision; -719's height bound
+    # is 2,626 bits, so the second attempt is the last
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})
+    coeffs = oracle._j_coeffs
+    monkeypatch.setattr(oracle, "_j_coeffs", lambda N: (1, 745) + coeffs(N)[2:])
+    tried = []
+    real_j_value = oracle.j_value
+
+    def recorded_j_value(form, precision):
+        tried.append(precision)
+        return real_j_value(form, precision)
+
+    monkeypatch.setattr(oracle, "j_value", recorded_j_value)
+    assert main(["singular-moduli", "--d1", "-4", "--d2", "-719"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "precision failure: class polynomials failed at every precision tried"
+    ]
+    assert tried == [2626, 5252]
 
 
 def test_oracle_pass_in_one_process_prints_the_recorded_bytes(monkeypatch, capsys):
