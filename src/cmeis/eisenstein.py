@@ -15,6 +15,9 @@ Coefficients are computed through two deliberately disjoint paths:
   local derivative (``assemble_derivative``): literal finite sums at the
   primes of the norm, the obstruction prime found as the one center value
   0, no ideal built.  Each archimedean center value is the constant -2i.
+  One integer kernel, ``_local_sums``, takes the two sums at a place;
+  the assembly multiplies the center values as integers and builds one
+  ``LogLinear``, the derivative at the obstruction prime times the rest.
 
 The matching Arakelov degree of the zero-dimensional CM locus is one
 quarter of the coefficient; ``trace_degree`` sums a trace slice and also
@@ -36,7 +39,6 @@ every holomorphic coefficient nonnegative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,32 +81,51 @@ _ARCH_PRODUCT = -4
 
 @dataclass(frozen=True)
 class WhittakerData:
-    """Exact value and derivative at the center of one finite local factor."""
+    """Exact value and derivative at the center of one finite local factor.
+
+    Stores integers only: ``value0`` and ``deriv_coeff``, the coefficient
+    of log p in the derivative; ``deriv0`` is that derivative as a
+    ``LogLinear``, derived on access.
+    """
 
     place: FPrimeIdeal
     value0: int
-    deriv0: LogLinear
+    deriv_coeff: int
+
+    @property
+    def deriv0(self) -> LogLinear:
+        return LogLinear._unchecked({self.place.p: Fraction(self.deriv_coeff)})
+
+
+def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal) -> tuple[int, int]:
+    """(value0, deriv_coeff) at a finite prime, for gen = sqrt(D) * alpha.
+
+    With t = ord_P(gen) and eps = chi(P), value0 is the norm-count sum
+    sum_{r=0..t} eps^r and deriv_coeff the coefficient of log p in the
+    derivative of the module convention above.  Both sums are taken term
+    by term, not in closed form, because this path is the independent check.
+    """
+    t = element_valuation(setup, gen, prm)
+    if t < 0:
+        raise ValueError("alpha has a pole against the inverse different here")
+    eps = genus_char_prime(setup, prm)
+    value = weighted = 0
+    for r in range(t + 1):
+        term = eps**r
+        value += term
+        weighted += r * term
+    # (1/2) ord_P(D): nonzero only at ramified primes, where ord_P(D) = 2 ord_p(D)
+    half_different = padic_val(setup.D, prm.p) if prm.kind == "ramified" else 0
+    return value, prm.residue_degree * (half_different * value + weighted)
 
 
 def whittaker_finite(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> WhittakerData:
     """Normalized local Whittaker value/derivative at a finite prime.
 
-    With t = ord_P(sqrt(D) * alpha) and eps = chi(P), the center value is
-    the norm-count sum sum_{r=0..t} eps^r and the derivative follows the
-    module convention above.  Both sums are taken term by term, not in
-    closed form, because this path is the independent check.
+    The two integers are ``_local_sums`` at P of sqrt(D) * alpha, the same
+    kernel the assembly runs at every place.
     """
-    gen = alpha.times_sqrtD(setup.D)
-    t = element_valuation(setup, gen, prm)
-    if t < 0:
-        raise ValueError("alpha has a pole against the inverse different here")
-    eps = genus_char_prime(setup, prm)
-    value = sum(eps**r for r in range(t + 1))
-    weighted = sum(r * eps**r for r in range(t + 1))
-    # (1/2) ord_P(D): nonzero only at ramified primes, where ord_P(D) = 2 ord_p(D)
-    half_different = padic_val(setup.D, prm.p) if prm.kind == "ramified" else 0
-    coeff = prm.residue_degree * (half_different * value + weighted)
-    return WhittakerData(place=prm, value0=value, deriv0=LogLinear({prm.p: coeff}))
+    return WhittakerData(prm, *_local_sums(setup, alpha.times_sqrtD(setup.D), prm))
 
 
 def _index_ideal(setup: Setup, alpha: FElem) -> FIdealFactored:
@@ -301,21 +322,28 @@ def _local_factors(setup: Setup, alpha: FElem) -> tuple[WhittakerData, int]:
 
     Finite values are 1 off the primes of N(sqrt(D) * alpha); the obstruction
     place is the unique one where sum_{r<=t} chi(P)^r = 0 (chi(P) = -1, t odd).
+    sqrt(D) * alpha is built once, ``_local_sums`` runs at every prime of
+    its norm, both split primes included, and the nonzero center values
+    multiply as integers, with the archimedean (-2i)^2; only the
+    obstruction place becomes a ``WhittakerData``.
     """
     if alpha.is_zero or not alpha.is_totally_positive(setup.D):
         raise ValueError("expected a nonzero totally positive element")
     gen = alpha.times_sqrtD(setup.D)
     if not gen.is_integral(setup.D):
         raise ValueError("index is outside the inverse different")
-    local = [
-        whittaker_finite(setup, alpha, prm)
-        for p in factor(abs(gen.norm(setup.D).numerator)).primes()
-        for prm in prime_ideals_above(setup, p)
-    ]
-    zeros = [data for data in local if data.value0 == 0]
+    zeros, scalar = [], _ARCH_PRODUCT
+    norm = (gen.a * gen.a - setup.D * gen.b * gen.b) // (gen.c * gen.c)  # exact: gen is integral
+    for p in factor(abs(norm)).primes():
+        for prm in prime_ideals_above(setup, p):
+            value, deriv_coeff = _local_sums(setup, gen, prm)
+            if value:
+                scalar *= value
+            else:
+                zeros.append(WhittakerData(prm, value, deriv_coeff))
     if len(zeros) != 1:
         raise ValueError("assembly needs a single obstruction prime")
-    return zeros[0], _ARCH_PRODUCT * math.prod(data.value0 for data in local if data.value0)
+    return zeros[0], scalar
 
 
 def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
@@ -327,10 +355,10 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     is shared with the closed form: every factor is the literal finite sum.
     """
     obstruction, scalar = _local_factors(setup, alpha)
-    result = obstruction.deriv0.scale(scalar)
-    if any(c < 0 for c in result.terms().values()):
+    coeff = obstruction.deriv_coeff * scalar
+    if coeff < 0:
         raise InvariantError("coefficient must be nonnegative")
-    return result
+    return LogLinear._unchecked({obstruction.place.p: Fraction(coeff)})
 
 
 def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:

@@ -283,6 +283,15 @@ class FIdealFactored:
         return FIdealFactored.from_pairs(self.entries + other.entries)
 
     def times(self, prm: FPrimeIdeal, e: int = 1) -> "FIdealFactored":
+        """The ideal times prm^e.
+
+        An entry of prm has its exponent changed in place, and goes when
+        that reaches 0; only a new prime goes through ``from_pairs``.
+        """
+        for i, (q, f) in enumerate(self.entries):
+            if q == prm:
+                kept = ((prm, f + e),) if f + e else ()
+                return FIdealFactored(self.entries[:i] + kept + self.entries[i + 1:])
         return FIdealFactored.from_pairs(self.entries + ((prm, e),))
 
     @property
@@ -521,6 +530,21 @@ def _invariant_diagonal(setup: Setup, alpha: FElem) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _diagonal_signs(diag: tuple[int, ...]) -> dict:
+    """``local_invariants`` of a diagonal, read from the diagonal alone.
+
+    The sign at a place is the Hasse invariant there times (-1,-1), and
+    (-1,-1) is +1 at every odd prime, so the symbol is taken at OO and 2 only.
+    """
+    primes = {2}
+    for entry in diag:
+        primes.update(factor(abs(entry)).primes())
+    signs = {pl: hasse_invariant(diag, pl) * hilbert_symbol(-1, -1, pl) for pl in (OO, 2)}
+    for p in sorted(primes - {2}):
+        signs[p] = hasse_invariant(diag, p)
+    return signs
+
+
 def local_invariants(setup: Setup, alpha: FElem) -> dict:
     """Obstruction sign of representing alpha at OO, 2 and the diagonal's primes.
 
@@ -530,23 +554,28 @@ def local_invariants(setup: Setup, alpha: FElem) -> dict:
     there.  At an odd prime dividing no entry the diagonal is a unit form
     and both factors are +1, so the keys (OO first, then the primes in
     increasing order) are the only places where a sign can be -1, and the
-    product of the values is the full product formula: +1.
+    product of the values is the full product formula: +1.  The signs
+    depend on alpha only through ``_invariant_diagonal``, which reads a, c
+    and N(alpha); conjugation keeps all three, so alpha and its conjugate
+    share them (``_diagonal_signs``).
     """
-    diag = _invariant_diagonal(setup, alpha)
-    primes = {2}
-    for entry in diag:
-        primes.update(factor(abs(entry)).primes())
-    return {
-        pl: hasse_invariant(diag, pl) * hilbert_symbol(-1, -1, pl)
-        for pl in (OO, *sorted(primes))
-    }
+    return _diagonal_signs(_invariant_diagonal(setup, alpha))
 
 
-def support(setup: Setup, alpha: FElem) -> set[int]:
+def support(setup: Setup, alpha: FElem, signs_by_diagonal: dict | None = None) -> set[int]:
     """Finite places where the local obstruction sign is -1.
 
     For totally positive alpha the sign at OO is -1 (the diagonal is
     positive definite, and (-1,-1) is -1 there), so by the product formula
-    the set is finite and of odd cardinality.
+    the set is finite and of odd cardinality.  A caller that asks for many
+    indices may pass a dict of its own, diagonal -> signs: the signs of a
+    diagonal already in it are read back, not computed again.
     """
-    return {pl for pl, sign in local_invariants(setup, alpha).items() if sign == -1} - {OO}
+    if signs_by_diagonal is None:
+        signs = local_invariants(setup, alpha)
+    else:
+        diag = _invariant_diagonal(setup, alpha)
+        signs = signs_by_diagonal.get(diag)
+        if signs is None:
+            signs = signs_by_diagonal[diag] = _diagonal_signs(diag)
+    return {pl for pl, sign in signs.items() if sign == -1} - {OO}

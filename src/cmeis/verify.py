@@ -379,23 +379,26 @@ def _orbital_product(rng: random.Random) -> str | None:
 
 
 def _degree_coefficient_identity(rng: random.Random) -> str | None:
-    # closed form from the slice's factorization (what coeffs prints), assembly from valuations
+    # closed form from the slice's factorization (what coeffs prints), assembly from valuations;
+    # x and -x share a Hasse diagonal, so each line keeps the signs of the diagonals it met
     for setup in _setups():
         for m in range(1, 21):
+            signs_by_diagonal: dict = {}
+            line = f"m={m}, {setup}"
             for e in enumerate_trace_slice(setup, m):
                 rep = eisenstein._degree_report(setup, e.ideal)
                 if len(rep.diff) % 2 == 0:
-                    return f"even obstruction set at x={e.x}, m={m}, {setup}"
+                    return f"even obstruction set at x={e.x}, {line}"
+                degree = rep.degree
                 if len(rep.diff) > 1:
-                    if not (rep.degree.is_zero and rep.coefficient.is_zero):
-                        return f"nonzero at split index x={e.x}, {setup}"
+                    if not (degree.is_zero and rep.coefficient.is_zero):
+                        return f"split index nonzero at x={e.x}, {line}"
                     continue
                 assembled = eisenstein.assemble_derivative(setup, e.alpha)
-                if rep.degree.scale(4) != assembled or rep.coefficient != assembled:
-                    return f"4*degree != coefficient at x={e.x}, m={m}, {setup}"
-                spt = support(setup, e.alpha)
-                if set(rep.degree.terms()) - spt:
-                    return f"degree support outside obstruction at x={e.x}"
+                if degree.scale(4) != assembled or rep.coefficient != assembled:
+                    return f"4*degree != coefficient at x={e.x}, {line}"
+                if set(degree.terms()) - support(setup, e.alpha, signs_by_diagonal):
+                    return f"degree support outside obstruction at x={e.x}, {line}"
     return None
 
 

@@ -19,7 +19,15 @@ import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
 from cmeis.exact import OO, Factorization, LogLinear, factor
-from cmeis.field import FIdealFactored, Setup, _half_slice, element_valuation, principal_ideal
+from cmeis.field import (
+    FIdealFactored,
+    Setup,
+    _half_slice,
+    _invariant_diagonal,
+    element_valuation,
+    enumerate_trace_slice,
+    principal_ideal,
+)
 from cmeis.oracle import PrecisionError
 from cmeis.verify import SUITES, TEST_MATRIX
 
@@ -524,3 +532,53 @@ def test_support_check_catches_a_broken_product_formula(monkeypatch):
     )
     detail = SUITES["field"]["support-odd-and-matches"](random.Random(0))
     assert detail and "invariant product formula failed" in detail
+
+
+_degree_report = cmeis.eisenstein._degree_report
+
+
+def _split_index_report(setup, ideal):
+    # a single-prime report passed off as one with three obstruction primes
+    rep = _degree_report(setup, ideal)
+    return dataclasses.replace(rep, diff=rep.diff * 3) if rep.reflex else rep
+
+
+# each failure of the identity check, a fault that brings it out, and the first index it names
+IDENTITY_FAULTS = {
+    "even obstruction set": (cmeis.eisenstein, "diff_set", lambda setup, ideal: (), "x=-3, m=1"),
+    "split index nonzero": (cmeis.eisenstein, "_degree_report", _split_index_report, "x=-3, m=1"),
+    "4*degree != coefficient": FAULTS["degree-coefficient-identity"][1:] + ("x=-3, m=1",),
+    # the support half: one Hasse invariant short, with the per-line memo of signs in place
+    "degree support outside obstruction": (
+        cmeis.field, "hasse_invariant",
+        lambda diag, place: _hasse_invariant(diag[:-1], place), "x=-9, m=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", IDENTITY_FAULTS)
+def test_identity_failure_names_the_index(monkeypatch, failure):
+    module, attr, broken, where = IDENTITY_FAULTS[failure]
+    monkeypatch.setattr(module, attr, broken)
+    detail = SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0))
+    assert detail == f"{failure} at {where}, Setup(d1=-3, d2=-7)"
+
+
+def test_identity_check_signs_each_diagonal_once_per_line(monkeypatch):
+    # x and -x share a Hasse diagonal: each trace line takes its signs once
+    setup = Setup(-7, -23)
+    expected, indices = [], 0
+    for m in range(1, 21):
+        line = set()
+        for e in enumerate_trace_slice(setup, m):
+            if len(cmeis.genus.diff_set(setup, e.ideal)) == 1:
+                line.add(_invariant_diagonal(setup, e.alpha))
+                indices += 1
+        expected += line
+    calls = []
+    real = cmeis.field._diagonal_signs
+    monkeypatch.setattr(cmeis.field, "_diagonal_signs", lambda diag: calls.append(diag) or real(diag))
+    monkeypatch.setattr(cmeis.verify, "_setups", lambda: [setup])
+    assert SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0)) is None
+    assert sorted(calls) == sorted(expected)
+    assert 2 * len(calls) < indices + 20

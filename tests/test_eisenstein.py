@@ -24,7 +24,7 @@ from cmeis.eisenstein import (
     trace_degree,
     whittaker_finite,
 )
-from cmeis.exact import LogLinear
+from cmeis.exact import LogLinear, factor
 from cmeis.field import (
     FElem,
     Setup,
@@ -114,6 +114,29 @@ def test_whittaker_finite_rejects_pole():
     assert polar
     with pytest.raises(ValueError):
         whittaker_finite(S37, bad, polar[0])
+
+
+def test_local_factors_match_whittaker_finite():
+    # the assembly's one pass over the places gives whittaker_finite's data at
+    # the obstruction place and -4 times every other place's center value
+    cases = 0
+    for pair in TEST_MATRIX:
+        s = Setup(*pair)
+        for m in range(1, 9):
+            for e in enumerate_trace_slice(s, m):
+                if len(diff_set(s, e.ideal)) != 1:
+                    continue
+                obstruction, scalar = eisenstein._local_factors(s, e.alpha)
+                assert obstruction == whittaker_finite(s, e.alpha, obstruction.place)
+                others = [
+                    whittaker_finite(s, e.alpha, prm).value0
+                    for p in factor(e.n).primes()
+                    for prm in prime_ideals_above(s, p)
+                    if prm != obstruction.place
+                ]
+                assert scalar == -4 * math.prod(others)
+                cases += 1
+    assert cases > 1000
 
 
 # ---------------------------------------------------------------------------

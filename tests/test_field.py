@@ -400,6 +400,25 @@ def test_ideal_algebra():
     assert a.times(plus, -2).ord_at(plus) == 0
 
 
+def test_times_matches_from_pairs_on_slice_ideals():
+    # an entry's exponent changes in place (and goes at 0); a new prime is merged in
+    cancelled = 0
+    for pair in MATRIX:
+        s = Setup(*pair)
+        for m in (1, 2, 3, 4, 5, 6):
+            for e in enumerate_trace_slice(s, m):
+                entries = e.ideal.entries
+                prms = {prm for prm, _ in entries}
+                prms.update(prm for q in (2, 3, 5, 7) for prm in prime_ideals_above(s, q))
+                for prm in prms:
+                    e_prm = e.ideal.ord_at(prm)
+                    for k in {1, -1, 2, -e_prm}:
+                        got = e.ideal.times(prm, k)
+                        assert got == FIdealFactored.from_pairs(entries + ((prm, k),))
+                    cancelled += e_prm != 0
+    assert cancelled
+
+
 def _felem_mul(a: FElem, b: FElem, D: int) -> FElem:
     return FElem(a.u * b.u + a.v * b.v * D, a.u * b.v + a.v * b.u)
 
