@@ -143,6 +143,8 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     parts given, also the constant term (m = 0) and the mixed-signature
     terms whose numeric size clears the display cutoff.
     """
+    if (v1 is None) != (v2 is None):
+        raise ValueError("v1 and v2 must be given together")
     bits = _display_bits(digits)
     D = setup.D
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur

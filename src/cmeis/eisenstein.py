@@ -167,7 +167,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
     D = setup.D
     if x * x <= m * m * D:
         raise ValueError("expected a mixed-signature element")
-    if not (v1 > 0 and v2 > 0):
+    if v1 is None or v2 is None or not (v1 > 0 and v2 > 0):
         raise ValueError("imaginary parts must be positive")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
@@ -186,7 +186,7 @@ def constant_term(setup: Setup, v1, v2, precision: int = 128):
     Lambda is the product of the two completed odd Dirichlet L-functions;
     values and derivatives come from the analytic oracle.
     """
-    if not (v1 > 0 and v2 > 0):
+    if v1 is None or v2 is None or not (v1 > 0 and v2 > 0):
         raise ValueError("imaginary parts must be positive")
     L1 = lambda_at_zero(setup.d1, precision)
     L2 = lambda_at_zero(setup.d2, precision)

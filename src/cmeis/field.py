@@ -27,11 +27,11 @@ p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
 p not dividing m): one sieve over the line divides each small p out at
 those indices only, as in the quadratic sieve.  The ideal then comes
 from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
-all of e to the one prime whose root class holds x (both primes can
-hold x only when p | gcd(x, m); there ord_p(x +/- m*r) decides, with r
-lifted to a higher power of p).  Only x >= 0 is factored: x -> -x is
-the Galois conjugation of F, so the ideal at -x is the conjugate of the
-one at x (the split primes swap).
+t to both primes above it and the other e - 2t to the one prime whose
+root class holds the rest, where p^t is the p-part of the content of
+(x + m*sqrt(D))/2 (after Gross-Zagier, On singular moduli).  Only
+x >= 0 is factored: x -> -x is the Galois conjugation of F, so the
+ideal at -x is the conjugate of the one at x (the split primes swap).
 """
 
 from __future__ import annotations
@@ -409,16 +409,17 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     """The integral ((x + m*sqrt(D))/2), whatever its signs, from its norm's factors.
 
     ``factors`` are the (p, e) pairs of n = |x^2 - m^2*D|/4, p increasing.
-    An inert p takes e/2 and a ramified p takes e.  At a split p not
-    dividing gcd(x, m) the element lies in one prime above p only, so all
-    of e goes to split_plus = (p, sqrt(D) - r) when x = -m*r (mod p) and to
-    split_minus when x = m*r, r the canonical root (mod 4 at p = 2);
-    exactly one of the two must hold.  At a split p | gcd(x, m) each prime
-    takes ``_split_valuation`` and the two must add up to e.  The entries
-    come out in sort_key order.
+    An inert p takes e/2 and a ramified p takes e.  At a split p the
+    element is p^t * (u + w*sqrt(D))/2 with t as large as it can be:
+    p^t | x and p^t | m, and at p = 2 also u = w (mod 2), so that the
+    quotient stays integral.  Both primes above p take t.  The quotient
+    lies in at most one of them, so the other e - 2t go to
+    split_plus = (p, sqrt(D) - r) when u = -w*r (mod p) and to
+    split_minus when u = w*r, r the canonical root (mod 4 at p = 2);
+    when e > 2t exactly one of the two must hold.  The entries come out
+    in sort_key order.
     """
     D = setup.D
-    g = math.gcd(x, m)
     entries = []
     for p, e in factors:
         prms = prime_ideals_above(setup, p)
@@ -429,21 +430,20 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
             entries.append((prms[0], e // 2))
         elif kind == "ramified":
             entries.append((prms[0], e))
-        elif g % p:
-            q, r = 4 if p == 2 else p, _root_mod(D, p)
-            plus, minus = (x + m * r) % q == 0, (x - m * r) % q == 0
-            if plus == minus:
-                raise InvariantError("x is not in exactly one root class of a split prime")
-            entries.append((prms[0] if plus else prms[1], e))
         else:
-            checksum = 0
-            for prm in prms:  # x + m*sqrt(D) has norm +/-4n; take off ord_P(2)
-                v = _split_valuation(D, x, m, e + 2 * (p == 2), prm) - (p == 2)
-                checksum += v
-                if v:
-                    entries.append((prm, v))
-            if checksum != e:
-                raise InvariantError("valuations disagree with the norm")
+            u, w, t = x, m, 0
+            while u % p == 0 and w % p == 0 and (p > 2 or (u - w) % 4 == 0):
+                u, w, t = u // p, w // p, t + 1
+            plus = minus = False
+            if e > 2 * t:
+                q, r = 4 if p == 2 else p, _root_mod(D, p)
+                plus, minus = (u + w * r) % q == 0, (u - w * r) % q == 0
+                if plus == minus:
+                    raise InvariantError("x is not in exactly one root class of a split prime")
+            if t or plus:
+                entries.append((prms[0], t + plus * (e - 2 * t)))
+            if t or minus:
+                entries.append((prms[1], t + minus * (e - 2 * t)))
     return FIdealFactored(tuple(entries))
 
 

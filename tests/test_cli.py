@@ -220,14 +220,16 @@ from cmeis.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
-# (fault, argv, message): a wrong split valuation at p = 2 | gcd(x, m = 2) in
-# (-7, -23), and a wrong root at 5, which splits in Q(sqrt(21)) and divides
-# n(1) = 5 at m = 1
+# (fault, argv, message): a wrong root at p = 2 | gcd(x, m = 2) in (-7, -23),
+# which the quotient by the 2-part of the content then fits in neither class,
+# and a wrong root at 5, which splits in Q(sqrt(21)) and divides n(1) = 5 at
+# m = 1
 _INVARIANT_FAULTS = (
     (
-        "cmeis.field._split_valuation = lambda *args: 0",
+        "root = cmeis.field._root_mod\n"
+        "cmeis.field._root_mod = lambda D, p: root(D, p) + (p == 2)",
         ["degree", "--d1", "-7", "--d2", "-23", "--m", "2"],
-        "valuations disagree with the norm",
+        "x is not in exactly one root class of a split prime",
     ),
     (
         "root = cmeis.field.sqrt_mod_prime_power\n"
@@ -385,6 +387,39 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     assert len(factored) == len(set(factored))
     assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
     assert 0 < len(valued) < 2 * len(factored)
+
+
+def test_production_path_reads_no_hensel_lift(monkeypatch):
+    # coeffs, its mixed walk and degree factor each split prime by the content
+    # rule alone: the Hensel-lift valuation belongs to the check paths
+    setup = Setup(-7, -23)
+
+    def run():
+        cmeis.eisenstein._mixed_rho.cache_clear()
+        return (
+            list(coefficient_records(setup, 20)),
+            list(coefficient_records(setup, 3, v1=0.9, v2=1.1)),
+            trace_degree(setup, 2),
+        )
+
+    want = run()
+    assert (len(want[0]), len(want[1])) == (2664, 312)
+
+    def lift(*args):
+        raise AssertionError("_split_valuation on the production path")
+
+    monkeypatch.setattr(cmeis.field, "_split_valuation", lift)
+    assert run() == want
+
+
+def test_missing_imaginary_part_is_a_value_error():
+    setup = Setup(-3, -7)
+    with pytest.raises(ValueError, match="must be positive"):
+        cmeis.eisenstein.constant_term(setup, 1, None)
+    with pytest.raises(ValueError, match="must be positive"):
+        cmeis.eisenstein.mixed_coefficient(setup, 1, 9, None, 1)
+    with pytest.raises(ValueError, match="given together"):
+        list(coefficient_records(setup, 1, v1=1.0))
 
 
 def test_singular_moduli_command(capsys):

@@ -237,7 +237,7 @@ def _slice_indices(draw):
         m0 = draw(st.integers(-12, 12))
         x0 = 2 * draw(st.integers(-300, 300)) + m0 * s.D % 2
         assume(m0 or x0)
-    g = draw(st.sampled_from((1, 1, 2, 3, 5, 7, 23)))
+    g = draw(st.sampled_from((1, 1, 2, 3, 4, 5, 7, 8, 23, 25)))
     return s, g * m0, g * x0
 
 
@@ -252,6 +252,15 @@ def _slice_indices(draw):
 @example((Setup(-7, -23), 1, -15))
 @example((Setup(-3, -11), -2, -14))
 @example((Setup(-7, -23), 0, 2))
+# the p-part p^t of the content: odd p with e = 2t and with e > 2t; at p = 2
+# t stopped by x/2^t = m/2^t (mod 2), and t = 3; x = 0, m = 0, m < 0
+@example((Setup(-3, -7), 5, 15))
+@example((Setup(-3, -7), 5, 5))
+@example((Setup(-7, -23), 4, 8))
+@example((Setup(-7, -23), 4, 0))
+@example((Setup(-7, -23), 8, 24))
+@example((Setup(-7, -23), 0, 10))
+@example((Setup(-7, -23), -2, 30))
 @settings(max_examples=600, deadline=None)
 @given(_slice_indices())
 def test_slice_ideal_matches_principal_ideal(index):
@@ -289,13 +298,14 @@ def test_slice_ideal_mirror_can_fail(monkeypatch):
 
 
 def test_slice_ideal_checksum_can_fail(monkeypatch):
-    # at a split p | gcd(x, m) a wrong split valuation must trip the norm
-    # checksum: in (-7, -23) 2 splits, and at m = 2 it divides every x
-    monkeypatch.setattr(cmeis.field, "_split_valuation", lambda *args: 0)
-    with pytest.raises(AssertionError, match="valuations disagree with the norm"):
+    # at a split p | gcd(x, m) a wrong root puts the quotient by the p-part of
+    # the content in neither class: in (-7, -23) 2 splits, and at m = 2 it
+    # divides every x
+    root_mod = cmeis.field._root_mod
+    monkeypatch.setattr(cmeis.field, "_root_mod", lambda D, p: root_mod(D, p) + (p == 2))
+    with pytest.raises(AssertionError, match="not in exactly one root class"):
         enumerate_trace_slice(Setup(-7, -23), 2)
     # at a split p not dividing gcd(x, m) a wrong root puts x in neither class
-    root_mod = cmeis.field._root_mod
     monkeypatch.setattr(cmeis.field, "_root_mod", lambda D, p: root_mod(D, p) + 1)
     with pytest.raises(AssertionError, match="not in exactly one root class"):
         enumerate_trace_slice(Setup(-7, -23), 1)
