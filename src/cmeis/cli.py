@@ -24,15 +24,10 @@ import sys
 
 import mpmath
 
-from .eisenstein import (
-    _degree_report,
-    _mixed_rho,
-    constant_term,
-    mixed_coefficient,
-    trace_degree,
-)
-from .exact import InvariantError, LogLinear, factor
-from .field import FPrimeIdeal, Setup, SetupError, _half_slice
+from .eisenstein import _degree_report, _mixed_term, constant_term, trace_degree
+from .exact import InvariantError, LogLinear
+from .field import FPrimeIdeal, Setup, SetupError, _half_slice, _line_sieve
+from .genus import norm_ideal_count
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
 
@@ -96,43 +91,62 @@ def _numeric_record(D, m, x, float_text):
     return (str(m), str(x), *alpha, "[]", "{}", "{}", float_text, "0")
 
 
-def _mixed_records(setup, m, v1, v2, digits, bits):
-    """Nonzero mixed-signature records at trace m, in the order of the scan.
+def _mixed_ranges(D, trace_max, v, digits):
+    """The x-range of the mixed scan at each trace 1..trace_max, v = min(v1, v2).
 
-    Trace fixes only a line in the lattice, so the scan walks outward in
-    |x| (-x, then x) and stops once a divisor-count bound on the coefficient
-    falls below the display cutoff (the terms decay like exp(-c|x|)).
+    At trace m the scan walks x > m sqrt(D), x = mD (mod 2).  Each term at
+    +/-x is at most M(x) = 8n e^(-z)/z, n = (x^2 - m^2 D)/4, z = 4 pi sigma v
+    (rho <= d(n)^2 <= 4n, E1(z) < e^(-z)/z), and M falls for good once the
+    bound 2x/(x^2 - m^2 D) - 2 pi v/sqrt(D) on d log M/dx is negative (its
+    first term falls with x).  The range stops at the first such x with
+    2 M(x) below the display cutoff; nothing is factored.  More than
+    ``_MAX_MIXED_SCAN`` values of x in all is a ``SetupError``.
+    """
+    sqrt_D = math.sqrt(D)
+    slope = 2 * math.pi * v / sqrt_D  # dz/dx
+    log_cutoff = -(digits + 2) * math.log(10) - math.log(2)  # ln(cutoff/2)
+    ranges, left = [], _MAX_MIXED_SCAN
+    for m in range(1, trace_max + 1):
+        mmD = m * m * D
+        x = math.isqrt(mmD - 1) + 1  # the first x with x^2 > m^2 D ...
+        x = start = x + (x - m * D) % 2  # ... and (x + m sqrt(D))/2 integral
+        while True:
+            four_n = x * x - mmD
+            if 2 * x < slope * four_n:  # then z > 1
+                z = slope * four_n / (x + m * sqrt_D)  # slope * (x - m sqrt(D))
+                if math.log(2 * four_n) - z - math.log(z) < log_cutoff:
+                    break
+            x, left = x + 2, left - 1
+            if left < 0:
+                raise SetupError(
+                    f"imaginary parts too small: more than {_MAX_MIXED_SCAN} values of x to scan"
+                )
+        ranges.append(range(start, x, 2))
+    return ranges
+
+
+def _mixed_records(setup, m, xs, v1, v2, digits, bits):
+    """Nonzero mixed-signature records at trace m over the scan range xs, in scan order.
+
+    The line sieve factors each x once; the index at -x has the conjugate
+    ideal and the same rho, so each x with rho != 0 gives the terms at -x,
+    then x, both through ``_mixed_term``, as ``mixed_coefficient`` does.
     """
     D = setup.D
     cutoff = mpmath.mpf(10) ** (-(digits + 2))
-    with mpmath.mp.workprec(bits):
-        sqrt_D = mpmath.sqrt(D)
-    x = math.isqrt(m * m * D - 1) + 1  # the first x with x^2 > m^2 D ...
-    x += (x - m * D) % 2  # ... and (x + m sqrt(D))/2 integral
     records = []
-    while True:
-        n = (x * x - m * m * D) // 4
-        with mpmath.mp.workprec(bits):
-            sigma = (x * sqrt_D / D - m) / 2  # |negative embedding|
-            divisors = 1
-            for _, e in factor(n):
-                divisors *= e + 1
-            # rho is at most the squared divisor count of the norm
-            bound = 2 * divisors**2 * mpmath.exp(-4 * mpmath.pi * sigma * min(v1, v2))
-        if bound < cutoff:
-            break
-        if _mixed_rho(setup, m, x):  # shared by -x and x; 0 for most x
-            for sx in (-x, x):
-                value = mixed_coefficient(setup, m, sx, v1, v2, bits)
-                if abs(value) < cutoff:
-                    continue
-                records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
-        x += 2
+    for x, _, ideal in _line_sieve(setup, m, xs):
+        rho = norm_ideal_count(setup, ideal)  # 0 for most x
+        if rho:
+            for sx, v in ((-x, v1), (x, v2)):
+                value = _mixed_term(D, m, sx, rho, v, bits)
+                if abs(value) >= cutoff:
+                    records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
     return records
 
 
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
-    """Yield the emitted records in order, one trace m at a time.
+    """An iterator over the emitted records in order, one trace m at a time.
 
     Each record is the tuple of its nine field texts, in the order of the
     CSV columns.  Always one record per trace-slice element for
@@ -141,10 +155,18 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     tail (the a_alpha, deg_X, float and nu texts).  Tails are built once
     per key (P's p, 2 nu, rho) of the integer report.  With imaginary
     parts given, also the constant term (m = 0) and the mixed-signature
-    terms whose numeric size clears the display cutoff.
+    terms whose numeric size clears the display cutoff.  Bad or too small
+    imaginary parts are a ``SetupError`` here, before the first record.
     """
     if (v1 is None) != (v2 is None):
-        raise ValueError("v1 and v2 must be given together")
+        raise SetupError("v1 and v2 must be given together")
+    if v1 is not None and not all(0 < v < math.inf for v in (v1, v2)):
+        raise SetupError("imaginary parts must be positive and finite")
+    scans = None if v1 is None else _mixed_ranges(setup.D, trace_max, min(v1, v2), digits)
+    return _records(setup, trace_max, v1, v2, digits, scans)
+
+
+def _records(setup, trace_max, v1, v2, digits, scans):
     bits = _display_bits(digits)
     D = setup.D
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
@@ -168,7 +190,7 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
                 below.append((m_text, "-" + x_text, u, "-" + v, _diff_text(diff), *tail))
         per_m[:0] = reversed(below)
         if v1 is not None:
-            per_m.extend(_mixed_records(setup, m, v1, v2, digits, bits))
+            per_m.extend(_mixed_records(setup, m, scans[m - 1], v1, v2, digits, bits))
             per_m.sort(key=lambda r: int(r[1]))
         yield from per_m
 
@@ -195,21 +217,6 @@ def _emit_csv(records, out) -> None:
 
 def _cmd_coeffs(args) -> int:
     setup = Setup(args.d1, args.d2)
-    if (args.v1 is None) != (args.v2 is None):
-        raise SetupError("--v1 and --v2 must be given together")
-    if args.v1 is not None:
-        if not all(math.isfinite(v) and v > 0 for v in (args.v1, args.v2)):
-            raise SetupError("imaginary parts must be positive and finite")
-        # the mixed scan stops no earlier than sigma* = ln(2/cutoff)/(4 pi min(v1, v2)),
-        # which is about sqrt(D) * sigma* values of x per trace, whatever m is
-        log_ratio = math.log(2) + (args.digits + 2) * math.log(10)
-        sigma = log_ratio / (4 * math.pi * min(args.v1, args.v2))
-        scan = args.trace_max * math.sqrt(setup.D) * sigma
-        if scan > _MAX_MIXED_SCAN:
-            raise SetupError(
-                f"imaginary parts too small: the mixed-signature scan needs about {scan:.3g} "
-                f"values of x (at most {_MAX_MIXED_SCAN} per run)"
-            )
     records = coefficient_records(
         setup, args.trace_max, v1=args.v1, v2=args.v2, digits=args.digits
     )

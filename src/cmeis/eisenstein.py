@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -52,7 +51,7 @@ from .field import (
     FPrimeIdeal,
     Setup,
     _half_slice,
-    _slice_ideal,
+    _line_sieve,
     element_valuation,
     prime_ideals_above,
     principal_ideal,
@@ -145,15 +144,11 @@ def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
     return arakelov_degree(setup, alpha).coefficient
 
 
-@lru_cache(maxsize=64)
-def _mixed_rho(setup: Setup, m: int, x: int) -> int:
-    """rho of the integral ((x + m sqrt(D))/2), x >= 0, of mixed signature.
-
-    The ideal at -x is the Galois conjugate of this one, with the same rho,
-    so a scan over x and -x factors once.
-    """
-    n = (x * x - m * m * setup.D) // 4
-    return norm_ideal_count(setup, _slice_ideal(setup, m, x, factor(n)))
+def _mixed_term(D: int, m: int, x: int, rho: int, v, precision: int):
+    """2 rho * e1(4 pi |sigma| v), |sigma| the negative embedding of m/2 + (|x|/(2D)) sqrt(D)."""
+    with mpmath.mp.workprec(precision + 16):
+        mag = abs(mpmath.mpf(m) / 2 - mpmath.mpf(abs(x)) / (2 * D) * mpmath.sqrt(D))
+        return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v), precision))
 
 
 def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):
@@ -163,6 +158,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
     is even, i.e. sqrt(D) * alpha = (x + m sqrt(D))/2 is integral, and is
     else 2 rho * e1(4 pi |sigma_l| v_l), where l is the embedding at which
     alpha is negative (1 for x < 0, 2 for x > 0); it decays to 0 as v_l grows.
+    rho comes from the line sieve at |x|, the value from ``_mixed_term``.
     """
     D = setup.D
     if x * x <= m * m * D:
@@ -171,13 +167,9 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
         raise ValueError("imaginary parts must be positive")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
-    rho = _mixed_rho(setup, m, abs(x))
-    if rho == 0:
-        return mpmath.mpf(0)
-    v_l = v1 if x < 0 else v2
-    with mpmath.mp.workprec(precision + 16):
-        mag = abs(mpmath.mpf(m) / 2 - mpmath.mpf(abs(x)) / (2 * D) * mpmath.sqrt(D))
-        return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v_l), precision))
+    ((_, _, ideal),) = _line_sieve(setup, m, range(abs(x), abs(x) + 1, 2))
+    rho = norm_ideal_count(setup, ideal)
+    return _mixed_term(D, m, x, rho, v1 if x < 0 else v2, precision) if rho else mpmath.mpf(0)
 
 
 def constant_term(setup: Setup, v1, v2, precision: int = 128):

@@ -24,8 +24,10 @@ absolute norm n(x) = (m^2*D - x^2)/4.  The slice factors it from the
 integers (m, x) alone.  Along one trace n(x) is a quadratic in x, so an
 odd p divides it only for x in its root classes mod p (x = 0 when
 p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
-p not dividing m): one sieve over the line divides each small p out at
-those indices only, as in the quadratic sieve.  The ideal then comes
+p not dividing m), on either side of m*sqrt(D): one sieve over the line
+serves the slice and the mixed-signature x > m*sqrt(D), of norm
+(x^2 - m^2*D)/4, dividing each small p out at those indices only, as in
+the quadratic sieve.  The ideal then comes
 from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
 t to both primes above it and the other e - 2t to the one prime whose
 root class holds the rest, where p^t is the p-part of the content of
@@ -447,30 +449,25 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     return FIdealFactored(tuple(entries))
 
 
-def _half_slice(setup: Setup, m: int):
-    """Yield (x, n, ideal) over the trace-m slice for x >= 0, x increasing.
+def _line_sieve(setup: Setup, m: int, xs: range):
+    """Yield (x, n, ideal) for x in xs, a step-2 range on one side of m*sqrt(D).
 
-    The norms n(x) = (m^2*D - x^2)/4 of the line are factored in one sieve:
-    the 2-part comes off each by bit arithmetic, and each odd prime
+    The norms n(x) = |m^2*D - x^2|/4 of the range are factored in one
+    sieve: the 2-part comes off each by bit arithmetic, and each odd prime
     p <= min(sqrt(max n), 997) is divided out only at the indices of its
     root classes mod p (see the module docstring).  What is left of each
     n(x) is 1 or prime, unless n > 997^2, when a composite rest goes to
-    ``factor``.  The element at -x is the Galois conjugate of the one at
-    x, and so is its ideal: the other half of the slice is the mirror of
-    this one.
+    ``factor``.  The ideal is that of (x + m*sqrt(D))/2, of either sign.
     """
-    if m < 1:
-        raise ValueError("trace must be a positive integer")
     D = setup.D
-    x0, mmD = (m * D) % 2, m * m * D
-    xs = range(x0, math.isqrt(mmD - 1) + 1, 2)
-    ns = [(mmD - x * x) // 4 for x in xs]
+    x0, mmD = xs.start, m * m * D
+    ns = [abs(mmD - x * x) // 4 for x in xs]
     rest, factors = [], []
     for n in ns:
         e = (n & -n).bit_length() - 1
         rest.append(n >> e)
         factors.append([(2, e)] if e else [])
-    bound = min(math.isqrt(ns[0]), _SMALL_PRIMES[-1])
+    bound = min(math.isqrt(max(ns, default=0)), _SMALL_PRIMES[-1])
     for p in _SMALL_PRIMES[1:]:
         if p > bound:
             break
@@ -493,12 +490,17 @@ def _half_slice(setup: Setup, m: int):
                     factors[i].append((p, e))
     for v, fs in zip(rest, factors):
         if v > 1:
-            if is_prime(v):
-                fs.append((v, 1))
-            else:
-                fs.extend(factor(v))
+            fs.extend([(v, 1)] if is_prime(v) else factor(v))
     for x, n, fs in zip(xs, ns, factors):
         yield x, n, _slice_ideal(setup, m, x, fs)
+
+
+def _half_slice(setup: Setup, m: int):
+    """``_line_sieve`` over the trace-m slice for x >= 0; x -> -x mirrors it (conjugate ideals)."""
+    if m < 1:
+        raise ValueError("trace must be a positive integer")
+    mmD = m * m * setup.D
+    return _line_sieve(setup, m, range(mmD % 2, math.isqrt(mmD - 1) + 1, 2))
 
 
 def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,8 +19,9 @@ import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import coefficient_records, main
 from cmeis.eisenstein import trace_degree
-from cmeis.exact import OO, Factorization, LogLinear, factor
+from cmeis.exact import OO, Factorization, LogLinear, factor, is_prime
 from cmeis.field import (
+    FElem,
     FIdealFactored,
     Setup,
     _half_slice,
@@ -28,6 +30,7 @@ from cmeis.field import (
     enumerate_trace_slice,
     principal_ideal,
 )
+from cmeis.genus import norm_ideal_count
 from cmeis.oracle import PrecisionError
 from cmeis.verify import SUITES, TEST_MATRIX
 
@@ -212,6 +215,82 @@ def test_mixed_scan_cap_counts_every_trace():
     assert proc.stderr.startswith("setup error: imaginary parts too small")
 
 
+def test_mixed_scan_cap_is_an_exact_count(capsys, monkeypatch):
+    # a cap of the run's own count of x admits it byte for byte; one less refuses it
+    # before any output, the CSV header included
+    argv = ("coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "3", "--v1", "1", "--v2", "0.9")
+    total = sum(map(len, cmeis.cli._mixed_ranges(161, 3, 0.9, 30)))
+    want = {fmt: _run(capsys, *argv, "--format", fmt) for fmt in ("json", "csv")}
+    monkeypatch.setattr(cmeis.cli, "_MAX_MIXED_SCAN", total)
+    for fmt, run in want.items():
+        assert run[0] == 0 and run[1]
+        assert _run(capsys, *argv, "--format", fmt) == run
+    monkeypatch.setattr(cmeis.cli, "_MAX_MIXED_SCAN", total - 1)
+    for fmt in want:
+        code, out, err = _run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("setup error: imaginary parts too small")
+
+
+# at (-191, -239) one step in x moves the decay exponent by only ~0.05, so the record at
+# x = 786 (n = 2^8 * 5^2 * 17, value 0.00139 against the cutoff 0.001) comes after x = 768,
+# where n is prime and the divisor-count bound 2 d(n)^2 e^(-4 pi sigma v) is below the cutoff
+LATE_RECORD_ARGV = (
+    "coeffs", "--d1", "-191", "--d2", "-239", "--trace-max", "2",
+    "--v1", "1.7", "--v2", "0.9", "--digits", "1",
+)
+
+
+def _divisor_count_ranges(D, trace_max, v, digits):
+    """The scan ranges of the old stop: the first x whose own divisor-count bound is below the cutoff."""
+    ranges = []
+    for m in range(1, trace_max + 1):
+        x = math.isqrt(m * m * D - 1) + 1
+        x += (x - m * D) % 2
+        start = x
+        while True:
+            divisors = math.prod(e + 1 for _, e in factor((x * x - m * m * D) // 4))
+            sigma = (x / math.sqrt(D) - m) / 2
+            if 2 * divisors**2 * math.exp(-4 * math.pi * sigma * v) < 10.0 ** -(digits + 2):
+                break
+            x += 2
+        ranges.append(range(start, x, 2))
+    return ranges
+
+
+def test_mixed_scan_keeps_a_late_record(capsys, monkeypatch):
+    def xs_at_trace_2():
+        code, out, _ = _run(capsys, *LATE_RECORD_ARGV)
+        assert code == 0
+        return {r["x"] for r in map(json.loads, out.splitlines()) if r["m"] == 2}
+
+    assert {766, 786} <= xs_at_trace_2()
+    # the old stop drops it
+    monkeypatch.setattr(cmeis.cli, "_mixed_ranges", _divisor_count_ranges)
+    xs = xs_at_trace_2()
+    assert 766 in xs and 786 not in xs
+
+
+@pytest.mark.parametrize("pair", [*TEST_MATRIX, (-191, -239)])
+def test_mixed_lines_match_the_check_path(pair):
+    # over every x of the scan range, m = 1..3: the sieve's ideal is the principal ideal of
+    # (x + m sqrt(D))/2 built prime by prime, and rho is the product of the Whittaker
+    # center values at the primes of n
+    setup, nonzero = Setup(*pair), 0
+    for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 1.0, 30), 1):
+        assert len(xs) > 10
+        for x, n, ideal in cmeis.field._line_sieve(setup, m, xs):
+            gen = FElem.from_triple(x, m, 2)
+            assert ideal == principal_ideal(setup, gen), (pair, m, x)
+            centers = 1
+            for p in factor(n).primes():
+                for prm in cmeis.field.prime_ideals_above(setup, p):
+                    centers *= cmeis.eisenstein._local_sums(setup, gen, prm)[0]
+            assert norm_ideal_count(setup, ideal) == centers, (pair, m, x)
+            nonzero += centers != 0
+    assert nonzero
+
+
 _BROKEN_RUN = """
 import sys
 import cmeis.field
@@ -365,28 +444,33 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
 
 
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
-    # the ideal at -x is the conjugate of the one at x: one factoring per |x|,
-    # and no mixed_coefficient call at all for a pair with rho = 0
+    # the ideal at -x is the conjugate of the one at x: the line sieve factors each |x|
+    # of the scan range once, factor sees only a composite rest above 997^2, and no
+    # term is valued for a pair with rho = 0
     setup = Setup(-7, -23)
-    real_slice_ideal = cmeis.eisenstein._slice_ideal
-    real_mixed = cmeis.cli.mixed_coefficient
-    factored, valued = [], []
+    real_slice_ideal, real_term, real_factor = (
+        cmeis.field._slice_ideal, cmeis.cli._mixed_term, cmeis.field.factor
+    )
+    factored, valued, rests = [], [], []
     monkeypatch.setattr(
-        cmeis.eisenstein,
+        cmeis.field,
         "_slice_ideal",
         lambda s, m, x, factors: factored.append(x) or real_slice_ideal(s, m, x, factors),
     )
     monkeypatch.setattr(
         cmeis.cli,
-        "mixed_coefficient",
-        lambda s, m, x, *rest: valued.append(x) or real_mixed(s, m, x, *rest),
+        "_mixed_term",
+        lambda D, m, x, *rest: valued.append(x) or real_term(D, m, x, *rest),
     )
-    cmeis.eisenstein._mixed_rho.cache_clear()
-    records = cmeis.cli._mixed_records(setup, 1, 1.0, 1.0, 30, 128)
-    assert records and min(factored) > 0
-    assert len(factored) == len(set(factored))
-    assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
-    assert 0 < len(valued) < 2 * len(factored)
+    monkeypatch.setattr(cmeis.field, "factor", lambda n: rests.append(n) or real_factor(n))
+    for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 0.9, 30), 1):
+        factored.clear()
+        valued.clear()
+        records = cmeis.cli._mixed_records(setup, m, xs, 1.0, 0.9, 30, 128)
+        assert records and factored == list(xs)
+        assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
+        assert 0 < len(valued) < 2 * len(factored)
+    assert all(n > 997**2 and not is_prime(n) for n in rests)
 
 
 def test_production_path_reads_no_hensel_lift(monkeypatch):
@@ -395,7 +479,6 @@ def test_production_path_reads_no_hensel_lift(monkeypatch):
     setup = Setup(-7, -23)
 
     def run():
-        cmeis.eisenstein._mixed_rho.cache_clear()
         return (
             list(coefficient_records(setup, 20)),
             list(coefficient_records(setup, 3, v1=0.9, v2=1.1)),
