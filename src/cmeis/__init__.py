@@ -16,7 +16,6 @@ from .eisenstein import (
     coherent_coefficient,
     coherent_ratio_check,
     constant_term,
-    fourier_coefficient,
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,

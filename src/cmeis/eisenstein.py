@@ -10,11 +10,13 @@ Coefficients are computed through two deliberately disjoint paths:
 
 * the closed form 2 * ord * rho * log p attached to the unique
   obstruction prime (``arakelov_degree``, whose coefficient is also
-  ``holomorphic_coefficient``), and
+  ``holomorphic_coefficient``) at alpha = m/2 + (x/(2D)) sqrt(D), read
+  off the ideal the line sieve (``field._line_sieve``) factors from (m, x),
 * a product-rule assembly of finite local Whittaker values and the one
-  local derivative (``assemble_derivative``): literal finite sums at the
-  primes of the norm, the obstruction prime found as the one center value
-  0, no ideal built.  Each archimedean center value is the constant -2i.
+  local derivative (``assemble_derivative``) on the ``FElem`` alpha:
+  literal finite sums at the primes of the norm, valued by the check
+  paths' ``element_valuation``, the obstruction prime found as the one
+  center value 0, no ideal built.  Each archimedean value is -2i.
   One integer kernel, ``_local_sums``, takes the two sums at a place;
   the assembly multiplies the center values as integers and builds one
   ``LogLinear``, the derivative at the obstruction prime times the rest.
@@ -67,7 +69,6 @@ __all__ = [
     "coherent_coefficient",
     "coherent_ratio_check",
     "constant_term",
-    "fourier_coefficient",
     "holomorphic_coefficient",
     "mixed_coefficient",
     "trace_degree",
@@ -127,21 +128,21 @@ def whittaker_finite(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> WhittakerD
     return WhittakerData(prm, *_local_sums(setup, alpha.times_sqrtD(setup.D), prm))
 
 
-def _index_ideal(setup: Setup, alpha: FElem) -> FIdealFactored:
-    """The factored ideal alpha * (different) of a totally positive index."""
-    if alpha.is_zero or not alpha.is_totally_positive(setup.D):
-        raise ValueError("expected a nonzero totally positive element")
-    return principal_ideal(setup, alpha.times_sqrtD(setup.D))
+def _index_ideal(setup: Setup, m: int, x: int) -> FIdealFactored:
+    """The integral ideal ((x + m*sqrt(D))/2), x of either sign, from a one-index line sieve."""
+    ((_, _, ideal),) = _line_sieve(setup, m, range(x, x + 1, 2))
+    return ideal
 
 
-def holomorphic_coefficient(setup: Setup, alpha: FElem) -> LogLinear:
-    """Coefficient of a totally positive index, via the closed form.
+def holomorphic_coefficient(setup: Setup, m: int, x: int) -> LogLinear:
+    """Coefficient of the totally positive index alpha = m/2 + (x/(2D)) sqrt(D).
 
-    Zero unless sqrt(D)*alpha is integral and the obstruction set is a
-    single prime P; then 2 * ord_P(alpha*P*D) * rho(alpha*D/P) * log p.
-    Independent of the imaginary parts by construction: no v enters.
+    The closed form: zero unless x = mD (mod 2), i.e. sqrt(D)*alpha is
+    integral, and the obstruction set is a single prime P; then
+    2 * ord_P(alpha*P*D) * rho(alpha*D/P) * log p.  Independent of the
+    imaginary parts by construction: no v enters.
     """
-    return arakelov_degree(setup, alpha).coefficient
+    return arakelov_degree(setup, m, x).coefficient
 
 
 def _mixed_term(D: int, m: int, x: int, rho: int, v, precision: int):
@@ -158,7 +159,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
     is even, i.e. sqrt(D) * alpha = (x + m sqrt(D))/2 is integral, and is
     else 2 rho * e1(4 pi |sigma_l| v_l), where l is the embedding at which
     alpha is negative (1 for x < 0, 2 for x > 0); it decays to 0 as v_l grows.
-    rho comes from the line sieve at |x|, the value from ``_mixed_term``.
+    rho comes from the line sieve at x, the value from ``_mixed_term``.
     """
     D = setup.D
     if x * x <= m * m * D:
@@ -167,8 +168,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
         raise ValueError("imaginary parts must be positive")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
-    ((_, _, ideal),) = _line_sieve(setup, m, range(abs(x), abs(x) + 1, 2))
-    rho = norm_ideal_count(setup, ideal)
+    rho = norm_ideal_count(setup, _index_ideal(setup, m, x))
     return _mixed_term(D, m, x, rho, v1 if x < 0 else v2, precision) if rho else mpmath.mpf(0)
 
 
@@ -189,33 +189,6 @@ def constant_term(setup: Setup, v1, v2, precision: int = 128):
             + L1.completed_value * L2.completed_derivative
         )
         return +(-2 * lam_prime + lam * mpmath.log(mpmath.mpf(v1) * mpmath.mpf(v2)))
-
-
-def fourier_coefficient(setup: Setup, alpha: FElem, v1=None, v2=None, precision: int = 128):
-    """Coefficient of q^alpha in the center derivative, any signature.
-
-    Totally positive indices give the exact LogLinear (no imaginary parts
-    needed); mixed signatures give a numeric value depending on the
-    imaginary part at the negative embedding; totally negative indices
-    vanish identically; alpha = 0 gives the numeric constant term.
-    """
-    if alpha.is_zero:
-        if v1 is None or v2 is None:
-            raise ValueError("the constant term needs both imaginary parts")
-        return constant_term(setup, v1, v2, precision)
-    s1 = alpha.embedding_sign(setup.D, 1)
-    s2 = alpha.embedding_sign(setup.D, 2)
-    if s1 > 0 and s2 > 0:
-        return holomorphic_coefficient(setup, alpha)
-    if s1 < 0 and s2 < 0:
-        return LogLinear.zero()
-    if v1 is None or v2 is None or not (v1 > 0 and v2 > 0):
-        raise ValueError("mixed-signature coefficients need two positive imaginary parts")
-    gen = alpha.times_sqrtD(setup.D)
-    if not gen.is_integral(setup.D):
-        return mpmath.mpf(0)
-    k = 2 // gen.c  # gen = (x + m*sqrt(D))/2, and c is 1 or 2
-    return mixed_coefficient(setup, k * gen.b, k * gen.a, v1, v2, precision)
 
 
 @dataclass(frozen=True)
@@ -268,18 +241,23 @@ def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
     return DegreeReport(diff, prm, ideal.ord_at(prm) + 1, norm_ideal_count(setup, rest))
 
 
-def arakelov_degree(setup: Setup, alpha: FElem) -> DegreeReport:
-    """Length- and automorphism-weighted point count, as a LogLinear.
+def arakelov_degree(setup: Setup, m: int, x: int) -> DegreeReport:
+    """Length- and automorphism-weighted point count at alpha = m/2 + (x/(2D)) sqrt(D).
 
-    Nonempty only for alpha in the inverse different with a single
-    obstruction prime P; then the locus lives entirely in characteristic
-    p with every local ring of length nu = (1/2) ord_P(alpha*P*D), and
+    Needs m >= 1 and x^2 < m^2 D.  The report is empty unless x = mD
+    (mod 2) and the ideal alpha * (different), read off the line sieve,
+    has one obstruction prime P: then the locus lies in characteristic p,
+    each local ring of length nu = (1/2) ord_P(alpha*P*D), and
 
         degree = nu * rho(alpha*D/P) * log p,
 
     while the coefficient is the closed form 4 * degree.
     """
-    return _degree_report(setup, _index_ideal(setup, alpha))
+    if m < 1 or x * x >= m * m * setup.D:
+        raise ValueError("expected a nonzero totally positive element")
+    if (x - m * setup.D) % 2:
+        return DegreeReport((), None, 0, 0)
+    return _degree_report(setup, _index_ideal(setup, m, x))
 
 
 def trace_degree(setup: Setup, m: int) -> LogLinear:
@@ -363,25 +341,32 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
     if obstruction.place != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
     value = -scalar  # the section twisted at P has center value -1 there
-    if value != 4 * norm_ideal_count(setup, _index_ideal(setup, alpha).times(prm, -1)):
+    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
+    if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
         raise InvariantError("coherent center value disagrees with 4 * rho")
     return value
 
 
-def coherent_ratio_check(setup: Setup, alpha: FElem) -> bool:
-    """Exact identity: derivative = nu * log p * coherent center value.
+def coherent_ratio_check(setup: Setup, m: int, x: int) -> bool:
+    """Exact identity at alpha = m/2 + (x/(2D)) sqrt(D): derivative = nu * log p * coherent value.
 
-    One ``arakelov_degree`` report gives the obstruction prime P, nu and
-    the closed-form coefficient; P and nu are the ingredients shared with
-    the other two sides.  The assembled derivative and the coherent value
-    (asserted against 4 * rho) both come from ``whittaker_finite``'s
-    literal sums, which find P on their own as the center value 0; the
+    The ``arakelov_degree`` report, read off the line sieve, gives the
+    obstruction prime P, nu and the closed-form coefficient.  The assembled
+    derivative and the coherent value (asserted against 4 * rho of
+    ``principal_ideal``) both come from ``whittaker_finite``'s literal sums
+    on the ``FElem`` alpha, which find P on their own as the center value
+    0; the identity fails if that place is not the report's P.  The
     assembly and the report's coefficient are each compared with
     nu * log p * (coherent value).
     """
-    report = arakelov_degree(setup, alpha)
+    report = arakelov_degree(setup, m, x)
     if report.reflex is None:
         raise ValueError("identity needs a single obstruction prime")
     prm = report.reflex
-    expected = LogLinear({prm.p: report.nu * coherent_coefficient(setup, alpha, prm)})
+    alpha = FElem(Fraction(m, 2), Fraction(x, 2 * setup.D))
+    try:
+        coherent = coherent_coefficient(setup, alpha, prm)
+    except ValueError:  # the assembly's obstruction place is not the sieve's P
+        return False
+    expected = LogLinear({prm.p: report.nu * coherent})
     return assemble_derivative(setup, alpha) == expected and report.coefficient == expected

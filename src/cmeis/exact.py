@@ -30,7 +30,6 @@ __all__ = [
     "hilbert_symbol",
     "is_prime",
     "kronecker",
-    "padic_val",
     "sqrt_mod_prime_power",
 ]
 

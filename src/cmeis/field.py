@@ -31,9 +31,10 @@ the quadratic sieve.  The ideal then comes
 from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
 t to both primes above it and the other e - 2t to the one prime whose
 root class holds the rest, where p^t is the p-part of the content of
-(x + m*sqrt(D))/2 (after Gross-Zagier, On singular moduli).  Only
-x >= 0 is factored: x -> -x is the Galois conjugation of F, so the
+(x + m*sqrt(D))/2 (after Gross-Zagier, On singular moduli).  The slice
+factors only x >= 0: x -> -x is the Galois conjugation of F, so the
 ideal at -x is the conjugate of the one at x (the split primes swap).
+A single index, of either sign, is a one-element range.
 """
 
 from __future__ import annotations
@@ -450,14 +451,14 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
 
 
 def _line_sieve(setup: Setup, m: int, xs: range):
-    """Yield (x, n, ideal) for x in xs, a step-2 range on one side of m*sqrt(D).
+    """Yield (x, n, ideal) for x in xs, a step-2 range of either sign, or one index.
 
-    The norms n(x) = |m^2*D - x^2|/4 of the range are factored in one
-    sieve: the 2-part comes off each by bit arithmetic, and each odd prime
-    p <= min(sqrt(max n), 997) is divided out only at the indices of its
-    root classes mod p (see the module docstring).  What is left of each
-    n(x) is 1 or prime, unless n > 997^2, when a composite rest goes to
-    ``factor``.  The ideal is that of (x + m*sqrt(D))/2, of either sign.
+    The nonzero norms n(x) = |m^2*D - x^2|/4 of the range are factored
+    in one sieve: the 2-part comes off each by bit arithmetic, and each
+    odd prime p <= min(sqrt(max n), 997) is divided out only at the
+    indices of its root classes mod p (see the module docstring).  What
+    is left of each n(x) is 1 or prime, unless n > 997^2, when a composite
+    rest goes to ``factor``.  The ideal is that of (x + m*sqrt(D))/2.
     """
     D = setup.D
     x0, mmD = xs.start, m * m * D

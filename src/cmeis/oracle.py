@@ -45,13 +45,11 @@ __all__ = [
     "ReducedForm",
     "SingularModuliReport",
     "class_number",
-    "class_poly_start_precision",
     "class_reps",
     "e1",
     "hilbert_class_poly",
     "j_value",
     "lambda_at_zero",
-    "poly_eval",
     "resultant",
     "singular_moduli_check",
 ]

@@ -417,7 +417,7 @@ def _coherent_ratio(rng: random.Random) -> str | None:
             for e in enumerate_trace_slice(setup, m):
                 if len(genus.diff_set(setup, e.ideal)) != 1:
                     continue
-                if not eisenstein.coherent_ratio_check(setup, e.alpha):
+                if not eisenstein.coherent_ratio_check(setup, m, e.x):
                     return f"coherent ratio failed at x={e.x}, m={m}, {setup}"
     return None
 

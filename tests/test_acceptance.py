@@ -55,13 +55,13 @@ def test_criterion_1_degree_equals_coefficient():
     for setup in SETUPS:
         for m in range(1, TRACE_BOUND + 1):
             for elt in enumerate_trace_slice(setup, m):
-                report = arakelov_degree(setup, elt.alpha)
+                report = arakelov_degree(setup, m, elt.x)
                 if len(report.diff) == 1 and not report.degree.is_zero:
                     assembled = assemble_derivative(setup, elt.alpha)
                     assert report.degree.scale(4) == assembled, (setup, m, elt.x)
                 else:
                     assert report.degree.is_zero
-                    assert holomorphic_coefficient(setup, elt.alpha).is_zero
+                    assert holomorphic_coefficient(setup, m, elt.x).is_zero
                 checked += 1
     assert checked > 2000
     _report("criterion-1 exact degree/coefficient identity", started, f"{checked} indices")
@@ -73,7 +73,7 @@ def test_criterion_2_vanishing_and_support():
     for setup in SETUPS:
         for m in range(1, TRACE_BOUND + 1):
             for elt in enumerate_trace_slice(setup, m):
-                report = arakelov_degree(setup, elt.alpha)
+                report = arakelov_degree(setup, m, elt.x)
                 assert len(report.diff) % 2 == 1, (setup, m, elt.x)
                 if len(report.diff) > 1:
                     assert report.degree.is_zero
@@ -92,7 +92,7 @@ def test_criterion_3_trace_degree_decomposition():
             by_index = LogLinear.zero()
             by_multiplicity = LogLinear.zero()
             for elt in enumerate_trace_slice(setup, m):
-                by_index = by_index + arakelov_degree(setup, elt.alpha).degree
+                by_index = by_index + arakelov_degree(setup, m, elt.x).degree
                 for p in elt.ideal.rational_primes():
                     fp = prime_multiplicity(setup, elt.ideal, p)
                     if fp:
@@ -214,7 +214,7 @@ def test_criterion_8_coherent_incoherent_identity():
     for setup in SETUPS:
         for m in range(1, TRACE_BOUND + 1):
             for elt in enumerate_trace_slice(setup, m):
-                report = arakelov_degree(setup, elt.alpha)
+                report = arakelov_degree(setup, m, elt.x)
                 if len(report.diff) != 1 or report.degree.is_zero:
                     continue
                 prm = report.diff[0]

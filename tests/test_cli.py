@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cmeis
 import cmeis.cli
 import cmeis.eisenstein
 import cmeis.field
@@ -18,7 +19,12 @@ import cmeis.genus
 import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import coefficient_records, main
-from cmeis.eisenstein import trace_degree
+from cmeis.eisenstein import (
+    arakelov_degree,
+    holomorphic_coefficient,
+    mixed_coefficient,
+    trace_degree,
+)
 from cmeis.exact import OO, Factorization, LogLinear, factor, is_prime
 from cmeis.field import (
     FElem,
@@ -402,13 +408,18 @@ def test_coeffs_into_a_closed_pipe_is_quiet():
 
 
 def test_slice_path_skips_the_felem_factorization():
-    # coeffs and degree factor each slice ideal from integers only
+    # coeffs, degree and the closed forms factor each index's ideal from integers only
     setup = Setup(-7, -23)
     principal_ideal.cache_clear()
     element_valuation.cache_clear()
     list(coefficient_records(setup, 5))
     list(coefficient_records(setup, 2, v1=1, v2=1))
     trace_degree(setup, 5)
+    for m in range(1, 6):
+        for e in enumerate_trace_slice(setup, m):
+            arakelov_degree(setup, m, e.x)
+            holomorphic_coefficient(setup, m, e.x)
+    mixed_coefficient(setup, 1, -15, 1.0, 1.0)
     assert principal_ideal.cache_info().misses == 0
     assert element_valuation.cache_info().misses == 0
 
@@ -626,20 +637,54 @@ def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):
     assert "class poly residual too big at d=-3" in check(random.Random(0))
 
 
-def test_degree_identity_reads_the_slice_factorization(monkeypatch):
+_slice_ideal = cmeis.field._slice_ideal
+
+
+def _bump_first_exponent(ideal):
+    (prm, e), *rest = ideal.entries
+    return FIdealFactored(((prm, e + 2), *rest))
+
+
+def _fault_at_trace(monkeypatch, trace, fault):
+    def faulty(setup, m, x, factors):
+        ideal = _slice_ideal(setup, m, x, factors)
+        return fault(ideal) if m == trace and not ideal.is_unit_ideal else ideal
+
+    monkeypatch.setattr(cmeis.field, "_slice_ideal", faulty)
+
+
+def test_degree_identity_reads_the_slice_factorization(monkeypatch, capsys):
     # one exponent off in the factorization coeffs prints, at trace 13 only
-    original = cmeis.field._slice_ideal
-
-    def bumped(setup, m, x, factors):
-        ideal = original(setup, m, x, factors)
-        if m != 13 or ideal.is_unit_ideal:
-            return ideal
-        (prm, e), *rest = ideal.entries
-        return FIdealFactored(((prm, e + 2), *rest))
-
-    monkeypatch.setattr(cmeis.field, "_slice_ideal", bumped)
+    _fault_at_trace(monkeypatch, 13, _bump_first_exponent)
     detail = SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0))
     assert detail and "4*degree != coefficient" in detail and "m=13" in detail
+    # the closed form of coherent-ratio reads the same factorization: one exponent off,
+    # or split_plus and split_minus swapped, at trace 3 only
+    where = "coherent ratio failed at x=-13, m=3, Setup(d1=-3, d2=-7)"
+    line = json.dumps(
+        {"suite": "eisenstein", "invariant": "coherent-ratio", "detail": where},
+        separators=(",", ":"),
+    )
+    for fault in (_bump_first_exponent, FIdealFactored.conjugate):
+        _fault_at_trace(monkeypatch, 3, fault)
+        assert SUITES["eisenstein"]["coherent-ratio"](random.Random(0)) == where
+        code, out, err = _run(capsys, "verify", "--suite", "eisenstein")
+        assert code == 1 and "FAIL eisenstein.coherent-ratio" in out.splitlines()
+        assert line in err.splitlines() and "Traceback" not in err
+
+
+def test_package_exports_match_module_all():
+    # the package re-exports exactly the names its math modules list in __all__;
+    # cli and verify are reached as submodules
+    modules = (cmeis.eisenstein, cmeis.exact, cmeis.field, cmeis.genus, cmeis.oracle)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cmeis, name, None) is getattr(module, name), (module.__name__, name)
+    exported = {
+        name for name, value in vars(cmeis).items()
+        if not name.startswith("_") and not isinstance(value, type(cmeis))
+    }
+    assert exported == {name for module in modules for name in module.__all__}
 
 
 def test_support_check_catches_a_broken_product_formula(monkeypatch):

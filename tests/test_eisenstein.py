@@ -12,13 +12,13 @@ import pytest
 
 import cmeis.eisenstein as eisenstein
 from cmeis.eisenstein import (
+    DegreeReport,
     _degree_report,
     arakelov_degree,
     assemble_derivative,
     coherent_coefficient,
     coherent_ratio_check,
     constant_term,
-    fourier_coefficient,
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
@@ -145,29 +145,31 @@ def test_local_factors_match_whittaker_finite():
 
 def test_coefficient_example_x1():
     # ord at the obstruction prime of alpha*P*D is 2, rho of the rest is 1
-    assert holomorphic_coefficient(S37, ALPHA_X1) == LogLinear({5: 4})
+    assert holomorphic_coefficient(S37, 1, 1) == LogLinear({5: 4})
 
 
 def test_coefficient_example_half():
-    alpha = FElem(Fraction(1, 2), 0)
-    assert holomorphic_coefficient(S34, alpha) == LogLinear({3: 4})
+    # alpha = 1/2: m = 1, x = 0
+    assert holomorphic_coefficient(S34, 1, 0) == LogLinear({3: 4})
 
 
 def test_coefficient_vanishes_for_long_diff():
     # (-4, -7), trace 3, x = 0: obstructions above 3 (twice) and 7
     s = Setup(-4, -7)
-    alpha = FElem(Fraction(3, 2), 0)
-    report = arakelov_degree(s, alpha)
+    report = arakelov_degree(s, 3, 0)
     assert len(report.diff) == 3
-    assert holomorphic_coefficient(s, alpha) == LogLinear.zero()
+    assert holomorphic_coefficient(s, 3, 0) == LogLinear.zero()
     assert report.coefficient.is_zero and report.degree.is_zero
     assert report.nu == 0 and report.reflex is None
 
 
 def test_coefficient_vanishes_outside_dual():
-    alpha = FElem(Fraction(1, 3), 0)  # sqrt(D)*alpha not integral
+    # m = 1, x = 2: x - mD is odd, so sqrt(D)*alpha = (2 + sqrt(21))/2 is not integral
+    alpha = FElem(Fraction(1, 2), Fraction(2, 42))
+    assert alpha.is_totally_positive(S37.D)
     assert not alpha.times_sqrtD(S37.D).is_integral(S37.D)
-    assert holomorphic_coefficient(S37, alpha) == LogLinear.zero()
+    assert holomorphic_coefficient(S37, 1, 2) == LogLinear.zero()
+    assert arakelov_degree(S37, 1, 2) == DegreeReport((), None, 0, 0)
 
 
 def test_coefficient_takes_no_imaginary_parts():
@@ -176,14 +178,14 @@ def test_coefficient_takes_no_imaginary_parts():
     import inspect
 
     params = inspect.signature(holomorphic_coefficient).parameters
-    assert list(params) == ["setup", "alpha"]
+    assert list(params) == ["setup", "m", "x"]
 
 
 def test_coefficient_rejects_wrong_signature():
-    with pytest.raises(ValueError):
-        holomorphic_coefficient(S37, FElem(Fraction(-1, 2), Fraction(1, 42)))
-    with pytest.raises(ValueError):
-        holomorphic_coefficient(S37, FElem(0, 0))
+    # totally negative (m = -1, x = 1), zero, and mixed (x^2 = 25 > 21)
+    for m, x in ((-1, 1), (0, 0), (1, 5), (1, -5)):
+        with pytest.raises(ValueError, match="expected a nonzero totally positive element"):
+            holomorphic_coefficient(S37, m, x)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def test_coefficient_rejects_wrong_signature():
 
 
 def test_degree_example_x1():
-    report = arakelov_degree(S37, ALPHA_X1)
+    report = arakelov_degree(S37, 1, 1)
     assert report.degree == LogLinear({5: 1})
     assert report.nu == 1
     assert report.reflex.p == 5 and report.reflex.kind == "split_minus"
@@ -222,8 +224,8 @@ def test_degree_report_golden(pair):
 
 
 def test_degree_example_d34_x2():
-    alpha = FElem(Fraction(1, 2), Fraction(2, 24))
-    report = arakelov_degree(S34, alpha)
+    # alpha = 1/2 + (2/24) sqrt(12): m = 1, x = 2
+    report = arakelov_degree(S34, 1, 2)
     assert report.degree == LogLinear({2: 1})
     assert [q.p for q in report.diff] == [2]
 
@@ -336,7 +338,7 @@ def test_coherent_ratio_identity():
         for m in (1, 2, 3):
             for e in enumerate_trace_slice(s, m):
                 if len(diff_set(s, e.ideal)) == 1:
-                    assert coherent_ratio_check(s, e.alpha)
+                    assert coherent_ratio_check(s, m, e.x)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +383,6 @@ def test_nonpositive_imaginary_part_is_rejected_whatever_the_value():
     for x, v1, v2 in ((9, -1.0, -1.0), (8, -1.0, -1.0), (7, -1.0, 1.0), (7, 1.0, -1.0)):
         with pytest.raises(ValueError, match="must be positive"):
             mixed_coefficient(S37, 1, x, v1, v2)
-    outside = FElem(Fraction(1, 3), Fraction(-5, 42))  # mixed, sqrt(D) * alpha not integral
-    with pytest.raises(ValueError, match="positive imaginary parts"):
-        fourier_coefficient(S37, outside, -1.0, 1.0)
 
 
 def test_mixed_coefficient_decreasing():
@@ -424,19 +423,22 @@ def test_mixed_coefficient_bit_identical_to_felem_reference():
 
 
 def test_fourier_coefficient_mixed_outside_inverse_different():
-    # sqrt(D) * alpha = -5/2 + sqrt(21)/3, and -3 + sqrt(21)/2 (x - mD odd)
-    for alpha in (FElem(Fraction(1, 3), Fraction(-5, 42)), FElem(Fraction(1, 2), Fraction(-6, 42))):
-        assert alpha.embedding_sign(S37.D, 1) < 0 < alpha.embedding_sign(S37.D, 2)
-        assert fourier_coefficient(S37, alpha, 1.0, 1.0) == 0
+    # m = 1, x = -6 and 6: sqrt(D) * alpha = (x + sqrt(21))/2 is not integral (x - mD odd),
+    # on either side of the totally positive range
+    for x, sign in ((-6, 1), (6, 2)):
+        alpha = FElem(Fraction(1, 2), Fraction(x, 42))
+        assert alpha.embedding_sign(S37.D, sign) < 0 < alpha.embedding_sign(S37.D, 3 - sign)
+        assert mixed_coefficient(S37, 1, x, 1.0, 1.0) == 0
 
 
 def test_totally_positive_index_with_cancelling_valuations():
     # sqrt(D) * alpha = (-21 + 11*sqrt(21))/5 has valuations +1 and -1 above
-    # 5 although its norm is prime to 5: alpha is outside the inverse different
+    # 5 although its norm is prime to 5: alpha is outside the inverse different,
+    # and its trace 22/5 gives the closed form no (m, x)
     alpha = FElem(Fraction(11, 5), Fraction(-1, 5))
     assert alpha.is_totally_positive(S37.D)
-    assert fourier_coefficient(S37, alpha) == LogLinear.zero()
-    assert arakelov_degree(S37, alpha).reflex is None
+    assert alpha.trace() == Fraction(22, 5)
+    assert not principal_ideal(S37, alpha.times_sqrtD(S37.D)).is_integral
     with pytest.raises(ValueError, match="outside the inverse different"):
         assemble_derivative(S37, alpha)
 
@@ -476,25 +478,3 @@ def test_constant_term_rejects_bad_v():
     with pytest.raises(ValueError):
         constant_term(S37, 0, 1)
 
-
-# ---------------------------------------------------------------------------
-# the signature dispatcher
-
-
-def test_fourier_coefficient_dispatch():
-    from cmeis.eisenstein import fourier_coefficient
-
-    assert fourier_coefficient(S37, ALPHA_X1) == LogLinear({5: 4})
-    # totally negative: identically zero, no imaginary parts consulted
-    assert fourier_coefficient(S37, FElem(Fraction(-1, 2), Fraction(1, 42))) == (
-        LogLinear.zero()
-    )
-    mixed = FElem(Fraction(1, 2), Fraction(-5, 42))
-    assert fourier_coefficient(S37, mixed, 1.0, 1.0) == mixed_coefficient(
-        S37, 1, -5, 1.0, 1.0, 128
-    )
-    with pytest.raises(ValueError):
-        fourier_coefficient(S37, mixed)  # mixed needs imaginary parts
-    assert fourier_coefficient(S37, FElem(0, 0), 1.0, 1.0) == constant_term(
-        S37, 1.0, 1.0, 128
-    )

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cmeis.field
+from cmeis.eisenstein import _index_ideal
 from cmeis.exact import factor, hilbert_symbol, is_prime, padic_val
 from cmeis.field import (
     FElem,
@@ -267,7 +268,10 @@ def test_slice_ideal_matches_principal_ideal(index):
     s, m, x = index
     n = abs(m * m * s.D - x * x) // 4
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
-    assert _slice_ideal(s, m, x, factor(n)) == principal_ideal(s, gen)
+    ideal = principal_ideal(s, gen)
+    assert _slice_ideal(s, m, x, factor(n)) == ideal
+    # the closed form's one-index sieve, x of either sign, m <= 0 included
+    assert _index_ideal(s, m, x) == ideal
 
 
 def _mirror_holds(s, m, x):
