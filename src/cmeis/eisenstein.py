@@ -227,11 +227,12 @@ class DegreeReport:
 def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
     """``arakelov_degree`` of the index whose ideal alpha * (different) is ``ideal``.
 
-    Finds the obstruction set, its one prime P, ord_P(ideal) + 1 and rho of
-    the ideal with P's entry taken off; builds no ``LogLinear`` or ``Fraction``.
+    Takes the line sieve's integral ideal.  Finds the obstruction set, its
+    one prime P, ord_P(ideal) + 1 and rho of the ideal less P's entry;
+    builds no ``LogLinear`` or ``Fraction``.
     """
     diff = diff_set(setup, ideal)
-    if not ideal.is_integral or len(diff) != 1:
+    if len(diff) != 1:
         return DegreeReport(diff, None, 0, 0)
     prm = diff[0]
     if prm.residue_degree != 1:

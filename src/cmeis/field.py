@@ -29,9 +29,9 @@ serves the slice and the mixed-signature x > m*sqrt(D), of norm
 (x^2 - m^2*D)/4, dividing each small p out at those indices only, as in
 the quadratic sieve.  The ideal then comes
 from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
-t to both primes above it and the other e - 2t to the one prime whose
-root class holds the rest, where p^t is the p-part of the content of
-(x + m*sqrt(D))/2 (after Gross-Zagier, On singular moduli).  The slice
+t to both primes above it and the other e - 2t to the one prime P where
+sqrt(D) = -x/m, p^t the p-part of the content of (x + m*sqrt(D))/2
+(after Gross-Zagier, On singular moduli): the index names P.  The slice
 factors only x >= 0: x -> -x is the Galois conjugation of F, so the
 ideal at -x is the conjugate of the one at x (the split primes swap).
 A single index, of either sign, is a one-element range.
@@ -212,10 +212,10 @@ _CONJUGATE_KIND = {"split_plus": "split_minus", "split_minus": "split_plus"}
 class FPrimeIdeal:
     """Prime of F above p, with its splitting kind.
 
-    For split p, "split_plus" is (p, sqrt(D) - r) and "split_minus" is
-    (p, sqrt(D) + r), where r = sqrt_mod_prime_power(D, p, k) is the
-    canonical root; its lifts to higher k agree mod p, so the labels are
-    deterministic.
+    For split p, F_P = Q_p; "split_plus" sends sqrt(D) to the p-adic root
+    of D that is r mod p, r the least root of D mod p (mod 4 at p = 2,
+    r = 1), so it is (p, sqrt(D) - r) at odd p; "split_minus" is its
+    conjugate.  Each lift sqrt_mod_prime_power(D, p, k) reduces to r.
     """
 
     p: int
@@ -402,12 +402,6 @@ class TraceSliceElement:
     ideal: FIdealFactored  # (sqrt(D) * alpha), integral of norm n
 
 
-@lru_cache(maxsize=1 << 14)
-def _root_mod(D: int, p: int) -> int:
-    """The canonical root of D at a split p, mod p (mod 4 at p = 2, where it is 1)."""
-    return sqrt_mod_prime_power(D, p, 1 + (p == 2))
-
-
 def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     """The integral ((x + m*sqrt(D))/2), whatever its signs, from its norm's factors.
 
@@ -416,11 +410,12 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     element is p^t * (u + w*sqrt(D))/2 with t as large as it can be:
     p^t | x and p^t | m, and at p = 2 also u = w (mod 2), so that the
     quotient stays integral.  Both primes above p take t.  The quotient
-    lies in at most one of them, so the other e - 2t go to
-    split_plus = (p, sqrt(D) - r) when u = -w*r (mod p) and to
-    split_minus when u = w*r, r the canonical root (mod 4 at p = 2);
-    when e > 2t exactly one of the two must hold.  The entries come out
-    in sort_key order.
+    lies in at most one of them, the P where sqrt(D) = s = -u/w (mod q,
+    q = p, or 4 at p = 2), so when e > 2t, p must not divide w and s
+    must be a root of D mod q.  The other e - 2t then go to split_plus
+    when s is the least root (2s < q, see ``FPrimeIdeal``) and to
+    split_minus otherwise.  No root of D is looked up.  The entries come
+    out in sort_key order.
     """
     D = setup.D
     entries = []
@@ -437,16 +432,16 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
             u, w, t = x, m, 0
             while u % p == 0 and w % p == 0 and (p > 2 or (u - w) % 4 == 0):
                 u, w, t = u // p, w // p, t + 1
-            plus = minus = False
+            beyond = [0, 0]  # the exponents past t at split_plus, split_minus
             if e > 2 * t:
-                q, r = 4 if p == 2 else p, _root_mod(D, p)
-                plus, minus = (u + w * r) % q == 0, (u - w * r) % q == 0
-                if plus == minus:
+                q = 4 if p == 2 else p
+                s = -u * pow(w, -1, q) % q if w % p else None  # sqrt(D) = s mod P
+                if s is None or (s * s - D) % q:
                     raise InvariantError("x is not in exactly one root class of a split prime")
-            if t or plus:
-                entries.append((prms[0], t + plus * (e - 2 * t)))
-            if t or minus:
-                entries.append((prms[1], t + minus * (e - 2 * t)))
+                beyond[2 * s > q] = e - 2 * t
+            for prm, f in zip(prms, beyond):
+                if t or f:
+                    entries.append((prm, t + f))
     return FIdealFactored(tuple(entries))
 
 
@@ -456,7 +451,8 @@ def _line_sieve(setup: Setup, m: int, xs: range):
     The nonzero norms n(x) = |m^2*D - x^2|/4 of the range are factored
     in one sieve: the 2-part comes off each by bit arithmetic, and each
     odd prime p <= min(sqrt(max n), 997) is divided out only at the
-    indices of its root classes mod p (see the module docstring).  What
+    indices of its root classes mod p (see the module docstring; any
+    root r = sqrt_mod_prime_power(D, p, 1) gives a split p's +/-m*r).  What
     is left of each n(x) is 1 or prime, unless n > 997^2, when a composite
     rest goes to ``factor``.  The ideal is that of (x + m*sqrt(D))/2.
     """
@@ -477,7 +473,7 @@ def _line_sieve(setup: Setup, m: int, xs: range):
         elif prime_ideals_above(setup, p)[0].kind == "inert":
             continue
         else:
-            c = m * _root_mod(D, p) % p
+            c = m * sqrt_mod_prime_power(D, p, 1) % p
             classes = (c, p - c)
         half = (p + 1) // 2  # 1/2 mod p: x = x0 + 2i is in class c at i = (c - x0)/2
         for c in classes:

@@ -569,6 +569,9 @@ def run_suites(names, seed: int = 0) -> list[CheckResult]:
     for suite in names:
         rng = random.Random((seed, suite).__repr__())
         for name, check in SUITES[suite].items():
-            detail = check(rng)
+            try:
+                detail = check(rng)
+            except Exception as exc:  # a check that raises has failed
+                detail = f"{type(exc).__name__}: {exc}"
             results.append(CheckResult(suite, name, detail is None, detail or ""))
     return results

@@ -305,21 +305,21 @@ from cmeis.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
-# (fault, argv, message): a wrong root at p = 2 | gcd(x, m = 2) in (-7, -23),
-# which the quotient by the 2-part of the content then fits in neither class,
-# and a wrong root at 5, which splits in Q(sqrt(21)) and divides n(1) = 5 at
-# m = 1
+# (fault, argv, message): a factor list that claims a split prime the index does
+# not name, past the content of (x + m sqrt(D))/2 = p^t (u + w sqrt(D))/2: 37, which
+# splits in Q(sqrt(21)) and divides no n(x) at trace 1, and 5 at trace 5, which
+# divides m and not x = 1, so it stays in w
 _INVARIANT_FAULTS = (
     (
-        "root = cmeis.field._root_mod\n"
-        "cmeis.field._root_mod = lambda D, p: root(D, p) + (p == 2)",
-        ["degree", "--d1", "-7", "--d2", "-23", "--m", "2"],
+        "slice_ideal = cmeis.field._slice_ideal\n"
+        "cmeis.field._slice_ideal = lambda s, m, x, fs: slice_ideal(s, m, x, fs + [(37, 1)])",
+        ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"],
         "x is not in exactly one root class of a split prime",
     ),
     (
-        "root = cmeis.field.sqrt_mod_prime_power\n"
-        "cmeis.field.sqrt_mod_prime_power = lambda D, p, k: root(D, p, k) + 1",
-        ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"],
+        "slice_ideal = cmeis.field._slice_ideal\n"
+        "cmeis.field._slice_ideal = lambda s, m, x, fs: slice_ideal(s, m, x, [(5, 1)] + fs)",
+        ["degree", "--d1", "-3", "--d2", "-7", "--m", "5"],
         "x is not in exactly one root class of a split prime",
     ),
 )
@@ -351,6 +351,35 @@ def test_violated_invariant_is_exit_1_with_json():
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == ['{"invariant":"%s"}' % message]
+
+
+def test_verify_reports_a_check_that_raises_as_its_fail(monkeypatch, capsys):
+    # one more at p = 5 from element_valuation: the assembly raises ValueError under
+    # degree-coefficient-identity, principal_ideal raises InvariantError under
+    # trace-slice-invariants; each is that check's FAIL, and the later checks still run
+    for module, suite, check, detail in (
+        (cmeis.eisenstein, "eisenstein", "degree-coefficient-identity",
+         "ValueError: assembly needs a single obstruction prime"),
+        (cmeis.field, "field", "trace-slice-invariants",
+         "InvariantError: valuations disagree with the norm"),
+    ):
+        monkeypatch.setattr(
+            module, "element_valuation",
+            lambda setup, beta, prm: element_valuation(setup, beta, prm) + (prm.p == 5),
+        )
+        principal_ideal.cache_clear()
+        try:
+            code, out, err = _run(capsys, "verify", "--suite", suite)
+        finally:
+            monkeypatch.undo()
+            principal_ideal.cache_clear()
+        assert code == 1
+        statuses = {line.split()[1]: line.split()[0] for line in out.splitlines()}
+        assert list(statuses) == [f"{suite}.{name}" for name in SUITES[suite]]
+        assert statuses[f"{suite}.{check}"] == "FAIL"
+        line = {"suite": suite, "invariant": check, "detail": detail}
+        assert line in [json.loads(text) for text in err.splitlines()]
+        assert "Traceback" not in err
 
 
 def test_degree_command(capsys):
@@ -503,6 +532,16 @@ def test_production_path_reads_no_hensel_lift(monkeypatch):
         raise AssertionError("_split_valuation on the production path")
 
     monkeypatch.setattr(cmeis.field, "_split_valuation", lift)
+    assert run() == want
+    # nor a root of D, but for the sieve's class table: odd p <= 997, mod p
+    root = cmeis.field.sqrt_mod_prime_power
+
+    def table_root(D, p, k):
+        if k > 1 or p > 997:
+            raise AssertionError(f"sqrt_mod_prime_power({D}, {p}, {k}) on the production path")
+        return root(D, p, k)
+
+    monkeypatch.setattr(cmeis.field, "sqrt_mod_prime_power", table_root)
     assert run() == want
 
 

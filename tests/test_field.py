@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cmeis.field
 from cmeis.eisenstein import _index_ideal
-from cmeis.exact import factor, hilbert_symbol, is_prime, padic_val
+from cmeis.exact import InvariantError, factor, hilbert_symbol, is_prime, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
@@ -301,18 +301,39 @@ def test_slice_ideal_mirror_can_fail(monkeypatch):
     assert SUITES["field"]["trace-slice-invariants"](random.Random(0))
 
 
-def test_slice_ideal_checksum_can_fail(monkeypatch):
-    # at a split p | gcd(x, m) a wrong root puts the quotient by the p-part of
-    # the content in neither class: in (-7, -23) 2 splits, and at m = 2 it
-    # divides every x
-    root_mod = cmeis.field._root_mod
-    monkeypatch.setattr(cmeis.field, "_root_mod", lambda D, p: root_mod(D, p) + (p == 2))
-    with pytest.raises(AssertionError, match="not in exactly one root class"):
-        enumerate_trace_slice(Setup(-7, -23), 2)
-    # at a split p not dividing gcd(x, m) a wrong root puts x in neither class
-    monkeypatch.setattr(cmeis.field, "_root_mod", lambda D, p: root_mod(D, p) + 1)
-    with pytest.raises(AssertionError, match="not in exactly one root class"):
-        enumerate_trace_slice(Setup(-7, -23), 1)
+def test_slice_ideal_checksum_can_fail():
+    # a factor list that claims a split p past the content of (x + m sqrt(D))/2
+    # = p^t (u + w sqrt(D))/2 must name the prime where sqrt(D) = -u/w: in
+    # Q(sqrt(21)) 37 splits but does not divide n(1) = 5 at m = 1, and at m = 5
+    # the claimed 5 divides w; in Q(sqrt(161)) 2 splits, and at m = 2, x = 0
+    # the content is 1 and w = 2 is even
+    for setup, m, x, factors in (
+        (Setup(-3, -7), 1, 1, [(37, 1)]),
+        (Setup(-3, -7), 5, 1, [(5, 1), (131, 1)]),
+        (Setup(-7, -23), 2, 0, [(2, 1), (7, 1), (23, 1)]),
+    ):
+        with pytest.raises(InvariantError, match="not in exactly one root class"):
+            _slice_ideal(setup, m, x, factors)
+
+
+def test_swapped_root_fails_the_slice_checks(monkeypatch):
+    # the other root of D at odd p swaps split_plus and split_minus on the Hensel
+    # check path alone: the trace line reads each split prime's side off the index
+    root = cmeis.field.sqrt_mod_prime_power
+    monkeypatch.setattr(
+        cmeis.field, "sqrt_mod_prime_power",
+        lambda D, p, k: root(D, p, k) if p == 2 else p**k - root(D, p, k),
+    )
+    principal_ideal.cache_clear()
+    element_valuation.cache_clear()
+    try:
+        detail = SUITES["field"]["trace-slice-invariants"](random.Random(0))
+        assert detail == "slice invariants failed at x=-1, Setup(d1=-3, d2=-7)"
+        detail = SUITES["eisenstein"]["coherent-ratio"](random.Random(0))
+        assert detail == "coherent ratio failed at x=-1, m=1, Setup(d1=-3, d2=-7)"
+    finally:
+        principal_ideal.cache_clear()
+        element_valuation.cache_clear()
 
 
 _SIEVE_CASES = [(pair, range(1, 41)) for pair in MATRIX] + [
