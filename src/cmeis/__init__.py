@@ -10,7 +10,6 @@ polynomials.
 
 from .eisenstein import (
     DegreeReport,
-    WhittakerData,
     arakelov_degree,
     assemble_derivative,
     coherent_coefficient,
@@ -19,7 +18,6 @@ from .eisenstein import (
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
-    whittaker_finite,
 )
 from .exact import (
     OO,

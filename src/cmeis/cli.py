@@ -306,18 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d1", type=int, required=True, help="first negative fundamental discriminant")
     common.add_argument("--d2", type=int, required=True, help="second negative fundamental discriminant")
-    common.add_argument(
+    floats = argparse.ArgumentParser(add_help=False)  # for the commands that print floats
+    floats.add_argument(
         "--digits", type=_positive_int, default=30, help="significant digits for floats (default 30)"
     )
 
-    p_coeffs = sub.add_parser("coeffs", parents=[common], help="stream coefficient records")
+    p_coeffs = sub.add_parser("coeffs", parents=[common, floats], help="stream coefficient records")
     p_coeffs.add_argument("--trace-max", type=_positive_int, required=True, metavar="M")
     p_coeffs.add_argument("--v1", type=float, default=None, help="first imaginary part")
     p_coeffs.add_argument("--v2", type=float, default=None, help="second imaginary part")
     p_coeffs.add_argument("--format", choices=("json", "csv"), default="json")
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
-    p_degree = sub.add_parser("degree", parents=[common], help="trace-m Arakelov degree")
+    p_degree = sub.add_parser("degree", parents=[common, floats], help="trace-m Arakelov degree")
     p_degree.add_argument("--m", type=_positive_int, required=True)
     p_degree.set_defaults(func=_cmd_degree)
 

@@ -63,7 +63,6 @@ from .oracle import e1, lambda_at_zero
 
 __all__ = [
     "DegreeReport",
-    "WhittakerData",
     "arakelov_degree",
     "assemble_derivative",
     "coherent_coefficient",
@@ -72,29 +71,10 @@ __all__ = [
     "holomorphic_coefficient",
     "mixed_coefficient",
     "trace_degree",
-    "whittaker_finite",
 ]
 
 # the two archimedean center values of a totally positive index: (-2i)^2
 _ARCH_PRODUCT = -4
-
-
-@dataclass(frozen=True)
-class WhittakerData:
-    """Exact value and derivative at the center of one finite local factor.
-
-    Stores integers only: ``value0`` and ``deriv_coeff``, the coefficient
-    of log p in the derivative; ``deriv0`` is that derivative as a
-    ``LogLinear``, derived on access.
-    """
-
-    place: FPrimeIdeal
-    value0: int
-    deriv_coeff: int
-
-    @property
-    def deriv0(self) -> LogLinear:
-        return LogLinear._unchecked({self.place.p: Fraction(self.deriv_coeff)})
 
 
 def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal) -> tuple[int, int]:
@@ -117,15 +97,6 @@ def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal) -> tuple[int, int]:
     # (1/2) ord_P(D): nonzero only at ramified primes, where ord_P(D) = 2 ord_p(D)
     half_different = padic_val(setup.D, prm.p) if prm.kind == "ramified" else 0
     return value, prm.residue_degree * (half_different * value + weighted)
-
-
-def whittaker_finite(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> WhittakerData:
-    """Normalized local Whittaker value/derivative at a finite prime.
-
-    The two integers are ``_local_sums`` at P of sqrt(D) * alpha, the same
-    kernel the assembly runs at every place.
-    """
-    return WhittakerData(prm, *_local_sums(setup, alpha.times_sqrtD(setup.D), prm))
 
 
 def _index_ideal(setup: Setup, m: int, x: int) -> FIdealFactored:
@@ -288,15 +259,15 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     return degree
 
 
-def _local_factors(setup: Setup, alpha: FElem) -> tuple[WhittakerData, int]:
-    """The obstruction place's Whittaker data and the product of the other center values.
+def _local_factors(setup: Setup, alpha: FElem) -> tuple[FPrimeIdeal, int, int]:
+    """(place, deriv_coeff, scalar): the obstruction place, its derivative, the other values.
 
     Finite values are 1 off the primes of N(sqrt(D) * alpha); the obstruction
     place is the unique one where sum_{r<=t} chi(P)^r = 0 (chi(P) = -1, t odd).
     sqrt(D) * alpha is built once, ``_local_sums`` runs at every prime of
     its norm, both split primes included, and the nonzero center values
-    multiply as integers, with the archimedean (-2i)^2; only the
-    obstruction place becomes a ``WhittakerData``.
+    multiply as integers, with the archimedean (-2i)^2 (``scalar``); the
+    obstruction place keeps its coefficient of log p (``deriv_coeff``).
     """
     if alpha.is_zero or not alpha.is_totally_positive(setup.D):
         raise ValueError("expected a nonzero totally positive element")
@@ -311,10 +282,10 @@ def _local_factors(setup: Setup, alpha: FElem) -> tuple[WhittakerData, int]:
             if value:
                 scalar *= value
             else:
-                zeros.append(WhittakerData(prm, value, deriv_coeff))
+                zeros.append((prm, deriv_coeff))
     if len(zeros) != 1:
         raise ValueError("assembly needs a single obstruction prime")
-    return zeros[0], scalar
+    return (*zeros[0], scalar)
 
 
 def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
@@ -325,11 +296,11 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     times all the other center values (finite and archimedean).  Nothing
     is shared with the closed form: every factor is the literal finite sum.
     """
-    obstruction, scalar = _local_factors(setup, alpha)
-    coeff = obstruction.deriv_coeff * scalar
+    place, deriv_coeff, scalar = _local_factors(setup, alpha)
+    coeff = deriv_coeff * scalar
     if coeff < 0:
         raise InvariantError("coefficient must be nonnegative")
-    return LogLinear._unchecked({obstruction.place.p: Fraction(coeff)})
+    return LogLinear._unchecked({place.p: Fraction(coeff)})
 
 
 def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
@@ -338,8 +309,8 @@ def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
     Assembled as (-1) * prod of untouched center values * (-2i)^2, as in
     ``assemble_derivative``, and asserted against 4 * rho(alpha*D/P).
     """
-    obstruction, scalar = _local_factors(setup, alpha)
-    if obstruction.place != prm:
+    place, _, scalar = _local_factors(setup, alpha)
+    if place != prm:
         raise ValueError("the twisted section needs the unique obstruction prime")
     value = -scalar  # the section twisted at P has center value -1 there
     ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
@@ -354,11 +325,11 @@ def coherent_ratio_check(setup: Setup, m: int, x: int) -> bool:
     The ``arakelov_degree`` report, read off the line sieve, gives the
     obstruction prime P, nu and the closed-form coefficient.  The assembled
     derivative and the coherent value (asserted against 4 * rho of
-    ``principal_ideal``) both come from ``whittaker_finite``'s literal sums
-    on the ``FElem`` alpha, which find P on their own as the center value
-    0; the identity fails if that place is not the report's P.  The
-    assembly and the report's coefficient are each compared with
-    nu * log p * (coherent value).
+    ``principal_ideal``) both come from ``_local_factors``: the literal
+    sums of ``_local_sums`` on the ``FElem`` alpha, which find P on their
+    own as the center value 0; the identity fails if that place is not
+    the report's P.  The assembly and the report's coefficient are each
+    compared with nu * log p * (coherent value).
     """
     report = arakelov_degree(setup, m, x)
     if report.reflex is None:

@@ -561,20 +561,12 @@ def local_invariants(setup: Setup, alpha: FElem) -> dict:
     return _diagonal_signs(_invariant_diagonal(setup, alpha))
 
 
-def support(setup: Setup, alpha: FElem, signs_by_diagonal: dict | None = None) -> set[int]:
+def support(setup: Setup, alpha: FElem) -> set[int]:
     """Finite places where the local obstruction sign is -1.
 
     For totally positive alpha the sign at OO is -1 (the diagonal is
     positive definite, and (-1,-1) is -1 there), so by the product formula
-    the set is finite and of odd cardinality.  A caller that asks for many
-    indices may pass a dict of its own, diagonal -> signs: the signs of a
-    diagonal already in it are read back, not computed again.
+    the set is finite and of odd cardinality.
     """
-    if signs_by_diagonal is None:
-        signs = local_invariants(setup, alpha)
-    else:
-        diag = _invariant_diagonal(setup, alpha)
-        signs = signs_by_diagonal.get(diag)
-        if signs is None:
-            signs = signs_by_diagonal[diag] = _diagonal_signs(diag)
+    signs = local_invariants(setup, alpha)
     return {pl for pl, sign in signs.items() if sign == -1} - {OO}

@@ -11,7 +11,7 @@ rho(b) counts integral ideals of K with relative norm b: the local factor
 at P is e+1 when chi(P) = +1 and (1 if e even else 0) when chi(P) = -1,
 and 0 whenever b has a pole.  The same local factors reappear as the
 center values of the finite Whittaker functions, where
-``eisenstein.whittaker_finite`` sums them term by term.
+``eisenstein._local_sums`` sums them term by term.
 """
 
 from __future__ import annotations
@@ -128,11 +128,10 @@ def prime_multiplicity(setup: Setup, ideal: FIdealFactored, p: int) -> int:
     """sum over primes P above p of ord_P(ideal * P) * rho(ideal / P).
 
     Zero when p splits in either imaginary field, and zero unless the
-    ideal is integral.
+    ideal is integral: a pole of the ideal is a pole of every ideal / P,
+    where rho is 0.
     """
     if kronecker(setup.d1, p) == 1 or kronecker(setup.d2, p) == 1:
-        return 0
-    if not ideal.is_integral:
         return 0
     total = 0
     for prm in prime_ideals_above(setup, p):

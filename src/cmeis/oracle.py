@@ -267,9 +267,7 @@ def _fixed_point_series(coeffs, q, period: int, bits: int):
     z_re, z_im = (q_re << scale) // rho, (q_im << scale) // rho
     zetas = [(one, 0)]  # zeta^k for k = 0..period
     for _ in range(period):
-        w_re, w_im = zetas[-1]
-        ac, bd = w_re * z_re, w_im * z_im
-        zetas.append(((ac - bd) >> scale, ((w_re + w_im) * (z_re + z_im) - ac - bd) >> scale))
+        zetas.append(_gmul(zetas[-1], (z_re, z_im), scale))
     flip = zetas[-1][0] < 0  # zeta^period is -1
     bins, laps = [0] * period, [0] * period
     bins[0] = coeffs[0] << scale

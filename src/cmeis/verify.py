@@ -380,10 +380,10 @@ def _orbital_product(rng: random.Random) -> str | None:
 
 def _degree_coefficient_identity(rng: random.Random) -> str | None:
     # closed form from the slice's factorization (what coeffs prints), assembly from valuations;
-    # x and -x share a Hasse diagonal, so each line keeps the signs of the diagonals it met
+    # x and -x share a Hasse diagonal, so each line takes the support once per |x|
     for setup in _setups():
         for m in range(1, 21):
-            signs_by_diagonal: dict = {}
+            supports: dict[int, set[int]] = {}
             line = f"m={m}, {setup}"
             for e in enumerate_trace_slice(setup, m):
                 rep = eisenstein._degree_report(setup, e.ideal)
@@ -396,7 +396,10 @@ def _degree_coefficient_identity(rng: random.Random) -> str | None:
                 # coefficient = 4 * degree by DegreeReport's construction
                 if rep.coefficient != eisenstein.assemble_derivative(setup, e.alpha):
                     return f"4*degree != coefficient at x={e.x}, {line}"
-                if rep.reflex.p not in support(setup, e.alpha, signs_by_diagonal):
+                spt = supports.get(abs(e.x))
+                if spt is None:
+                    spt = supports[abs(e.x)] = support(setup, e.alpha)
+                if rep.reflex.p not in spt:
                     return f"degree support outside obstruction at x={e.x}, {line}"
     return None
 

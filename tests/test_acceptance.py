@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from cmeis.eisenstein import (
     arakelov_degree,
@@ -189,7 +188,7 @@ def _phi2(x: int, y: int) -> int:
 
 
 def test_criterion_7_hecke_correspondence_analogue():
-    """Experimental: trace-2 degree against the level-2 composed resultant."""
+    """Trace-2 degree against the level-2 composed resultant, for (-3, -7)."""
     started = time.time()
     assert _phi2(1728, 287496) == 0  # j(i), j(2i)
     setup = Setup(-3, -7)
@@ -200,11 +199,9 @@ def test_criterion_7_hecke_correspondence_analogue():
     composed = _phi2(j1, j2)
     scale = Fraction(8, setup.w1 * setup.w2)
     expected = LogLinear({p: scale * e for p, e in factor(abs(composed))})
-    got = trace_degree(setup, 2)
-    if got != expected:
-        pytest.xfail(f"experimental analogue fails: {got} vs {expected}")
+    assert trace_degree(setup, 2) == expected
     assert abs(composed) == 57375**3
-    _report("criterion-7 (optional) level-2 correspondence", started)
+    _report("criterion-7 level-2 correspondence", started)
 
 
 def test_criterion_8_coherent_incoherent_identity():

@@ -165,6 +165,17 @@ def test_trace_max_zero_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_digits_is_refused_where_no_float_is_printed(capsys):
+    # singular-moduli prints integers only, so --digits is not one of its flags
+    with pytest.raises(SystemExit) as exc:
+        main(["singular-moduli", "--d1", "-3", "--d2", "-7", "--digits", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --digits 5" in capsys.readouterr().err
+    for argv in (["coeffs", "--trace-max", "1"], ["degree", "--m", "1"]):
+        code, out, _ = _run(capsys, *argv, "--d1", "-3", "--d2", "-7", "--digits", "5")
+        assert code == 0 and out
+
+
 def test_bad_setup_is_exit_2(capsys):
     code, _, err = _run(capsys, "degree", "--d1", "-9", "--d2", "-7", "--m", "1")
     assert code == 2
@@ -767,16 +778,17 @@ def test_identity_failure_names_the_index(monkeypatch, failure):
 
 
 def test_identity_check_signs_each_diagonal_once_per_line(monkeypatch):
-    # x and -x share a Hasse diagonal: each trace line takes its signs once
+    # x and -x share a Hasse diagonal: each trace line takes its signs once per |x|
     setup = Setup(-7, -23)
     expected, indices = [], 0
     for m in range(1, 21):
-        line = set()
+        line = {}
         for e in enumerate_trace_slice(setup, m):
             if len(cmeis.genus.diff_set(setup, e.ideal)) == 1:
-                line.add(_invariant_diagonal(setup, e.alpha))
+                diag = _invariant_diagonal(setup, e.alpha)
+                assert line.setdefault(abs(e.x), diag) == diag
                 indices += 1
-        expected += line
+        expected += line.values()
     calls = []
     real = cmeis.field._diagonal_signs
     monkeypatch.setattr(cmeis.field, "_diagonal_signs", lambda diag: calls.append(diag) or real(diag))

@@ -22,7 +22,6 @@ from cmeis.eisenstein import (
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
-    whittaker_finite,
 )
 from cmeis.exact import LogLinear, factor
 from cmeis.field import (
@@ -45,50 +44,45 @@ ALPHA_X1 = FElem(Fraction(1, 2), Fraction(1, 42))  # trace-1 slice, x = 1
 
 
 # ---------------------------------------------------------------------------
-# local Whittaker data
+# local Whittaker data: (value0, deriv_coeff) from the one kernel, at sqrt(D) * alpha
+
+
+def _sums(setup, alpha, prm):
+    return eisenstein._local_sums(setup, alpha.times_sqrtD(setup.D), prm)
 
 
 def test_whittaker_finite_unramified_trivial():
     (inert2,) = prime_ideals_above(S37, 2)
-    w = whittaker_finite(S37, ALPHA_X1, inert2)
-    assert w.value0 == 1
-    assert w.deriv0 == LogLinear.zero()
+    assert _sums(S37, ALPHA_X1, inert2) == (1, 0)
 
 
 def test_whittaker_finite_ramified_outside_index():
     # P7 divides the different but not alpha * different: the derivative
-    # carries only the |D|^(-s/2) factor
+    # carries only the |D|^(-s/2) factor, 1 * log 7
     (ram7,) = prime_ideals_above(S37, 7)
-    w = whittaker_finite(S37, ALPHA_X1, ram7)
-    assert w.value0 == 1
-    assert w.deriv0 == LogLinear({7: 1})
+    assert _sums(S37, ALPHA_X1, ram7) == (1, 1)
 
 
 def test_whittaker_finite_at_obstruction():
     _, minus = prime_ideals_above(S37, 5)
-    w = whittaker_finite(S37, ALPHA_X1, minus)
-    assert w.value0 == 0
-    assert w.deriv0 == LogLinear({5: -1})  # -(1/2) * 2 * log 5
+    assert _sums(S37, ALPHA_X1, minus) == (0, -1)  # -(1/2) * 2 * log 5
 
 
 def _local_sums_case(setup, alpha, prm, eps, t):
     assert genus_char_prime(setup, prm) == eps
     assert element_valuation(setup, alpha.times_sqrtD(setup.D), prm) == t
-    return whittaker_finite(setup, alpha, prm)
+    return _sums(setup, alpha, prm)
 
 
 def test_whittaker_finite_local_sums():
     # the center value is sum eps^r and the derivative f * sum r eps^r at
     # an unramified prime, for r = 0..t
     plus, _ = prime_ideals_above(S37, 5)
-    w = _local_sums_case(S37, ALPHA_X1, plus, -1, 0)
-    assert (w.value0, w.deriv0) == (1, LogLinear.zero())
+    assert _local_sums_case(S37, ALPHA_X1, plus, -1, 0) == (1, 0)
     # (-3, -7), m = 4, x = 4: the inert prime above 2 (residue degree 2)
     (inert2,) = prime_ideals_above(S37, 2)
     alpha = FElem(2, Fraction(4, 42))
-    w = _local_sums_case(S37, alpha, inert2, 1, 2)
-    assert w.value0 == 3
-    assert w.deriv0 == LogLinear({2: 6})
+    assert _local_sums_case(S37, alpha, inert2, 1, 2) == (3, 6)  # 6 * log 2
 
 
 def test_whittaker_coherent_swap():
@@ -96,14 +90,12 @@ def test_whittaker_coherent_swap():
     # center value for -1; every other factor, (-2i)^2 included, stays
     _, minus = prime_ideals_above(S37, 5)
     ideal = principal_ideal(S37, ALPHA_X1.times_sqrtD(S37.D))
-    others = [whittaker_finite(S37, ALPHA_X1, prm).value0 for prm, _ in ideal.entries]
-    others.remove(whittaker_finite(S37, ALPHA_X1, minus).value0)
+    others = [_sums(S37, ALPHA_X1, prm)[0] for prm, _ in ideal.entries]
+    others.remove(_sums(S37, ALPHA_X1, minus)[0])
     assert coherent_coefficient(S37, ALPHA_X1, minus) == -1 * -4 * math.prod(others)
 
 
 def test_whittaker_finite_rejects_pole():
-    from cmeis.field import element_valuation
-
     bad = FElem(Fraction(1, 10), Fraction(1, 10))  # pole above 5
     gen = bad.times_sqrtD(S37.D)
     polar = [
@@ -113,11 +105,11 @@ def test_whittaker_finite_rejects_pole():
     ]
     assert polar
     with pytest.raises(ValueError):
-        whittaker_finite(S37, bad, polar[0])
+        _sums(S37, bad, polar[0])
 
 
 def test_local_factors_match_whittaker_finite():
-    # the assembly's one pass over the places gives whittaker_finite's data at
+    # the assembly's one pass over the places gives the kernel's derivative at
     # the obstruction place and -4 times every other place's center value
     cases = 0
     for pair in TEST_MATRIX:
@@ -126,13 +118,13 @@ def test_local_factors_match_whittaker_finite():
             for e in enumerate_trace_slice(s, m):
                 if len(diff_set(s, e.ideal)) != 1:
                     continue
-                obstruction, scalar = eisenstein._local_factors(s, e.alpha)
-                assert obstruction == whittaker_finite(s, e.alpha, obstruction.place)
+                place, deriv_coeff, scalar = eisenstein._local_factors(s, e.alpha)
+                assert _sums(s, e.alpha, place) == (0, deriv_coeff)
                 others = [
-                    whittaker_finite(s, e.alpha, prm).value0
+                    _sums(s, e.alpha, prm)[0]
                     for p in factor(e.n).primes()
                     for prm in prime_ideals_above(s, p)
-                    if prm != obstruction.place
+                    if prm != place
                 ]
                 assert scalar == -4 * math.prod(others)
                 cases += 1
