@@ -1,11 +1,12 @@
 """Exact arithmetic foundations.
 
 Integer factorization, quadratic residue symbols (Kronecker, Hilbert,
-Hasse), Hensel-lifted square roots modulo prime powers, and the exact
-value type ``LogLinear`` representing finite sums ``sum_p c_p * log p``
-with rational ``c_p``.  Everything downstream (ideal arithmetic, genus
-characters, Fourier coefficients, Arakelov degrees) is built on these
-primitives and is tested by exact equality, never by float tolerance.
+Hasse), Hensel-lifted square roots modulo prime powers, and ``LogLinear``:
+an exact sum ``sum_p c_p * log p`` with rational ``c_p``, built once from
+integers and then only compared, printed or turned into a float.
+Everything downstream (ideal arithmetic, genus characters, Fourier
+coefficients, Arakelov degrees) is built on these primitives and is
+tested by exact equality, never by float tolerance.
 
 All functions are pure; the only state is a handful of memo caches on
 immutable keys.
@@ -130,9 +131,6 @@ class Factorization:
         for p, e in self.factors:
             out *= p**e
         return out
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -379,9 +377,10 @@ class LogLinear:
     """Exact value of the form sum_p c_p * log p.
 
     Keys are rational primes, coefficients are nonzero rationals; the zero
-    value stores nothing.  Equality is exact coefficient equality -- by
-    linear independence of {log p} over Q this coincides with equality of
-    the real numbers represented.  Floats appear only via ``to_float``.
+    value stores nothing.  A value is built once, then compared, printed
+    or turned into a float, by ``to_float`` alone.  Equality is exact
+    coefficient equality -- by linear independence of {log p} over Q this
+    coincides with equality of the real numbers represented.
     """
 
     __slots__ = ("_terms",)
@@ -400,7 +399,7 @@ class LogLinear:
 
     @classmethod
     def _unchecked(cls, data: dict[int, Fraction]) -> "LogLinear":
-        # internal arithmetic fast path: keys already validated
+        # for callers whose keys are primes by construction: no primality test
         out = cls.__new__(cls)
         out._terms = dict(sorted((p, c) for p, c in data.items() if c != 0))
         return out
@@ -416,29 +415,11 @@ class LogLinear:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other: "LogLinear") -> "LogLinear":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return LogLinear._unchecked(out)
-
-    def __neg__(self) -> "LogLinear":
-        return LogLinear._unchecked({p: -c for p, c in self._terms.items()})
-
-    def __sub__(self, other: "LogLinear") -> "LogLinear":
-        return self + (-other)
-
-    def scale(self, r) -> "LogLinear":
-        r = Fraction(r)
-        return LogLinear._unchecked({p: c * r for p, c in self._terms.items()})
-
-    def __rmul__(self, r) -> "LogLinear":
-        return self.scale(r)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LogLinear) and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # the frozen SingularModuliReport hashes its two LogLinear fields
         return hash(tuple(self._terms.items()))
 
     def to_float(self, precision: int = 128):

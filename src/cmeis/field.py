@@ -180,9 +180,6 @@ class FElem:
     def norm(self, D: int) -> Fraction:
         return Fraction(self.a * self.a - D * self.b * self.b, self.c * self.c)
 
-    def conjugate(self) -> "FElem":
-        return FElem.from_triple(self.a, -self.b, self.c)
-
     def times_sqrtD(self, D: int) -> "FElem":
         return FElem.from_triple(self.b * D, self.a, self.c)
 
@@ -300,10 +297,6 @@ class FIdealFactored:
     @property
     def is_integral(self) -> bool:
         return all(e >= 0 for _, e in self.entries)
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return not self.entries
 
     def norm(self) -> Fraction:
         out = Fraction(1)

@@ -388,7 +388,8 @@ def hilbert_class_poly(d: int, precision: int) -> list[int]:
     j-value and contributes X^2 - 2 Re(j) X + |j|^2.  Once certified, the
     polynomial is kept per d and a fresh copy is returned for any request
     at that precision or above; a lower request recomputes, so it can
-    still fail.
+    still fail.  A result not monic of degree h, or unlike the certified
+    one, is an ``InvariantError``.
     """
     known = _CLASS_POLYS.get(d)
     if known is not None and known[0] <= precision:
@@ -414,11 +415,11 @@ def hilbert_class_poly(d: int, precision: int) -> list[int]:
                 )
             out.append(int(nearest))
     if out[-1] != 1 or len(out) != len(forms) + 1:
-        raise ArithmeticError(
+        raise InvariantError(
             f"class polynomial for d={d} is not monic of degree {len(forms)}"
         )
     if known is not None and known[1] != out:
-        raise ArithmeticError(f"two certified class polynomials for d={d} differ")
+        raise InvariantError(f"two certified class polynomials for d={d} differ")
     _CLASS_POLYS[d] = (precision, out)
     return list(out)
 
@@ -610,7 +611,8 @@ def singular_moduli_check(setup: Setup) -> SingularModuliReport:
     j-values, raised to 8/(w1 w2), has the same prime-log vector as the
     trace-1 Arakelov degree.  The scale 8/(w1 w2) was calibrated on the
     two hand-checkable pairs and is frozen here; the report carries both
-    sides so a mismatch is visible rather than fatal.
+    sides so a mismatch is visible rather than fatal.  A zero resultant or
+    a cofactor past the Gross-Zagier bound is an ``InvariantError``.
     """
     from .eisenstein import trace_degree
 
@@ -629,7 +631,7 @@ def singular_moduli_check(setup: Setup) -> SingularModuliReport:
             prec *= 2
     res = resultant(h_poly_1, h_poly_2)
     if res == 0:
-        raise ArithmeticError(
+        raise InvariantError(
             f"class polynomials of {setup.d1} and {setup.d2} share a root"
         )
     # Gross-Zagier: every prime of the resultant is at most |d1 d2| / 4,
@@ -645,7 +647,7 @@ def singular_moduli_check(setup: Setup) -> SingularModuliReport:
         if e:
             fac.append((p, e))
     if rest != 1:
-        raise ArithmeticError(
+        raise InvariantError(
             f"resultant for ({setup.d1}, {setup.d2}) leaves a {rest.bit_length()}-bit"
             f" cofactor with no prime factor up to the Gross-Zagier bound {bound}"
         )

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -319,7 +320,8 @@ sys.exit(main(sys.argv[1:]))
 # (fault, argv, message): a factor list that claims a split prime the index does
 # not name, past the content of (x + m sqrt(D))/2 = p^t (u + w sqrt(D))/2: 37, which
 # splits in Q(sqrt(21)) and divides no n(x) at trace 1, and 5 at trace 5, which
-# divides m and not x = 1, so it stays in w
+# divides m and not x = 1, so it stays in w; and a resultant with a prime 7 past
+# the Gross-Zagier bound |d1 d2| / 4 = 5
 _INVARIANT_FAULTS = (
     (
         "slice_ideal = cmeis.field._slice_ideal\n"
@@ -332,6 +334,12 @@ _INVARIANT_FAULTS = (
         "cmeis.field._slice_ideal = lambda s, m, x, fs: slice_ideal(s, m, x, [(5, 1)] + fs)",
         ["degree", "--d1", "-3", "--d2", "-7", "--m", "5"],
         "x is not in exactly one root class of a split prime",
+    ),
+    (
+        "import cmeis.oracle\ncmeis.oracle.resultant = lambda P, Q: -3375 * 7",
+        ["singular-moduli", "--d1", "-3", "--d2", "-7"],
+        "resultant for (-3, -7) leaves a 3-bit cofactor with no prime factor up to"
+        " the Gross-Zagier bound 5",
     ),
 )
 
@@ -611,35 +619,77 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):
-    # break one exact count and expect the named invariant on stderr
+    # break one exact count (rho of the unit ideal) and expect the named invariant
+    # on stderr, with the detail of the count it breaks, not of an exception
     original = cmeis.genus.norm_ideal_count
 
     def corrupted(setup, ideal):
         value = original(setup, ideal)
-        return value + 1 if ideal.is_unit_ideal else value
+        return value if ideal.entries else value + 1
 
     monkeypatch.setattr(cmeis.genus, "norm_ideal_count", corrupted)
     code, out, err = _run(capsys, "verify", "--suite", "genus", "--seed", "42")
     assert code == 1
     failures = [json.loads(line) for line in err.splitlines()]
-    assert any(f["invariant"] == "zeta-convolution" for f in failures)
+    (detail,) = [f["detail"] for f in failures if f["invariant"] == "zeta-convolution"]
+    assert detail == "norm-count sum vs convolution at n=1, Setup(d1=-3, d2=-7)"
 
 
 # Each sabotaged dependency must make the named check return a failure.
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
 _hasse_invariant = cmeis.field.hasse_invariant
 _hilbert_symbol = cmeis.field.hilbert_symbol
+_sqrt_mod_prime_power = cmeis.verify.sqrt_mod_prime_power
+_prime_ideals_above = cmeis.verify.prime_ideals_above
+_genus_char_prime = cmeis.genus.genus_char_prime
 _class_reps = cmeis.oracle.class_reps
 _hilbert_class_poly = cmeis.oracle.hilbert_class_poly
 _class_number = cmeis.oracle.class_number
+
+
+def _loglinear_keeping_zeros(terms):
+    out = LogLinear(terms)
+    out._terms = dict(sorted((p, Fraction(c)) for p, c in dict(terms).items()))
+    return out
+
+
 FAULTS = {
     "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
+    "hilbert-bimultiplicative": (
+        "arith", cmeis.verify, "hilbert_symbol",
+        lambda a, b, place: _hilbert_symbol(a, b + 1, place),
+    ),
+    "hilbert-product-formula": (
+        "arith", cmeis.verify, "hilbert_symbol",
+        lambda a, b, place: _hilbert_symbol(a, b, place) * (-1 if place == 2 else 1),
+    ),
+    "sqrt-mod-prime-power": (
+        "arith", cmeis.verify, "sqrt_mod_prime_power",
+        lambda D, p, k: _sqrt_mod_prime_power(D, p, k) + 1,
+    ),
+    "loglinear-exactness": ("arith", cmeis.verify, "LogLinear", _loglinear_keeping_zeros),
+    "splitting-degree-sum": (
+        "field", cmeis.verify, "prime_ideals_above",
+        lambda setup, p: _prime_ideals_above(setup, p)[:1],
+    ),
+    "valuation-norm-compatible": (
+        "field", cmeis.verify, "element_valuation",
+        lambda setup, beta, prm: element_valuation(setup, beta, prm) + 1,
+    ),
     "trace-slice-invariants": (
         "field", cmeis.verify, "principal_ideal", lambda setup, gen: FIdealFactored()
     ),
     "support-odd-and-matches": (
         "field", cmeis.field, "hasse_invariant",
         lambda diag, place: _hasse_invariant(diag[:-1], place),
+    ),
+    "rho-multiplicative": (
+        "genus", cmeis.genus, "norm_ideal_count",
+        lambda setup, ideal: norm_ideal_count(setup, ideal) + 1,
+    ),
+    "chi-invariant-under-norms": (
+        "genus", cmeis.genus, "genus_char_prime",
+        lambda setup, prm: -1 if prm.kind == "split_plus" else _genus_char_prime(setup, prm),
     ),
     "orbital-product": ("genus", cmeis.genus, "orbital_value", lambda *args: 0),
     "degree-coefficient-identity": (
@@ -654,6 +704,10 @@ FAULTS = {
         "eisenstein", cmeis.eisenstein, "prime_multiplicity",
         lambda *args: _prime_multiplicity(*args) + 1,
     ),
+    "mixed-coefficient-decay": ("eisenstein", cmeis.eisenstein, "mixed_coefficient", lambda *args: 1),
+    "constant-term-scaling": (
+        "eisenstein", cmeis.eisenstein, "constant_term", lambda setup, v1, v2, precision: v1
+    ),
     "class-count-brute-force": ("oracle", cmeis.oracle, "class_reps", lambda d: _class_reps(d)[1:]),
     "class-poly-certificate": (
         "oracle", cmeis.oracle, "hilbert_class_poly",
@@ -664,8 +718,18 @@ FAULTS = {
 }
 # the text a failure's detail must contain: the violated invariant, where one is named
 FAULT_DETAILS = {
+    "hilbert-bimultiplicative": "bimultiplicativity failed",
+    "hilbert-product-formula": "product formula failed",
+    "sqrt-mod-prime-power": "sqrt failed",
+    "loglinear-exactness": "equality vs 128-bit floats disagree",
+    "splitting-degree-sum": "sum e*f != 2",
+    "valuation-norm-compatible": "valuations vs norm failed",
+    "rho-multiplicative": "rho not multiplicative",
+    "chi-invariant-under-norms": "chi changed by split norm ideal",
     "trace-degree-two-paths": "multiplicity sums",
     "support-odd-and-matches": "support vs obstruction prime mismatch",
+    "mixed-coefficient-decay": "not decreasing",
+    "constant-term-scaling": "constant-term scaling off",
 }
 
 
@@ -676,6 +740,11 @@ def test_verify_check_can_fail(monkeypatch, check):
     detail = SUITES[suite][check](random.Random(0))
     assert detail
     assert FAULT_DETAILS.get(check, "") in detail
+
+
+def test_every_verify_check_has_a_fault():
+    # zeta-convolution's fault is test_verify_reports_injected_fault
+    assert set(FAULTS) | {"zeta-convolution"} == {name for checks in SUITES.values() for name in checks}
 
 
 def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):
@@ -698,7 +767,7 @@ def _bump_first_exponent(ideal):
 def _fault_at_trace(monkeypatch, trace, fault):
     def faulty(setup, m, x, factors):
         ideal = _slice_ideal(setup, m, x, factors)
-        return fault(ideal) if m == trace and not ideal.is_unit_ideal else ideal
+        return fault(ideal) if m == trace and ideal.entries else ideal
 
     monkeypatch.setattr(cmeis.field, "_slice_ideal", faulty)
 

@@ -13,7 +13,7 @@ import pytest
 
 import cmeis.oracle as oracle
 from cmeis.cli import main
-from cmeis.exact import kronecker
+from cmeis.exact import InvariantError, kronecker
 from cmeis.field import Setup
 from cmeis.oracle import (
     PrecisionError,
@@ -188,7 +188,8 @@ def test_fixed_point_series_within_its_bound(d):
 
     # the docstring bound: (|sum| + 1/8) units of 2^-work; the largest a
     # of -719 and -2351 gives the longest series, and at -15 the terms past
-    # q^a are large enough that the first-order step in delta keeps the bound
+    # q^a are large enough that the first-order step in delta keeps the bound;
+    # 64 bits past work put the reference's own error under 1e-19 units of 2^-work
     work = class_poly_start_precision(d) + 48
     for form in class_reps(d):
         with mpmath.mp.workprec(work):
@@ -196,7 +197,7 @@ def test_fixed_point_series_within_its_bound(d):
             q = r * r
             coeffs = _j_coeffs(_series_length(2 * log_inv_r, work))
             got = _fixed_point_series(coeffs, q, form.a, work)
-        hi = 2 * work + 400
+        hi = work + 64
         with mpmath.mp.workprec(hi):
             reference = mpmath.mpc(0)
             for c in reversed(_j_coeffs(_series_length(2 * log_inv_r, hi))):
@@ -527,7 +528,7 @@ def test_precision_env_override(monkeypatch):
 def test_singular_moduli_rejects_a_prime_above_the_bound(monkeypatch):
     # Gross-Zagier bounds the primes of Res by |d1 d2| / 4 = 5 here
     monkeypatch.setattr(oracle, "resultant", lambda P, Q: -3375 * 7)
-    with pytest.raises(ArithmeticError, match=r"\(-3, -7\) leaves a 3-bit cofactor"):
+    with pytest.raises(InvariantError, match=r"\(-3, -7\) leaves a 3-bit cofactor"):
         singular_moduli_check(Setup(-3, -7))
 
 
@@ -547,12 +548,12 @@ if __debug__:
 if sys.argv[1] == "resultant":
     oracle.resultant = lambda P, Q: 0
     call = lambda: oracle.singular_moduli_check(Setup(-3, -7))
-    expect = ArithmeticError, "share a root"
+    expect = InvariantError, "share a root"
 elif sys.argv[1] == "class_reps":
     reps = oracle.class_reps
     oracle.class_reps = lambda d: reps(d) + [oracle.ReducedForm(1, -1, 2)]
     call = lambda: oracle.hilbert_class_poly(-7, 128)
-    expect = ArithmeticError, "not monic of degree 2"
+    expect = InvariantError, "not monic of degree 2"
 elif sys.argv[1] == "sigma3":
     sigmas = oracle._divisor_sigmas
     def bumped(N):
