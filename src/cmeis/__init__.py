@@ -50,7 +50,6 @@ from .genus import (
     genus_char_ideal,
     genus_char_prime,
     norm_ideal_count,
-    orbital_value,
     prime_multiplicity,
 )
 from .oracle import (

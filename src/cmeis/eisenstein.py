@@ -154,10 +154,9 @@ def constant_term(setup: Setup, v1, v2, precision: int = 128):
     L1 = lambda_at_zero(setup.d1, precision)
     L2 = lambda_at_zero(setup.d2, precision)
     with mpmath.mp.workprec(precision + 16):
-        lam = L1.completed_value * L2.completed_value
+        lam = L1.l_value * L2.l_value
         lam_prime = (
-            L1.completed_derivative * L2.completed_value
-            + L1.completed_value * L2.completed_derivative
+            L1.completed_derivative * L2.l_value + L1.l_value * L2.completed_derivative
         )
         return +(-2 * lam_prime + lam * mpmath.log(mpmath.mpf(v1) * mpmath.mpf(v2)))
 

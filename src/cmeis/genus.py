@@ -7,11 +7,15 @@ chi(P) = kronecker(d_i, N(P)) for either i with residue characteristic
 not dividing d_i; when both choices are legal they agree, and the code
 asserts that for free.
 
+Every function here works on ideals of F, prime or factored, never on
+elements.
+
 rho(b) counts integral ideals of K with relative norm b: the local factor
 at P is e+1 when chi(P) = +1 and (1 if e even else 0) when chi(P) = -1,
-and 0 whenever b has a pole.  The same local factors reappear as the
-center values of the finite Whittaker functions, where
-``eisenstein._local_sums`` sums them term by term.
+and 0 whenever b has a pole.  ``norm_ideal_count`` is the one production
+copy of that rule.  The check path keeps one deliberately literal copy:
+the center values of the finite Whittaker functions, which
+``eisenstein._local_sums`` sums term by term.
 """
 
 from __future__ import annotations
@@ -19,21 +23,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import InvariantError, kronecker
-from .field import (
-    FElem,
-    FIdealFactored,
-    FPrimeIdeal,
-    Setup,
-    prime_ideals_above,
-    principal_ideal,
-)
+from .field import FIdealFactored, FPrimeIdeal, Setup, prime_ideals_above
 
 __all__ = [
     "diff_set",
     "genus_char_ideal",
     "genus_char_prime",
     "norm_ideal_count",
-    "orbital_value",
     "prime_multiplicity",
 ]
 
@@ -86,50 +82,13 @@ def norm_ideal_count(setup: Setup, ideal: FIdealFactored) -> int:
     return out
 
 
-def _is_valid_reflex(setup: Setup, prm: FPrimeIdeal) -> bool:
-    # residue characteristic nonsplit in both imaginary fields, equivalently
-    # the prime of F is inert in K
-    p = prm.p
-    return (
-        kronecker(setup.d1, p) != 1
-        and kronecker(setup.d2, p) != 1
-        and genus_char_prime(setup, prm) == -1
-    )
-
-
-def orbital_value(
-    setup: Setup, alpha: FElem, ell: int, reflex: FPrimeIdeal
-) -> int:
-    """Local lattice-point count for alpha at the rational prime ell.
-
-    Away from the residue characteristic of the reflex prime this is the
-    local rho factor of alpha*(different); at the residue characteristic
-    the reflex prime is divided out first.  The product over all ell is
-    rho(alpha * different / reflex).
-    """
-    if not _is_valid_reflex(setup, reflex):
-        raise ValueError(f"{reflex!r} is not a valid reflex prime")
-    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
-    if ell == reflex.p:
-        ideal = ideal.times(reflex, -1)
-    out = 1
-    for prm in prime_ideals_above(setup, ell):
-        e = ideal.ord_at(prm)
-        if e < 0:
-            return 0
-        if genus_char_prime(setup, prm) == 1:
-            out *= e + 1
-        elif e % 2:
-            return 0
-    return out
-
-
 def prime_multiplicity(setup: Setup, ideal: FIdealFactored, p: int) -> int:
     """sum over primes P above p of ord_P(ideal * P) * rho(ideal / P).
 
-    Zero when p splits in either imaginary field, and zero unless the
-    ideal is integral: a pole of the ideal is a pole of every ideal / P,
-    where rho is 0.
+    The Kronecker guard is the reflex prime condition: p must split in
+    neither imaginary field, or the sum is zero.  It is also zero unless
+    the ideal is integral: a pole of the ideal is a pole of every
+    ideal / P, where rho is 0.
     """
     if kronecker(setup.d1, p) == 1 or kronecker(setup.d2, p) == 1:
         return 0

@@ -533,13 +533,15 @@ def e1(x, precision: int = 53):
 
 @dataclass(frozen=True)
 class LFunctionCenter:
-    """L(0), L'(0) and the completed Lambda(0), Lambda'(0) for one odd chi."""
+    """L(0), L'(0) and the completed Lambda'(0) for one odd chi.
+
+    Lambda(0) = L(0), so ``l_value`` is the completed value too.
+    """
 
     discriminant: int
     l_value_exact: Fraction
     l_value: object
     l_derivative: object
-    completed_value: object
     completed_derivative: object
 
 
@@ -576,11 +578,10 @@ def lambda_at_zero(d: int, precision: int = 128) -> LFunctionCenter:
             )
             l1 += chi[a] * piece
         l0f = mpmath.mpf(l0.numerator) / l0.denominator
-        lam0 = l0f
         lam1 = l1 + l0f * (
             (log_fd - mpmath.log(mpmath.pi) - mpmath.euler) / 2 - mpmath.log(2)
         )
-        return LFunctionCenter(d, l0, +l0f, +l1, +lam0, +lam1)
+        return LFunctionCenter(d, l0, +l0f, +l1, +lam1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 ``SUITES`` maps each suite to its checks, in run order.  A check takes a
 seeded ``random.Random`` and returns the detail of its first failure, or
 None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
-``eisenstein`` checks sweep fixed ranges and draw nothing from theirs, so
-every seed runs the same sweep there.  The tests share ``TEST_MATRIX`` and
-the counting helpers, not the suites.
+``eisenstein`` and ``oracle`` checks, and ``splitting-degree-sum``,
+``trace-slice-invariants``, ``support-odd-and-matches`` and
+``zeta-convolution``, sweep fixed ranges and draw nothing from theirs, so
+every seed runs the same sweep there; only the other ``arith``, ``field``
+and ``genus`` checks draw from the rng.  The tests share ``TEST_MATRIX``
+and the counting helpers, not the suites.
 """
 
 from __future__ import annotations
@@ -355,26 +358,6 @@ def _chi_invariant_under_norms(rng: random.Random) -> str | None:
     return None
 
 
-def _orbital_product(rng: random.Random) -> str | None:
-    for setup in _setups():
-        for m in range(1, 11):
-            for e in enumerate_trace_slice(setup, m):
-                diff = genus.diff_set(setup, e.ideal)
-                if len(diff) % 2 == 0:
-                    return f"even obstruction set at x={e.x}, {setup}"
-                if len(diff) == 1:
-                    prm = diff[0]
-                    reduced = e.ideal.times(prm, -1)
-                    expected = genus.norm_ideal_count(setup, reduced)
-                    ells = set(e.ideal.rational_primes()) | {prm.p}
-                    prod = 1
-                    for ell in sorted(ells):
-                        prod *= genus.orbital_value(setup, e.alpha, ell, prm)
-                    if prod != expected:
-                        return f"orbital product != rho at x={e.x}, {setup}"
-    return None
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -549,7 +532,6 @@ SUITES = {
         "zeta-convolution": _zeta_convolution,
         "rho-multiplicative": _rho_multiplicative,
         "chi-invariant-under-norms": _chi_invariant_under_norms,
-        "orbital-product": _orbital_product,
     },
     "eisenstein": {
         "degree-coefficient-identity": _degree_coefficient_identity,

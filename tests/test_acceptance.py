@@ -32,7 +32,6 @@ from cmeis.oracle import (
     hilbert_class_poly,
     j_value,
     lambda_at_zero,
-    resultant,
     singular_moduli_check,
 )
 from cmeis.verify import TEST_MATRIX, _dirichlet_convolve, _norm_count_sum, _spf_sieve

@@ -691,7 +691,6 @@ FAULTS = {
         "genus", cmeis.genus, "genus_char_prime",
         lambda setup, prm: -1 if prm.kind == "split_plus" else _genus_char_prime(setup, prm),
     ),
-    "orbital-product": ("genus", cmeis.genus, "orbital_value", lambda *args: 0),
     "degree-coefficient-identity": (
         "eisenstein", cmeis.eisenstein, "assemble_derivative",
         lambda setup, alpha: LogLinear.zero(),
@@ -745,6 +744,50 @@ def test_verify_check_can_fail(monkeypatch, check):
 def test_every_verify_check_has_a_fault():
     # zeta-convolution's fault is test_verify_reports_injected_fault
     assert set(FAULTS) | {"zeta-convolution"} == {name for checks in SUITES.values() for name in checks}
+
+
+# Faults in the local rule of rho, in chi and in the index ideal: each is patched in
+# every module that holds the name, and each listed check must fail (a raise counts)
+_norm_ideal_count = cmeis.genus.norm_ideal_count
+_principal_ideal = cmeis.field.principal_ideal
+LOCAL_RULE_FAULTS = {
+    "rho-plus-one-at-5": (
+        "norm_ideal_count",
+        lambda setup, ideal: _norm_ideal_count(setup, ideal) + (5 in ideal.rational_primes()),
+        ("zeta-convolution", "rho-multiplicative", "degree-coefficient-identity",
+         "trace-degree-two-paths", "coherent-ratio"),
+    ),
+    "chi-negated-at-11": (
+        "genus_char_prime",
+        lambda setup, prm: _genus_char_prime(setup, prm) * (-1 if prm.p == 11 else 1),
+        ("zeta-convolution", "degree-coefficient-identity", "trace-degree-two-paths"),
+    ),
+    "ideal-conjugated-at-5": (
+        "principal_ideal",
+        lambda setup, gen: FIdealFactored.from_pairs(
+            (prm.conjugate() if prm.p == 5 else prm, e)
+            for prm, e in _principal_ideal(setup, gen).entries
+        ),
+        ("trace-slice-invariants", "coherent-ratio"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", LOCAL_RULE_FAULTS)
+def test_local_rule_faults_fail_their_checks(monkeypatch, fault):
+    attr, broken, names = LOCAL_RULE_FAULTS[fault]
+    modules = (cmeis.cli, cmeis.eisenstein, cmeis.exact, cmeis.field, cmeis.genus,
+               cmeis.oracle, cmeis.verify)
+    for module in modules:
+        if attr in vars(module):
+            monkeypatch.setattr(module, attr, broken)
+    checks = {name: check for suite in SUITES.values() for name, check in suite.items()}
+    for name in names:
+        try:
+            detail = checks[name](random.Random(0))
+        except Exception as exc:  # a check that raises has failed, as in run_suites
+            detail = f"{type(exc).__name__}: {exc}"
+        assert detail, name
 
 
 def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):

@@ -463,8 +463,8 @@ def test_constant_term_at_unit_v():
     c2 = lambda_at_zero(-7, 128)
     with mpmath.mp.workprec(160):
         lam_prime = (
-            c1.completed_derivative * c2.completed_value
-            + c1.completed_value * c2.completed_derivative
+            c1.completed_derivative * c2.l_value
+            + c1.l_value * c2.completed_derivative
         )
         got = constant_term(S37, 1, 1, 128)
         assert abs(got + 2 * lam_prime) < mpmath.mpf(2) ** -100

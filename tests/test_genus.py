@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from cmeis.genus import (
     genus_char_ideal,
     genus_char_prime,
     norm_ideal_count,
-    orbital_value,
     prime_multiplicity,
 )
 from cmeis.verify import _dirichlet_convolve, _norm_count_sum, _spf_sieve
@@ -154,56 +152,11 @@ def test_norm_ideal_count_multiplicative(pair, p1, p2, e1, e2):
 
 
 # ---------------------------------------------------------------------------
-# orbital values
-
-
-def test_orbital_value_examples():
-    from cmeis.field import principal_ideal
-
-    s = Setup(-3, -7)
-    alpha = FElem(Fraction(1, 2), Fraction(1, 42))
-    _, minus = prime_ideals_above(s, 5)
-    assert orbital_value(s, alpha, 5, minus) == 1
-    assert orbital_value(s, alpha, 7, minus) == 1
-    prod = 1
-    for ell in (3, 5, 7):
-        prod *= orbital_value(s, alpha, ell, minus)
-    ideal = principal_ideal(s, alpha.times_sqrtD(s.D)).times(minus, -1)
-    assert prod == norm_ideal_count(s, ideal) == 1
-
-
-def test_orbital_value_rejects_bad_reflex():
-    s = Setup(-3, -7)
-    plus, _ = prime_ideals_above(s, 5)
-    alpha = FElem(Fraction(1, 2), Fraction(1, 42))
-    (inert2,) = prime_ideals_above(s, 2)
-    with pytest.raises(ValueError):
-        orbital_value(s, alpha, 5, inert2)  # 2 is split in one imaginary field
-
-
-def test_orbital_product_matches_rho():
-    for d1, d2 in ((-3, -7), (-4, -7), (-7, -8)):
-        s = Setup(d1, d2)
-        for m in (1, 2, 3):
-            for e in enumerate_trace_slice(s, m):
-                diff = diff_set(s, e.ideal)
-                if len(diff) != 1:
-                    continue
-                prm = diff[0]
-                ells = set(e.ideal.rational_primes()) | {prm.p}
-                prod = 1
-                for ell in sorted(ells):
-                    prod *= orbital_value(s, e.alpha, ell, prm)
-                assert prod == norm_ideal_count(s, e.ideal.times(prm, -1))
-
-
-# ---------------------------------------------------------------------------
 # per-prime multiplicities
 
 
 def test_prime_multiplicity_examples():
     s = Setup(-3, -7)
-    alpha = FElem(Fraction(1, 2), Fraction(1, 42))
     ideal = _ideal(s, (5, "split_minus", 1))
     assert prime_multiplicity(s, ideal, 5) == 2
     # split in the first imaginary field

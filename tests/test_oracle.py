@@ -479,7 +479,7 @@ def test_completed_derivative_assembly():
         numeric = (lam(h) - lam(-h)) / (2 * h)
         center = lambda_at_zero(d, 160)
         assert abs(center.completed_derivative - numeric) < mpmath.mpf("1e-35")
-        assert abs(center.completed_value - lam(mpmath.mpf(0))) < mpmath.mpf("1e-40")
+        assert abs(center.l_value - lam(mpmath.mpf(0))) < mpmath.mpf("1e-40")
 
 
 # ---------------------------------------------------------------------------
