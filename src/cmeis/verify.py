@@ -7,8 +7,9 @@ None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
 ``trace-slice-invariants``, ``support-odd-and-matches`` and
 ``zeta-convolution``, sweep fixed ranges and draw nothing from theirs, so
 every seed runs the same sweep there; only the other ``arith``, ``field``
-and ``genus`` checks draw from the rng.  The tests share ``TEST_MATRIX``
-and the counting helpers, not the suites.
+and ``genus`` checks draw from the rng.  Tier-1 runs every suite clean
+once, through the CLI, and one fault per check; the tests share
+``TEST_MATRIX``, and the counting helpers are private to this module.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _trace_slice_invariants(rng: random.Random) -> str | None:
             elems = enumerate_trace_slice(setup, m)
             xs = [e.x for e in elems]
             if xs != sorted(xs) or sorted(-x for x in xs) != xs:
-                return f"slice not symmetric/sorted for {setup}, m={m}"
+                return f"slice not symmetric/sorted at m={m}, {setup}"
             for e in elems:
                 gen = e.alpha.times_sqrtD(setup.D)
                 if (
@@ -214,7 +215,7 @@ def _trace_slice_invariants(rng: random.Random) -> str | None:
                     or e.ideal.norm() != e.n
                     or e.ideal != principal_ideal(setup, gen)
                 ):
-                    return f"slice invariants failed at x={e.x}, {setup}"
+                    return f"slice invariants failed at x={e.x}, m={m}, {setup}"
     return None
 
 
@@ -225,13 +226,13 @@ def _support_odd_and_matches(rng: random.Random) -> str | None:
                 signs = local_invariants(setup, e.alpha)
                 spt = {pl for pl, sign in signs.items() if sign == -1} - {OO}
                 if len(spt) % 2 == 0:
-                    return f"even support for x={e.x}, {setup}"
+                    return f"even support at x={e.x}, m={m}, {setup}"
                 diff = genus.diff_set(setup, e.ideal)
                 if len(diff) == 1 and {diff[0].p} != spt:
-                    return f"support vs obstruction prime mismatch at x={e.x}"
+                    return f"support vs obstruction prime mismatch at x={e.x}, m={m}, {setup}"
                 # every sign off these places is +1: this is the full product formula
                 if math.prod(signs.values()) != 1:
-                    return f"invariant product formula failed at x={e.x}"
+                    return f"invariant product formula failed at x={e.x}, m={m}, {setup}"
     return None
 
 

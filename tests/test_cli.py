@@ -611,11 +611,12 @@ def test_singular_moduli_prints_long_resultant(capsys, monkeypatch):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_verify_suite_passes(capsys):
-    code, out, err = _run(capsys, "verify", "--suite", "oracle", "--seed", "42")
-    assert code == 0
-    assert err == ""
-    assert all(line.startswith("ok oracle.") for line in out.splitlines())
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite_passes(capsys, suite):
+    # every check holds on correct code; test_verify_check_can_fail shows each can fail
+    code, out, err = _run(capsys, "verify", "--suite", suite, "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"ok {suite}.{name}" for name in SUITES[suite]]
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):
@@ -715,20 +716,28 @@ FAULTS = {
     "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
     "l-value-class-number": ("oracle", cmeis.oracle, "class_number", lambda d: _class_number(d) + 1),
 }
-# the text a failure's detail must contain: the violated invariant, where one is named
+# the text each failure's detail must contain: the violated invariant
 FAULT_DETAILS = {
+    "factor-roundtrip": "factor round-trip failed",
     "hilbert-bimultiplicative": "bimultiplicativity failed",
     "hilbert-product-formula": "product formula failed",
     "sqrt-mod-prime-power": "sqrt failed",
     "loglinear-exactness": "equality vs 128-bit floats disagree",
     "splitting-degree-sum": "sum e*f != 2",
     "valuation-norm-compatible": "valuations vs norm failed",
+    "trace-slice-invariants": "slice invariants failed",
     "rho-multiplicative": "rho not multiplicative",
     "chi-invariant-under-norms": "chi changed by split norm ideal",
     "trace-degree-two-paths": "multiplicity sums",
     "support-odd-and-matches": "support vs obstruction prime mismatch",
+    "degree-coefficient-identity": "4*degree != coefficient",
+    "coherent-ratio": "coherent ratio failed",
     "mixed-coefficient-decay": "not decreasing",
     "constant-term-scaling": "constant-term scaling off",
+    "class-count-brute-force": "class count mismatch",
+    "class-poly-certificate": "class poly residual too big",
+    "e1-quadrature": "e1 vs quadrature",
+    "l-value-class-number": "exact L(0) != 2h/w",
 }
 
 
@@ -738,7 +747,7 @@ def test_verify_check_can_fail(monkeypatch, check):
     monkeypatch.setattr(module, attr, broken)
     detail = SUITES[suite][check](random.Random(0))
     assert detail
-    assert FAULT_DETAILS.get(check, "") in detail
+    assert FAULT_DETAILS[check] in detail
 
 
 def test_every_verify_check_has_a_fault():
@@ -850,13 +859,21 @@ def test_package_exports_match_module_all():
 
 
 def test_support_check_catches_a_broken_product_formula(monkeypatch):
+    # each failure names x, m and the setup
+    check = SUITES["field"]["support-odd-and-matches"]
+    with monkeypatch.context() as patch:
+        patch.setattr(*FAULTS["support-odd-and-matches"][1:])
+        assert check(random.Random(0)) == (
+            "support vs obstruction prime mismatch at x=-1, m=1, Setup(d1=-3, d2=-7)"
+        )
     # a wrong sign at OO leaves the finite support alone; only the product shows it
     monkeypatch.setattr(
         cmeis.field, "hilbert_symbol",
         lambda a, b, place: 1 if place == OO else _hilbert_symbol(a, b, place),
     )
-    detail = SUITES["field"]["support-odd-and-matches"](random.Random(0))
-    assert detail and "invariant product formula failed" in detail
+    assert check(random.Random(0)) == (
+        "invariant product formula failed at x=-3, m=1, Setup(d1=-3, d2=-7)"
+    )
 
 
 _degree_report = cmeis.eisenstein._degree_report

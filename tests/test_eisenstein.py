@@ -1,11 +1,8 @@
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
+import re
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,13 +14,12 @@ from cmeis.eisenstein import (
     arakelov_degree,
     assemble_derivative,
     coherent_coefficient,
-    coherent_ratio_check,
     constant_term,
     holomorphic_coefficient,
     mixed_coefficient,
     trace_degree,
 )
-from cmeis.exact import LogLinear, factor
+from cmeis.exact import InvariantError, LogLinear, factor
 from cmeis.field import (
     FElem,
     Setup,
@@ -233,51 +229,34 @@ def test_trace_degree_values():
     assert trace_degree(S37, 2) == LogLinear({3: 6, 5: 6, 17: 2})
 
 
-def test_trace_degree_both_paths_small():
-    for s in (S37, S34, Setup(-7, -8)):
-        for m in range(1, 8):
-            trace_degree(s, m)  # internal assertion compares both routes
+def _index(x):
+    (e,) = [e for e in enumerate_trace_slice(S37, 1) if e.x == x]
+    return e
 
 
-_SABOTAGE = """
-import sys
-import cmeis.eisenstein as eisenstein
-from cmeis.field import Setup, enumerate_trace_slice
-from cmeis.genus import diff_set
-if __debug__:
-    raise SystemExit("asserts are still on")
-setup = Setup(-3, -7)
-if sys.argv[1] == "trace_degree":
-    eisenstein.prime_multiplicity = lambda *args: 0
-    call = lambda: eisenstein.trace_degree(setup, 1)
-elif sys.argv[1] == "assemble_derivative":
-    eisenstein._ARCH_PRODUCT = 4  # (-2i)^2 with its sign flipped
-    (e,) = [e for e in enumerate_trace_slice(setup, 1) if e.x == 1]
-    call = lambda: eisenstein.assemble_derivative(setup, e.alpha)
-else:
-    eisenstein.norm_ideal_count = lambda *args: 0
-    (e,) = [e for e in enumerate_trace_slice(setup, 1) if e.x == -3]
-    (prm,) = diff_set(setup, e.ideal)
-    call = lambda: eisenstein.coherent_coefficient(setup, e.alpha, prm)
-try:
-    call()
-except AssertionError:
-    raise SystemExit(0)
-raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
-"""
+# a broken input to each closed-form invariant, the call that must catch it, and
+# its message; each raises InvariantError, never a bare assert, so with the source
+# guard of tests/test_imports.py it holds under python -O too
+_SABOTAGE = {
+    "coherent_coefficient": (
+        "norm_ideal_count", lambda *args: 0,
+        lambda: coherent_coefficient(S37, _index(-3).alpha, *diff_set(S37, _index(-3).ideal)),
+        "coherent center value disagrees with 4 * rho",
+    ),
+    "assemble_derivative": (
+        "_ARCH_PRODUCT", 4,  # (-2i)^2 with its sign flipped
+        lambda: assemble_derivative(S37, _index(1).alpha),
+        "coefficient must be nonnegative",
+    ),
+}
 
 
-@pytest.mark.parametrize("sabotage", ["trace_degree", "coherent_coefficient", "assemble_derivative"])
-def test_trace_degree_check_survives_optimize(sabotage):
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.mark.parametrize("sabotage", _SABOTAGE)
+def test_trace_degree_check_survives_optimize(monkeypatch, sabotage):
+    attr, broken, call, message = _SABOTAGE[sabotage]
+    monkeypatch.setattr(eisenstein, attr, broken)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +306,6 @@ def test_coherent_coefficient_x1():
     plus, _ = prime_ideals_above(S37, 5)
     with pytest.raises(ValueError):
         coherent_coefficient(S37, ALPHA_X1, plus)
-
-
-def test_coherent_ratio_identity():
-    for s in (S37, S34):
-        for m in (1, 2, 3):
-            for e in enumerate_trace_slice(s, m):
-                if len(diff_set(s, e.ideal)) == 1:
-                    assert coherent_ratio_check(s, m, e.x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from cmeis.field import (
     FElem,
     FIdealFactored,
     Setup,
-    enumerate_trace_slice,
     prime_ideals_above,
     principal_ideal,
 )
@@ -21,7 +20,6 @@ from cmeis.genus import (
     norm_ideal_count,
     prime_multiplicity,
 )
-from cmeis.verify import _dirichlet_convolve, _norm_count_sum, _spf_sieve
 
 
 def _ideal(setup, *parts):
@@ -96,14 +94,6 @@ def test_diff_set_examples():
     assert [(q.p, q.kind) for q in diff34] == [(3, "ramified")]
 
 
-def test_diff_set_odd_everywhere():
-    for d1, d2 in ((-3, -7), (-4, -7), (-7, -8), (-7, -23)):
-        s = Setup(d1, d2)
-        for m in (1, 2, 3, 4):
-            for e in enumerate_trace_slice(s, m):
-                assert len(diff_set(s, e.ideal)) % 2 == 1
-
-
 def test_diff_set_even_for_mixed_signature():
     # chi((sqrt(D)*alpha)) is the product of the signs of sqrt(D)*alpha, so
     # with one archimedean obstruction the finite set has even length
@@ -165,23 +155,3 @@ def test_prime_multiplicity_examples():
     sqrt3_ideal = _ideal(s34, (3, "ramified", 1))
     assert prime_multiplicity(s34, sqrt3_ideal, 3) == 2
     assert prime_multiplicity(s34, _ideal(s34, (3, "ramified", -1)), 3) == 0
-
-
-# ---------------------------------------------------------------------------
-# the Dirichlet-series oracle
-
-
-def test_norm_count_sums_match_convolution_small():
-    n_max = 1500
-    spf = _spf_sieve(n_max)
-    for d1, d2 in ((-3, -7), (-3, -4), (-7, -23)):
-        s = Setup(d1, d2)
-        one = [0] + [1] * n_max
-        chi1 = [0] + [kronecker(d1, n) for n in range(1, n_max + 1)]
-        chi2 = [0] + [kronecker(d2, n) for n in range(1, n_max + 1)]
-        chid = [0] + [kronecker(s.D, n) for n in range(1, n_max + 1)]
-        rhs = _dirichlet_convolve(
-            _dirichlet_convolve(one, chi1), _dirichlet_convolve(chi2, chid)
-        )
-        for n in range(1, n_max + 1):
-            assert _norm_count_sum(s, n, spf) == rhs[n], (d1, d2, n)

@@ -1,10 +1,14 @@
-"""Every imported name is used.
+"""Two source guards.
 
-A module under ``src/cmeis``, ``tests/`` or ``scripts/`` may not import a
-name that it never reads.  ``cmeis/__init__.py`` is left out: its imports
-are re-exports, which ``test_package_exports_match_module_all`` checks.
-``from __future__`` imports and names listed in a module's ``__all__``
-count as used.
+Every imported name is used: a module under ``src/cmeis``, ``tests/`` or
+``scripts/`` may not import a name that it never reads.
+``cmeis/__init__.py`` is left out: its imports are re-exports, which
+``test_package_exports_match_module_all`` checks.  ``from __future__``
+imports and names listed in a module's ``__all__`` count as used.
+
+``src/cmeis`` runs the same under ``python -O``: ``-O`` strips ``assert``
+statements and sets ``__debug__`` and ``sys.flags.optimize``, so no module
+there may use any of them.  Every invariant raises its own error instead.
 """
 
 import ast
@@ -50,5 +54,42 @@ os.sep
         str(path.relative_to(ROOT)): unused
         for path in _module_files()
         if (unused := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def _optimize_sensitive(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append(f"line {node.lineno}: assert")
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append(f"line {node.lineno}: __debug__")
+        elif isinstance(node, ast.Attribute) and node.attr == "flags" and (
+            isinstance(node.value, ast.Name) and node.value.id == "sys"
+        ):
+            found.append(f"line {node.lineno}: sys.flags")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+            alias.name == "flags" for alias in node.names
+        ):
+            found.append(f"line {node.lineno}: sys.flags")
+    return found
+
+
+def test_package_runs_the_same_under_optimize():
+    source = """
+import sys
+from sys import flags
+assert sys.argv
+if __debug__ or sys.flags.optimize:
+    pass
+"""
+    assert _optimize_sensitive(ast.parse(source)) == [
+        "line 3: sys.flags", "line 4: assert", "line 5: __debug__", "line 5: sys.flags",
+    ]
+    found = {
+        str(path.relative_to(ROOT)): hits
+        for path in sorted((ROOT / "src" / "cmeis").rglob("*.py"))
+        if (hits := _optimize_sensitive(ast.parse(path.read_text())))
     }
     assert found == {}

@@ -1,10 +1,8 @@
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -538,64 +536,61 @@ def test_singular_moduli_bound_is_inclusive():
     assert rep.factorization[-1][0] == 359 == 3 * 479 // 4
 
 
-_SABOTAGE = """
-import sys
-import cmeis.oracle as oracle
-from cmeis.exact import InvariantError
-from cmeis.field import Setup
-if __debug__:
-    raise SystemExit("asserts are still on")
-if sys.argv[1] == "resultant":
-    oracle.resultant = lambda P, Q: 0
-    call = lambda: oracle.singular_moduli_check(Setup(-3, -7))
-    expect = InvariantError, "share a root"
-elif sys.argv[1] == "class_reps":
-    reps = oracle.class_reps
-    oracle.class_reps = lambda d: reps(d) + [oracle.ReducedForm(1, -1, 2)]
-    call = lambda: oracle.hilbert_class_poly(-7, 128)
-    expect = InvariantError, "not monic of degree 2"
-elif sys.argv[1] == "sigma3":
-    sigmas = oracle._divisor_sigmas
-    def bumped(N):
-        s3, s5 = sigmas(N)
-        s3[1] += 1
-        return s3, s5
-    oracle._divisor_sigmas = bumped
-    call = lambda: oracle._extend_j_series([1], 64)
-    expect = InvariantError, "remainder at q^6"
-else:
-    if sys.argv[1] == "theta4":
-        # theta4 with the sign of its odd terms flipped is theta3
-        sums = oracle._theta_sums
-        def flipped(*args):
-            theta3, _, tri = sums(*args)
-            return theta3, theta3, tri
-        oracle._theta_sums = flipped
-    else:
-        coeffs = oracle._j_coeffs
-        oracle._j_coeffs = lambda N: (1, 745) + coeffs(N)[2:]
-    call = lambda: oracle.j_value(oracle.ReducedForm(2, 1, 3), 128)
-    expect = oracle.PrecisionError, "j-value routes disagree"
-try:
-    call()
-except expect[0] as exc:
-    if expect[1] in str(exc):
-        raise SystemExit(0)
-    raise
-raise SystemExit(sys.argv[1] + " sabotage went unnoticed")
-"""
+_class_reps = oracle.class_reps
+_divisor_sigmas = oracle._divisor_sigmas
+_theta_sums = oracle._theta_sums
+_j_coeffs = oracle._j_coeffs
 
 
-@pytest.mark.parametrize("sabotage", ["resultant", "class_reps", "sigma3", "theta4", "j_coeffs"])
-def test_oracle_checks_survive_optimize(sabotage):
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGE, sabotage],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+def _bumped_sigmas(N):
+    s3, s5 = _divisor_sigmas(N)
+    s3[1] += 1
+    return s3, s5
+
+
+def _theta4_as_theta3(*args):
+    # theta4 with the sign of its odd terms flipped is theta3
+    theta3, _, tri = _theta_sums(*args)
+    return theta3, theta3, tri
+
+
+def _j_at_2_1_3():
+    return j_value(ReducedForm(2, 1, 3), 128)
+
+
+# a broken oracle step, the call that must catch it, and the error it raises; each
+# is raised explicitly, never a bare assert, so with the source guard of
+# tests/test_imports.py it holds under python -O too
+_SABOTAGE = {
+    "resultant": (
+        "resultant", lambda P, Q: 0, lambda: singular_moduli_check(Setup(-3, -7)),
+        InvariantError, "share a root",
+    ),
+    "class_reps": (
+        "class_reps", lambda d: _class_reps(d) + [ReducedForm(1, -1, 2)],
+        lambda: hilbert_class_poly(-7, 128), InvariantError, "not monic of degree 2",
+    ),
+    "sigma3": (
+        "_divisor_sigmas", _bumped_sigmas, lambda: oracle._extend_j_series([1], 64),
+        InvariantError, "remainder at q^6",
+    ),
+    "theta4": (
+        "_theta_sums", _theta4_as_theta3, _j_at_2_1_3, PrecisionError, "j-value routes disagree",
+    ),
+    "j_coeffs": (
+        "_j_coeffs", lambda N: (1, 745) + _j_coeffs(N)[2:], _j_at_2_1_3,
+        PrecisionError, "j-value routes disagree",
+    ),
+}
+
+
+@pytest.mark.parametrize("sabotage", _SABOTAGE)
+def test_oracle_checks_survive_optimize(monkeypatch, sabotage):
+    attr, broken, call, error, message = _SABOTAGE[sabotage]
+    monkeypatch.setattr(oracle, attr, broken)
+    monkeypatch.setattr(oracle, "_CLASS_POLYS", {})  # so class_reps builds its polynomial again
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_exhausted_retry_is_one_precision_failure(monkeypatch, capsys):
