@@ -23,6 +23,7 @@ import os
 import sys
 
 import mpmath
+from mpmath.libmp import to_str
 
 from .eisenstein import _degree_report, _mixed_term, constant_term, trace_degree
 from .exact import InvariantError, LogLinear
@@ -52,9 +53,14 @@ def _loglinear_map(value: LogLinear) -> dict[str, str]:
 
 
 def _float_str(x, digits: int) -> str:
+    """x to ``digits`` significant digits, "0" for zero: ``mpmath.nstr``'s text.
+
+    Calls ``libmp.to_str``, the kernel under ``nstr``, on the mpf's raw
+    tuple; it reads no global precision.
+    """
     if x == 0:
         return "0"
-    return mpmath.nstr(x, digits, strip_zeros=False)
+    return to_str(x._mpf_, digits, strip_zeros=False)
 
 
 def _display_bits(digits: int) -> int:

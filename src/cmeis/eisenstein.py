@@ -45,6 +45,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    from_int,
+    mpf_abs,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
 from .exact import InvariantError, LogLinear, factor, padic_val
 from .field import (
@@ -117,10 +128,20 @@ def holomorphic_coefficient(setup: Setup, m: int, x: int) -> LogLinear:
 
 
 def _mixed_term(D: int, m: int, x: int, rho: int, v, precision: int):
-    """2 rho * e1(4 pi |sigma| v), |sigma| the negative embedding of m/2 + (|x|/(2D)) sqrt(D)."""
-    with mpmath.mp.workprec(precision + 16):
-        mag = abs(mpmath.mpf(m) / 2 - mpmath.mpf(abs(x)) / (2 * D) * mpmath.sqrt(D))
-        return +(2 * rho * e1(4 * mpmath.pi * mag * mpmath.mpf(v), precision))
+    """2 rho * e1(4 pi |sigma| v), |sigma| the negative embedding of m/2 + (|x|/(2D)) sqrt(D).
+
+    ``libmp`` kernels at precision + 16 bits, rounding to nearest, take the
+    steps of mpmath's ``mpf`` operators under that ``workprec``: the same
+    bits, with no global precision set.
+    """
+    wp, rnd = precision + 16, round_nearest
+    half_m = mpf_div(from_int(m, wp, rnd), from_int(2), wp, rnd)
+    x_part = mpf_div(from_int(abs(x), wp, rnd), from_int(2 * D), wp, rnd)
+    sigma = mpf_sub(half_m, mpf_mul(x_part, mpf_sqrt(from_int(D), wp, rnd), wp, rnd), wp, rnd)
+    z = mpf_mul(mpf_mul_int(mpf_pi(wp, rnd), 4, wp, rnd), mpf_abs(sigma, wp, rnd), wp, rnd)
+    z = mpf_mul(z, mpmath.mpf(v, prec=wp, rounding=rnd)._mpf_, wp, rnd)
+    value = e1(mpmath.mp.make_mpf(z), precision)._mpf_
+    return mpmath.mp.make_mpf(mpf_mul_int(value, 2 * rho, wp, rnd))
 
 
 def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):

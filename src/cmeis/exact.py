@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_mul, round_nearest
 
 __all__ = [
     "OO",
@@ -367,10 +368,10 @@ def sqrt_mod_prime_power(D: int, p: int, k: int) -> int:
     return r % p**k
 
 
-@lru_cache(maxsize=1 << 10)
-def _log_prime(p: int, precision: int):
-    with mpmath.mp.workprec(precision):
-        return mpmath.log(p)
+@lru_cache(maxsize=None)
+def _log_prime(p: int, precision: int) -> tuple:
+    """log p as a raw ``libmp`` mpf at ``precision`` bits, rounded to nearest."""
+    return mpf_log(from_int(p), precision, round_nearest)
 
 
 class LogLinear:
@@ -423,12 +424,21 @@ class LogLinear:
         return hash(tuple(self._terms.items()))
 
     def to_float(self, precision: int = 128):
-        """Evaluate as an mpmath float with log p at the given bit precision."""
-        with mpmath.mp.workprec(precision):
-            total = mpmath.mpf(0)
-            for p, c in self._terms.items():
-                total += mpmath.mpf(c.numerator) / c.denominator * _log_prime(p, precision)
-            return +total
+        """Evaluate as an mpmath float with log p at the given bit precision.
+
+        Each step is a ``libmp`` kernel at ``precision``, rounding to
+        nearest: the numerator of c_p rounded, divided by the denominator,
+        times log p, added to the total in key order.  Those are the steps
+        of mpmath's ``mpf`` operators under ``workprec(precision)``, so the
+        bits are the same, but no global precision is set: any thread may
+        call this.
+        """
+        prec, rnd = precision, round_nearest
+        total = fzero
+        for p, c in self._terms.items():
+            term = mpf_div(from_int(c.numerator, prec, rnd), from_int(c.denominator), prec, rnd)
+            total = mpf_add(total, mpf_mul(term, _log_prime(p, prec), prec, rnd), prec, rnd)
+        return mpmath.mp.make_mpf(total)
 
     def __repr__(self) -> str:
         if not self._terms:

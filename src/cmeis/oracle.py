@@ -4,7 +4,7 @@ Reduced binary quadratic forms and class numbers, modular j-values by two
 independent routes, integer class polynomials with a rounding
 certificate, exact integer resultants, the exponential integral, and
 central values/derivatives of odd Dirichlet L-functions.  E1 and log Gamma
-are mpmath's own (``mpmath.e1``, ``mpmath.loggamma``).
+are mpmath's own (``libmp.mpf_e1``, ``mpmath.loggamma``).
 
 The two j routes share only the point q = e^(2 pi i tau), and both run
 on Python integers; mpmath gives the nome, sqrt(-d), the final division
@@ -19,10 +19,11 @@ precision before the division by q.
 Nothing in here touches the exact ideal-theoretic pipeline except through
 the single reconciliation ``singular_moduli_check``, which compares the
 factored resultant of two class polynomials against the trace-1 degree.
-Floats are mpmath reals under explicit working-precision contexts; every
-rounding step that matters carries a certificate (two-route agreement
-for j, distance < 1/4 for class-polynomial coefficients) and raises
-``PrecisionError`` instead of degrading silently.
+Floats are mpmath reals under explicit working-precision contexts
+(``e1`` passes its precision to ``libmp`` instead); every rounding step
+that matters carries a certificate (two-route agreement for j, distance
+< 1/4 for class-polynomial coefficients) and raises ``PrecisionError``
+instead of degrading silently.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fractions import Fraction
 from operator import mul
 
 import mpmath
+from mpmath.libmp import mpf_e1, mpf_pos, round_nearest
 
 from .exact import InvariantError, LogLinear, _small_primes, kronecker
 from .field import Setup, SetupError, _is_fundamental_discriminant
@@ -515,16 +517,15 @@ def resultant(P, Q) -> int:
 def e1(x, precision: int = 53):
     """Exponential integral E1(x) = integral_1^inf e^(-u x) du/u, x > 0.
 
-    Evaluated by ``mpmath.e1`` with 32 guard bits, then rounded to
-    ``precision``.
+    x is taken at precision + 32 bits, E1 is evaluated there by ``libmp``'s
+    ``mpf_e1`` (the kernel under ``mpmath.e1``), and the value is rounded to
+    ``precision``, all to nearest; no global precision is set.
     """
-    with mpmath.mp.workprec(precision + 32):
-        x = mpmath.mpf(x)
-        if x <= 0:
-            raise ValueError("E1 needs a positive argument")
-        val = mpmath.e1(x)
-    with mpmath.mp.workprec(precision):
-        return +val
+    x = mpmath.mpf(x, prec=precision + 32, rounding=round_nearest)
+    if x <= 0:
+        raise ValueError("E1 needs a positive argument")
+    val = mpf_e1(x._mpf_, precision + 32, round_nearest)
+    return mpmath.mp.make_mpf(mpf_pos(val, precision, round_nearest))
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,9 @@ def _valuation_norm_compatible(rng: random.Random) -> str | None:
     setups = _setups()
     for _ in range(1000):
         setup = rng.choice(setups)
-        beta = FElem(_random_nonzero_rational(rng, 40), _random_nonzero_rational(rng, 40))
+        u, v = _random_nonzero_rational(rng, 40), _random_nonzero_rational(rng, 40)
+        # a third rational and a third rational multiples of sqrt(D)
+        beta = rng.choice((FElem(u, v), FElem(u, 0), FElem(0, v)))
         nrm = beta.norm(setup.D)
         ps = set(factor(abs(nrm.numerator)).primes()) | set(factor(nrm.denominator).primes())
         for p in ps:
@@ -321,11 +323,12 @@ def _rho_multiplicative(rng: random.Random) -> str | None:
     for _ in range(300):
         setup = rng.choice(setups)
         p1, p2 = rng.sample([2, 3, 5, 7, 11, 13, 17, 19], 2)
+        # exponent 0 at one prime above a split p leaves its conjugate alone
         a = FIdealFactored.from_pairs(
-            [(prm, rng.randint(1, 3)) for prm in prime_ideals_above(setup, p1)]
+            [(prm, rng.randint(0, 3)) for prm in prime_ideals_above(setup, p1)]
         )
         b = FIdealFactored.from_pairs(
-            [(prm, rng.randint(1, 3)) for prm in prime_ideals_above(setup, p2)]
+            [(prm, rng.randint(0, 3)) for prm in prime_ideals_above(setup, p2)]
         )
         lhs = genus.norm_ideal_count(setup, a * b)
         rhs = genus.norm_ideal_count(setup, a) * genus.norm_ideal_count(setup, b)
@@ -350,7 +353,7 @@ def _chi_invariant_under_norms(rng: random.Random) -> str | None:
             for _ in range(20):
                 p = rng.choice([2, 3, 5, 7, 11, 13])
                 b = FIdealFactored.from_pairs(
-                    [(prm, rng.randint(0, 2)) for prm in prime_ideals_above(setup, p)]
+                    [(prm, rng.randint(0, 3)) for prm in prime_ideals_above(setup, p)]
                 )
                 if genus.genus_char_ideal(setup, b * qideal) != genus.genus_char_ideal(
                     setup, b

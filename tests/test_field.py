@@ -449,28 +449,6 @@ def test_split_valuation_powers_and_conjugation():
         beta = _felem_mul(beta, base, s.D)
 
 
-def test_valuations_recover_norm_order():
-    rng = random.Random(3)
-    for d1, d2 in TEST_MATRIX:
-        s = Setup(d1, d2)
-        for _ in range(60):
-            beta = FElem(
-                Fraction(rng.randint(-40, 40), rng.randint(1, 25)),
-                Fraction(rng.randint(-40, 40), rng.randint(1, 25)),
-            )
-            if beta.is_zero:
-                continue
-            nrm = beta.norm(s.D)
-            ps = set(factor(abs(nrm.numerator)).primes())
-            ps |= set(factor(nrm.denominator).primes())
-            for p in ps:
-                got = sum(
-                    prm.residue_degree * element_valuation(s, beta, prm)
-                    for prm in prime_ideals_above(s, p)
-                )
-                assert got == padic_val(nrm, p)
-
-
 # ---------------------------------------------------------------------------
 # FElem against the rational definitions u + v*sqrt(D)
 

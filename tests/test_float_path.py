@@ -1,0 +1,136 @@
+"""The float path on mpmath's ``libmp`` kernels.
+
+``LogLinear.to_float``, ``cli._float_str``, ``eisenstein._mixed_term`` and
+``oracle.e1`` call the kernels with the precision and rounding passed in.
+These tests pin their bits and texts to mpmath's object layer under
+``workprec`` (kept here as the reference), and run them from three
+threads at once, which a global working precision would not survive.
+"""
+
+import json
+import random
+import sys
+import threading
+from fractions import Fraction
+
+import mpmath
+
+from cmeis.cli import _float_str, main
+from cmeis.eisenstein import _mixed_term
+from cmeis.exact import LogLinear, _log_prime, is_prime
+from cmeis.oracle import e1
+
+
+def _to_float_reference(value, precision):
+    with mpmath.mp.workprec(precision):
+        total = mpmath.mpf(0)
+        for p, c in value.terms().items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
+        return +total
+
+
+def _float_str_reference(x, digits):
+    return "0" if x == 0 else mpmath.nstr(x, digits, strip_zeros=False)
+
+
+def _e1_reference(x, precision):
+    with mpmath.mp.workprec(precision + 32):
+        val = mpmath.e1(mpmath.mpf(x))
+    with mpmath.mp.workprec(precision):
+        return +val
+
+
+def _random_prime(rng, bound):
+    n = rng.randint(2, bound)
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _random_coefficient(rng):
+    # mostly small fractions; some numerators wider than every precision below,
+    # which the first rounding step of to_float rounds
+    size = rng.choice((10, 10**6, 2**400))
+    num = rng.choice((-1, 1)) * rng.randint(1, size)
+    return Fraction(num, rng.randint(1, rng.choice((1, 30, 10**6))))
+
+
+def test_to_float_text_matches_the_object_path():
+    rng = random.Random(2812)
+    for precision in (53, 128, 152, 272):
+        for digits in (1, 5, 30, 60):
+            for _ in range(200):
+                terms = rng.randint(1, 3)
+                value = LogLinear(
+                    {_random_prime(rng, 10**6): _random_coefficient(rng) for _ in range(terms)}
+                )
+                got, want = value.to_float(precision), _to_float_reference(value, precision)
+                assert got._mpf_ == want._mpf_, (value, precision)
+                text = _float_str_reference(want, digits)
+                assert _float_str(got, digits) == text, (value, digits)
+    assert LogLinear.zero().to_float(53) == 0 and _float_str(0, 5) == "0"
+
+
+def test_e1_matches_the_object_path():
+    rng = random.Random(2813)
+    for _ in range(400):
+        precision = rng.choice((53, 69, 128, 144))
+        z = rng.uniform(0, 80)
+        if rng.random() < 0.5:  # a z wider than a float, as _mixed_term passes
+            with mpmath.mp.workprec(precision + 16):
+                z = mpmath.mpf(z) * mpmath.pi / 4
+        assert e1(z, precision)._mpf_ == _e1_reference(z, precision)._mpf_, (z, precision)
+    for z in (1e-12, 1, 79.5):
+        assert e1(z, 53)._mpf_ == _e1_reference(z, 53)._mpf_
+
+
+def _wrong_answers_under_threads(jobs, calls):
+    """Run each job in its own thread, ``calls`` times, switching threads every 10 us.
+
+    The expected answers come from one thread first, which also grows
+    mpmath's constant memos (pi, log 2, Euler's constant) to the largest
+    precision used, so the threads only read them.
+    """
+    expected = [job() for job in jobs]
+    wrong = [0] * len(jobs)
+
+    def worker(i):
+        for _ in range(calls):
+            if jobs[i]() != expected[i]:
+                wrong[i] += 1
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return wrong
+
+
+def test_float_text_is_thread_safe():
+    value = LogLinear({2: Fraction(3, 7), 1009: Fraction(-5, 3), 99991: 4})
+    jobs = [lambda b=b: _float_str(value.to_float(b), 30) for b in (53, 152, 4000)]
+    assert _wrong_answers_under_threads(jobs, 3000) == [0, 0, 0]
+
+
+def test_mixed_term_is_thread_safe():
+    # (-3,-7), D = 21: x = 7 at trace 1 has rho = 2
+    jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 0.9, b)._mpf_ for b in (53, 152, 400)]
+    assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
+
+
+def test_log_prime_computes_each_prime_once(capsys):
+    # one trace-60 run asks for log p at ~1,400 primes, all at one precision:
+    # the cache must keep every one of them
+    _log_prime.cache_clear()
+    assert main(["coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "60"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    primes = {p for r in records for p in r["a_alpha"]}
+    info = _log_prime.cache_info()
+    assert info.misses == info.currsize == len(primes) > 1 << 10

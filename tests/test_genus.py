@@ -1,9 +1,5 @@
 import math
-import random
 from fractions import Fraction
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cmeis.exact import kronecker
 from cmeis.field import (
@@ -57,24 +53,6 @@ def test_genus_char_ideal():
     assert genus_char_ideal(s, minus5 * minus5) == 1
 
 
-def test_chi_invariant_under_split_norms():
-    rng = random.Random(5)
-    s = Setup(-3, -7)
-    # q split in both imaginary fields: kronecker(d_i, q) = +1
-    q = next(
-        q
-        for q in (37, 43, 67, 79, 109)
-        if kronecker(-3, q) == 1 and kronecker(-7, q) == 1
-    )
-    qideal = FIdealFactored.from_pairs([(prm, 1) for prm in prime_ideals_above(s, q)])
-    for _ in range(25):
-        p = rng.choice([2, 3, 5, 11])
-        b = FIdealFactored.from_pairs(
-            [(prm, rng.randint(0, 3)) for prm in prime_ideals_above(s, p)]
-        )
-        assert genus_char_ideal(s, b * qideal) == genus_char_ideal(s, b)
-
-
 # ---------------------------------------------------------------------------
 # obstruction sets
 
@@ -124,21 +102,6 @@ def test_norm_ideal_count_examples():
     sq = _ideal(s, (5, "split_minus", 2))
     assert norm_ideal_count(s, sq) == 1
     assert norm_ideal_count(s, _ideal(s, (5, "split_minus", -1))) == 0
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from([(-3, -7), (-3, -4), (-4, -7), (-7, -8)]),
-    st.sampled_from([2, 3, 5, 7]),
-    st.sampled_from([11, 13, 17, 19]),
-    st.integers(0, 3),
-    st.integers(0, 3),
-)
-def test_norm_ideal_count_multiplicative(pair, p1, p2, e1, e2):
-    s = Setup(*pair)
-    a = FIdealFactored.from_pairs([(prm, e1) for prm in prime_ideals_above(s, p1)])
-    b = FIdealFactored.from_pairs([(prm, e2) for prm in prime_ideals_above(s, p2)])
-    assert norm_ideal_count(s, a * b) == norm_ideal_count(s, a) * norm_ideal_count(s, b)
 
 
 # ---------------------------------------------------------------------------
