@@ -12,7 +12,6 @@ from .eisenstein import (
     DegreeReport,
     arakelov_degree,
     assemble_derivative,
-    coherent_coefficient,
     coherent_ratio_check,
     constant_term,
     holomorphic_coefficient,

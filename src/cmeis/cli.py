@@ -22,8 +22,7 @@ import math
 import os
 import sys
 
-import mpmath
-from mpmath.libmp import to_str
+from mpmath.libmp import from_int, mpf_abs, mpf_cmp, mpf_pow_int, round_nearest, to_str
 
 from .eisenstein import _degree_report, _mixed_term, constant_term, trace_degree
 from .exact import InvariantError, LogLinear
@@ -137,16 +136,18 @@ def _mixed_records(setup, m, xs, v1, v2, digits, bits):
     The line sieve factors each x once; the index at -x has the conjugate
     ideal and the same rho, so each x with rho != 0 gives the terms at -x,
     then x, both through ``_mixed_term``, as ``mixed_coefficient`` does.
+    A term is kept when |value| >= 10^-(digits+2), both sides rounded to
+    53 bits in ``libmp``: the cutoff reads no global precision.
     """
     D = setup.D
-    cutoff = mpmath.mpf(10) ** (-(digits + 2))
+    cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
     records = []
     for x, _, ideal in _line_sieve(setup, m, xs):
         rho = norm_ideal_count(setup, ideal)  # 0 for most x
         if rho:
             for sx, v in ((-x, v1), (x, v2)):
                 value = _mixed_term(D, m, sx, rho, v, bits)
-                if abs(value) >= cutoff:
+                if mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0:
                     records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
     return records
 

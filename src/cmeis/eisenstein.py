@@ -76,7 +76,6 @@ __all__ = [
     "DegreeReport",
     "arakelov_degree",
     "assemble_derivative",
-    "coherent_coefficient",
     "coherent_ratio_check",
     "constant_term",
     "holomorphic_coefficient",
@@ -144,7 +143,7 @@ def _mixed_term(D: int, m: int, x: int, rho: int, v, precision: int):
     return mpmath.mp.make_mpf(mpf_mul_int(value, 2 * rho, wp, rnd))
 
 
-def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53):
+def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int):
     """Coefficient of the index alpha = m/2 + (x/(2D)) sqrt(D) of mixed signature.
 
     The signature is mixed when x^2 > m^2 D.  The value is 0 unless x - mD
@@ -164,7 +163,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int = 53)
     return _mixed_term(D, m, x, rho, v1 if x < 0 else v2, precision) if rho else mpmath.mpf(0)
 
 
-def constant_term(setup: Setup, v1, v2, precision: int = 128):
+def constant_term(setup: Setup, v1, v2, precision: int):
     """Constant coefficient: -2 Lambda'(0) + Lambda(0) log(v1 v2).
 
     Lambda is the product of the two completed odd Dirichlet L-functions;
@@ -323,33 +322,19 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     return LogLinear._unchecked({place.p: Fraction(coeff)})
 
 
-def coherent_coefficient(setup: Setup, alpha: FElem, prm: FPrimeIdeal) -> int:
-    """Center value of the coefficient for the twisted quadratic space.
-
-    Assembled as (-1) * prod of untouched center values * (-2i)^2, as in
-    ``assemble_derivative``, and asserted against 4 * rho(alpha*D/P).
-    """
-    place, _, scalar = _local_factors(setup, alpha)
-    if place != prm:
-        raise ValueError("the twisted section needs the unique obstruction prime")
-    value = -scalar  # the section twisted at P has center value -1 there
-    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
-    if value != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
-        raise InvariantError("coherent center value disagrees with 4 * rho")
-    return value
-
-
 def coherent_ratio_check(setup: Setup, m: int, x: int) -> bool:
     """Exact identity at alpha = m/2 + (x/(2D)) sqrt(D): derivative = nu * log p * coherent value.
 
     The ``arakelov_degree`` report, read off the line sieve, gives the
-    obstruction prime P, nu and the closed-form coefficient.  The assembled
-    derivative and the coherent value (asserted against 4 * rho of
-    ``principal_ideal``) both come from ``_local_factors``: the literal
-    sums of ``_local_sums`` on the ``FElem`` alpha, which find P on their
-    own as the center value 0; the identity fails if that place is not
-    the report's P.  The assembly and the report's coefficient are each
-    compared with nu * log p * (coherent value).
+    obstruction prime P, 2 nu and rho.  One ``_local_factors`` pass on the
+    ``FElem`` alpha (the literal sums of ``_local_sums``, which find P on
+    their own as the center value 0) gives the derivative at P and the
+    other center values; the identity fails if that place is not the
+    report's P.  The section twisted at P has center value -1 there, so
+    the coherent value is minus the product of the others, asserted
+    against 4 * rho of ``principal_ideal``.  The assembled derivative,
+    nu * (coherent value) and the closed form 4 * nu * rho are then
+    compared as integer multiples of log p.
     """
     report = arakelov_degree(setup, m, x)
     if report.reflex is None:
@@ -357,8 +342,14 @@ def coherent_ratio_check(setup: Setup, m: int, x: int) -> bool:
     prm = report.reflex
     alpha = FElem(Fraction(m, 2), Fraction(x, 2 * setup.D))
     try:
-        coherent = coherent_coefficient(setup, alpha, prm)
-    except ValueError:  # the assembly's obstruction place is not the sieve's P
+        place, deriv_coeff, scalar = _local_factors(setup, alpha)
+    except ValueError:  # no single obstruction place in the assembly
         return False
-    expected = LogLinear({prm.p: report.nu * coherent})
-    return assemble_derivative(setup, alpha) == expected and report.coefficient == expected
+    if place != prm:
+        return False
+    coherent = -scalar
+    ideal = principal_ideal(setup, alpha.times_sqrtD(setup.D))
+    if coherent != 4 * norm_ideal_count(setup, ideal.times(prm, -1)):
+        raise InvariantError("coherent center value disagrees with 4 * rho")
+    # twice each coefficient of log p: assembly, nu * coherent value, closed form
+    return 2 * deriv_coeff * scalar == report.two_nu * coherent == 4 * report.two_nu * report.rho

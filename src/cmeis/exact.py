@@ -423,7 +423,7 @@ class LogLinear:
         # the frozen SingularModuliReport hashes its two LogLinear fields
         return hash(tuple(self._terms.items()))
 
-    def to_float(self, precision: int = 128):
+    def to_float(self, precision: int):
         """Evaluate as an mpmath float with log p at the given bit precision.
 
         Each step is a ``libmp`` kernel at ``precision``, rounding to

@@ -514,7 +514,7 @@ def resultant(P, Q) -> int:
 # special functions
 
 
-def e1(x, precision: int = 53):
+def e1(x, precision: int):
     """Exponential integral E1(x) = integral_1^inf e^(-u x) du/u, x > 0.
 
     x is taken at precision + 32 bits, E1 is evaluated there by ``libmp``'s
@@ -546,7 +546,7 @@ class LFunctionCenter:
     completed_derivative: object
 
 
-def lambda_at_zero(d: int, precision: int = 128) -> LFunctionCenter:
+def lambda_at_zero(d: int, precision: int) -> LFunctionCenter:
     """Center values of the odd quadratic L-function of discriminant d.
 
     L(0) is the exact rational sum of chi(a) (1/2 - a/|d|), equal to

@@ -366,7 +366,8 @@ def _chi_invariant_under_norms(rng: random.Random) -> str | None:
 
 
 def _degree_coefficient_identity(rng: random.Random) -> str | None:
-    # closed form from the slice's factorization (what coeffs prints), assembly from valuations;
+    # closed form from the slice's factorization (what coeffs prints), assembly from valuations,
+    # and a Hilbert-symbol support of exactly {P}, so no prime reaches outside the obstruction;
     # x and -x share a Hasse diagonal, so each line takes the support once per |x|
     for setup in _setups():
         for m in range(1, 21):
@@ -386,7 +387,7 @@ def _degree_coefficient_identity(rng: random.Random) -> str | None:
                 spt = supports.get(abs(e.x))
                 if spt is None:
                     spt = supports[abs(e.x)] = support(setup, e.alpha)
-                if rep.reflex.p not in spt:
+                if spt != {rep.reflex.p}:
                     return f"degree support outside obstruction at x={e.x}, {line}"
     return None
 

@@ -467,7 +467,7 @@ def test_slice_path_skips_the_felem_factorization():
         for e in enumerate_trace_slice(setup, m):
             arakelov_degree(setup, m, e.x)
             holomorphic_coefficient(setup, m, e.x)
-    mixed_coefficient(setup, 1, -15, 1.0, 1.0)
+    mixed_coefficient(setup, 1, -15, 1.0, 1.0, 53)
     assert principal_ideal.cache_info().misses == 0
     assert element_valuation.cache_info().misses == 0
 
@@ -567,9 +567,9 @@ def test_production_path_reads_no_hensel_lift(monkeypatch):
 def test_missing_imaginary_part_is_a_value_error():
     setup = Setup(-3, -7)
     with pytest.raises(ValueError, match="must be positive"):
-        cmeis.eisenstein.constant_term(setup, 1, None)
+        cmeis.eisenstein.constant_term(setup, 1, None, 128)
     with pytest.raises(ValueError, match="must be positive"):
-        cmeis.eisenstein.mixed_coefficient(setup, 1, 9, None, 1)
+        cmeis.eisenstein.mixed_coefficient(setup, 1, 9, None, 1, 53)
     with pytest.raises(ValueError, match="given together"):
         list(coefficient_records(setup, 1, v1=1.0))
 
@@ -638,6 +638,7 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
 
 # Each sabotaged dependency must make the named check return a failure.
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
+_local_factors = cmeis.eisenstein._local_factors
 _hasse_invariant = cmeis.field.hasse_invariant
 _hilbert_symbol = cmeis.field.hilbert_symbol
 _sqrt_mod_prime_power = cmeis.verify.sqrt_mod_prime_power
@@ -697,8 +698,8 @@ FAULTS = {
         lambda setup, alpha: LogLinear.zero(),
     ),
     "coherent-ratio": (
-        "eisenstein", cmeis.eisenstein, "assemble_derivative",
-        lambda setup, alpha: LogLinear.zero(),
+        "eisenstein", cmeis.eisenstein, "_local_factors",
+        lambda setup, alpha: (lambda p, d, s: (p, d + 1, s))(*_local_factors(setup, alpha)),
     ),
     "trace-degree-two-paths": (
         "eisenstein", cmeis.eisenstein, "prime_multiplicity",
@@ -893,7 +894,7 @@ IDENTITY_FAULTS = {
     # the support half: one Hasse invariant short, with the per-line memo of signs in place
     "degree support outside obstruction": (
         cmeis.field, "hasse_invariant",
-        lambda diag, place: _hasse_invariant(diag[:-1], place), "x=-9, m=3",
+        lambda diag, place: _hasse_invariant(diag[:-1], place), "x=-1, m=1",
     ),
 }
 

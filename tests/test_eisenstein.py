@@ -13,7 +13,7 @@ from cmeis.eisenstein import (
     _degree_report,
     arakelov_degree,
     assemble_derivative,
-    coherent_coefficient,
+    coherent_ratio_check,
     constant_term,
     holomorphic_coefficient,
     mixed_coefficient,
@@ -32,7 +32,7 @@ from cmeis.field import (
 )
 from cmeis.genus import diff_set, genus_char_prime, norm_ideal_count
 from cmeis.oracle import class_number, e1
-from cmeis.verify import TEST_MATRIX
+from cmeis.verify import SUITES, TEST_MATRIX
 
 S37 = Setup(-3, -7)
 S34 = Setup(-3, -4)
@@ -88,7 +88,8 @@ def test_whittaker_coherent_swap():
     ideal = principal_ideal(S37, ALPHA_X1.times_sqrtD(S37.D))
     others = [_sums(S37, ALPHA_X1, prm)[0] for prm, _ in ideal.entries]
     others.remove(_sums(S37, ALPHA_X1, minus)[0])
-    assert coherent_coefficient(S37, ALPHA_X1, minus) == -1 * -4 * math.prod(others)
+    place, _, scalar = eisenstein._local_factors(S37, ALPHA_X1)
+    assert place == minus and -scalar == -1 * -4 * math.prod(others)
 
 
 def test_whittaker_finite_rejects_pole():
@@ -240,7 +241,7 @@ def _index(x):
 _SABOTAGE = {
     "coherent_coefficient": (
         "norm_ideal_count", lambda *args: 0,
-        lambda: coherent_coefficient(S37, _index(-3).alpha, *diff_set(S37, _index(-3).ideal)),
+        lambda: coherent_ratio_check(S37, 1, -3),
         "coherent center value disagrees with 4 * rho",
     ),
     "assemble_derivative": (
@@ -301,11 +302,25 @@ def test_assembly_rejects_long_diff():
 
 
 def test_coherent_coefficient_x1():
+    # the coherent value -scalar is 4 = 4 * rho at x = 1, and the identity holds there
     _, minus = prime_ideals_above(S37, 5)
-    assert coherent_coefficient(S37, ALPHA_X1, minus) == 4
-    plus, _ = prime_ideals_above(S37, 5)
-    with pytest.raises(ValueError):
-        coherent_coefficient(S37, ALPHA_X1, plus)
+    place, _, scalar = eisenstein._local_factors(S37, ALPHA_X1)
+    assert (place, -scalar) == (minus, 4) and coherent_ratio_check(S37, 1, 1)
+
+
+def test_coherent_ratio_check_takes_one_assembly_pass(monkeypatch):
+    # the derivative and the coherent value come from one _local_factors call per index
+    indices = [
+        e.alpha
+        for s in (Setup(*pair) for pair in TEST_MATRIX[:3])
+        for m in range(1, 6)
+        for e in enumerate_trace_slice(s, m)
+        if len(diff_set(s, e.ideal)) == 1
+    ]
+    real, calls = eisenstein._local_factors, []
+    monkeypatch.setattr(eisenstein, "_local_factors", lambda s, a: calls.append(a) or real(s, a))
+    assert SUITES["eisenstein"]["coherent-ratio"](random.Random(0)) is None
+    assert calls == indices and len(calls) == 193
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +356,7 @@ def test_mixed_coefficient_zero_cases():
     # x = 7: norm 7 sits over the split-in-K ramified prime, rho = 2
     assert mixed_coefficient(S37, 1, 7, 1.0, 1.0, 60) > 0
     with pytest.raises(ValueError):
-        mixed_coefficient(S37, 1, 1, 1.0, 1.0)  # ALPHA_X1 is totally positive
+        mixed_coefficient(S37, 1, 1, 1.0, 1.0, 53)  # ALPHA_X1 is totally positive
 
 
 def test_nonpositive_imaginary_part_is_rejected_whatever_the_value():
@@ -349,12 +364,7 @@ def test_nonpositive_imaginary_part_is_rejected_whatever_the_value():
     # both imaginary parts are checked before any of that
     for x, v1, v2 in ((9, -1.0, -1.0), (8, -1.0, -1.0), (7, -1.0, 1.0), (7, 1.0, -1.0)):
         with pytest.raises(ValueError, match="must be positive"):
-            mixed_coefficient(S37, 1, x, v1, v2)
-
-
-def test_mixed_coefficient_decreasing():
-    vals = [mixed_coefficient(S37, 1, -5, v, 1.0, 80) for v in (0.5, 1, 2, 4, 8)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+            mixed_coefficient(S37, 1, x, v1, v2, 53)
 
 
 def _mixed_reference(setup, m, x, v1, v2, precision):
@@ -395,7 +405,7 @@ def test_fourier_coefficient_mixed_outside_inverse_different():
     for x, sign in ((-6, 1), (6, 2)):
         alpha = FElem(Fraction(1, 2), Fraction(x, 42))
         assert alpha.embedding_sign(S37.D, sign) < 0 < alpha.embedding_sign(S37.D, 3 - sign)
-        assert mixed_coefficient(S37, 1, x, 1.0, 1.0) == 0
+        assert mixed_coefficient(S37, 1, x, 1.0, 1.0, 53) == 0
 
 
 def test_totally_positive_index_with_cancelling_valuations():
@@ -443,5 +453,5 @@ def test_constant_term_at_unit_v():
 
 def test_constant_term_rejects_bad_v():
     with pytest.raises(ValueError):
-        constant_term(S37, 0, 1)
+        constant_term(S37, 0, 1, 128)
 

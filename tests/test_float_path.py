@@ -5,6 +5,7 @@
 These tests pin their bits and texts to mpmath's object layer under
 ``workprec`` (kept here as the reference), and run them from three
 threads at once, which a global working precision would not survive.
+The ``coeffs`` stream's mixed-term cutoff reads no global precision either.
 """
 
 import json
@@ -15,9 +16,10 @@ from fractions import Fraction
 
 import mpmath
 
-from cmeis.cli import _float_str, main
+from cmeis.cli import _float_str, coefficient_records, main
 from cmeis.eisenstein import _mixed_term
 from cmeis.exact import LogLinear, _log_prime, is_prime
+from cmeis.field import Setup
 from cmeis.oracle import e1
 
 
@@ -123,6 +125,16 @@ def test_mixed_term_is_thread_safe():
     # (-3,-7), D = 21: x = 7 at trace 1 has rho = 2
     jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 0.9, b)._mpf_ for b in (53, 152, 400)]
     assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
+
+
+def test_mixed_cutoff_ignores_the_global_precision():
+    # at 4 bits the cutoff 10^-7 and the term 9.3801e-8 at m = 2, x = 18 round to one
+    # value, which would admit the term; the cutoff compares at 53 bits whatever mp.prec is
+    setup = Setup(-3, -8)
+    want = list(coefficient_records(setup, 3, 1.9, 1.47, 5))
+    assert len(want) == 43
+    with mpmath.mp.workprec(4):
+        assert list(coefficient_records(setup, 3, 1.9, 1.47, 5)) == want
 
 
 def test_log_prime_computes_each_prime_once(capsys):

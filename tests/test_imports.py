@@ -1,4 +1,4 @@
-"""Two source guards.
+"""Three source guards.
 
 Every imported name is used: a module under ``src/cmeis``, ``tests/`` or
 ``scripts/`` may not import a name that it never reads.
@@ -9,6 +9,9 @@ imports and names listed in a module's ``__all__`` count as used.
 ``src/cmeis`` runs the same under ``python -O``: ``-O`` strips ``assert``
 statements and sets ``__debug__`` and ``sys.flags.optimize``, so no module
 there may use any of them.  Every invariant raises its own error instead.
+
+No function under ``src/cmeis`` gives ``precision`` a default: each caller
+names the precision it computes at.
 """
 
 import ast
@@ -91,5 +94,32 @@ if __debug__ or sys.flags.optimize:
         str(path.relative_to(ROOT)): hits
         for path in sorted((ROOT / "src" / "cmeis").rglob("*.py"))
         if (hits := _optimize_sensitive(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def _defaulted_precision(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):  # the parameters of every def, async def and lambda
+        if isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            defaulted = positional[len(positional) - len(node.defaults):] + [
+                arg for arg, d in zip(node.kwonlyargs, node.kw_defaults) if d is not None
+            ]
+            found += [f"line {arg.lineno}: precision" for arg in defaulted if arg.arg == "precision"]
+    return found
+
+
+def test_no_precision_has_a_default():
+    source = """
+def f(x, precision=53, digits=5): pass
+def g(precision, digits=5): pass
+h = lambda *, precision=1: precision
+"""
+    assert _defaulted_precision(ast.parse(source)) == ["line 2: precision", "line 4: precision"]
+    found = {
+        str(path.relative_to(ROOT)): hits
+        for path in sorted((ROOT / "src" / "cmeis").rglob("*.py"))
+        if (hits := _defaulted_precision(ast.parse(path.read_text())))
     }
     assert found == {}
