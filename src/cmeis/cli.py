@@ -136,6 +136,7 @@ def _mixed_records(setup, m, xs, v1, v2, digits, bits):
     The line sieve factors each x once; the index at -x has the conjugate
     ideal and the same rho, so each x with rho != 0 gives the terms at -x,
     then x, both through ``_mixed_term``, as ``mixed_coefficient`` does.
+    The term reads only |x|, so with v1 == v2 it is valued once for both.
     A term is kept when |value| >= 10^-(digits+2), both sides rounded to
     53 bits in ``libmp``: the cutoff reads no global precision.
     """
@@ -145,8 +146,9 @@ def _mixed_records(setup, m, xs, v1, v2, digits, bits):
     for x, _, ideal in _line_sieve(setup, m, xs):
         rho = norm_ideal_count(setup, ideal)  # 0 for most x
         if rho:
-            for sx, v in ((-x, v1), (x, v2)):
-                value = _mixed_term(D, m, sx, rho, v, bits)
+            low = _mixed_term(D, m, -x, rho, v1, bits)
+            high = low if v1 == v2 else _mixed_term(D, m, x, rho, v2, bits)
+            for sx, value in ((-x, low), (x, high)):
                 if mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0:
                     records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
     return records

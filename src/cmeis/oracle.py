@@ -3,8 +3,9 @@
 Reduced binary quadratic forms and class numbers, modular j-values by two
 independent routes, integer class polynomials with a rounding
 certificate, exact integer resultants, the exponential integral, and
-central values/derivatives of odd Dirichlet L-functions.  E1 and log Gamma
-are mpmath's own (``libmp.mpf_e1``, ``mpmath.loggamma``).
+central values/derivatives of odd Dirichlet L-functions.  Log Gamma is
+mpmath's own (``mpmath.loggamma``); E1 is a certified continued fraction on
+Python integers where that pays, and ``libmp.mpf_e1`` elsewhere.
 
 The two j routes share only the point q = e^(2 pi i tau), and both run
 on Python integers; mpmath gives the nome, sqrt(-d), the final division
@@ -23,7 +24,7 @@ Floats are mpmath reals under explicit working-precision contexts
 (``e1`` passes its precision to ``libmp`` instead); every rounding step
 that matters carries a certificate (two-route agreement for j, distance
 < 1/4 for class-polynomial coefficients) and raises ``PrecisionError``
-instead of degrading silently.
+instead of degrading silently, or, for E1, falls back to ``mpf_e1``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,22 @@ from fractions import Fraction
 from operator import mul
 
 import mpmath
-from mpmath.libmp import mpf_e1, mpf_pos, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_e1,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_fixed,
+    to_float,
+)
 
 from .exact import InvariantError, LogLinear, _small_primes, kronecker
 from .field import Setup, SetupError, _is_fundamental_discriminant
@@ -517,15 +533,91 @@ def resultant(P, Q) -> int:
 def e1(x, precision: int):
     """Exponential integral E1(x) = integral_1^inf e^(-u x) du/u, x > 0.
 
-    x is taken at precision + 32 bits, E1 is evaluated there by ``libmp``'s
-    ``mpf_e1`` (the kernel under ``mpmath.e1``), and the value is rounded to
-    ``precision``, all to nearest; no global precision is set.
+    x is taken at precision + 32 bits, to nearest, and the value is E1 there
+    rounded to ``precision`` bits, to nearest; no global precision is set.
+
+    From x = precision/6 up to where ``libmp``'s ``mpf_e1`` (the kernel
+    under ``mpmath.e1``) would switch to its asymptotic series, the value
+    comes from the contracted continued fraction
+
+        E1(x) = e^(-x) / T_0,  T_k = x + 2k+1 - (k+1)^2 / T_(k+1),
+
+    run backward from a depth n on Python integers in fixed point
+    (``_e1_enclosure``).  Every tail T_k lies in [x + k, x + 2k+1].  The
+    upper end holds as T_(k+1) > 0.  The lower end holds for every
+    approximant of T_k (T_N replaced by x + 2N+1, for N > k), because
+    t >= x + k+1 gives x + 2k+1 - (k+1)^2 / t >= x + k, so it holds for
+    their limit T_k.  T_0 grows with T_n, so the tails x + n and x + 2n+1,
+    with each integer step rounded away from its bound, enclose T_0; the
+    exponential at precision + 40 bits, rounded down and one unit up,
+    brackets e^(-x) to within ``mpf_exp``'s own error, far inside the
+    widening below.
+
+    The rounding test: the enclosure, widened by 2^-(precision+24)
+    relative, must round to one ``precision``-bit value at both ends.  Then
+    E1(x) is that far from every rounding boundary, and ``mpf_e1`` at
+    precision + 32 bits, off by about one of its own units, rounds to the
+    same bits.  Where the test fails, and outside that range of x, the
+    value is ``mpf_e1`` at precision + 32 bits rounded to ``precision``.
     """
     x = mpmath.mpf(x, prec=precision + 32, rounding=round_nearest)
     if x <= 0:
         raise ValueError("E1 needs a positive argument")
-    val = mpf_e1(x._mpf_, precision + 32, round_nearest)
-    return mpmath.mp.make_mpf(mpf_pos(val, precision, round_nearest))
+    val = _e1_fraction(x._mpf_, precision)
+    if val is None:
+        val = mpf_pos(mpf_e1(x._mpf_, precision + 32, round_nearest), precision, round_nearest)
+    return mpmath.mp.make_mpf(val)
+
+
+def _e1_depth(z: float, precision: int) -> int:
+    """Continued-fraction depth for E1(z) to about 2^-(precision+24) relative.
+
+    Once n > z the tails contract the enclosure by about e^(-4 sqrt(z n)),
+    which gives n = L^2/(16 z) for L = (precision+24) ln 2; z + L in place
+    of L covers the first steps.
+    """
+    log_width = (precision + 24) * math.log(2)
+    return int((log_width + z) ** 2 / (16 * z)) + 4
+
+
+def _e1_enclosure(x, precision: int, n: int):
+    """Bounds (low, high) on E1 of the positive mpf ``x`` at precision + 40 bits, at depth n."""
+    frac = precision + 48
+    one, sq = 1 << frac, 2 * frac
+    lo = to_fixed(x, frac)  # x in [lo, lo + 1] / 2^frac
+    # the tail x + n and the lower end of x give the least T_0, x + 2n+1 and
+    # the upper end the largest; each division rounds away from its bound
+    t_lo, t_hi = lo + n * one, lo + 1 + (2 * n + 1) * one
+    for k in range(n - 1, -1, -1):
+        c, q = (2 * k + 1) * one, (k + 1) ** 2 << sq
+        t_lo = lo + c + (-q // t_lo)
+        t_hi = lo + 1 + c - q // t_hi
+    wp = precision + 40
+    exp_lo = mpf_exp(mpf_neg(x), wp, round_floor)
+    exp_hi = from_man_exp(exp_lo[1] + 1, exp_lo[2])
+    return (
+        mpf_div(exp_lo, from_man_exp(t_hi, -frac), wp, round_floor),
+        mpf_div(exp_hi, from_man_exp(t_lo, -frac), wp, round_ceiling),
+    )
+
+
+def _e1_fraction(x, precision: int):
+    """E1 of the positive mpf ``x`` at ``precision`` bits from the continued fraction, or None.
+
+    None outside precision/6 <= x < A + 1, where A is the integer part
+    past which ``mpf_e1`` at precision + 32 bits sums its asymptotic
+    series (about x short terms; below it, its Taylor series at 2x extra
+    bits is what the fraction saves), and when the rounding test fails.
+    """
+    z = to_float(x)
+    if not precision / 6 <= z < int((precision + 52) * 0.693) + 11:
+        return None
+    low, high = _e1_enclosure(x, precision, _e1_depth(z, precision))
+    wp, widen = precision + 40, from_man_exp(1, -(precision + 24))
+    low = mpf_sub(low, mpf_mul(low, widen), wp, round_floor)
+    high = mpf_add(high, mpf_mul(high, widen), wp, round_ceiling)
+    low, high = (mpf_pos(end, precision, round_nearest) for end in (low, high))
+    return low if low == high else None
 
 
 # ---------------------------------------------------------------------------

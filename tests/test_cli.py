@@ -529,6 +529,11 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
         assert records and factored == list(xs)
         assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
         assert 0 < len(valued) < 2 * len(factored)
+        # with v1 == v2 the term at -x serves x too: it reads only |x|
+        negative = valued[0::2]
+        valued.clear()
+        cmeis.cli._mixed_records(setup, m, xs, 0.9, 0.9, 30, 128)
+        assert valued == negative
     assert all(n > 997**2 and not is_prime(n) for n in rests)
 
 

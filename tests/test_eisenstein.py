@@ -81,17 +81,6 @@ def test_whittaker_finite_local_sums():
     assert _local_sums_case(S37, alpha, inert2, 1, 2) == (3, 6)  # 6 * log 2
 
 
-def test_whittaker_coherent_swap():
-    # the section twisted at the obstruction prime swaps its vanishing
-    # center value for -1; every other factor, (-2i)^2 included, stays
-    _, minus = prime_ideals_above(S37, 5)
-    ideal = principal_ideal(S37, ALPHA_X1.times_sqrtD(S37.D))
-    others = [_sums(S37, ALPHA_X1, prm)[0] for prm, _ in ideal.entries]
-    others.remove(_sums(S37, ALPHA_X1, minus)[0])
-    place, _, scalar = eisenstein._local_factors(S37, ALPHA_X1)
-    assert place == minus and -scalar == -1 * -4 * math.prod(others)
-
-
 def test_whittaker_finite_rejects_pole():
     bad = FElem(Fraction(1, 10), Fraction(1, 10))  # pole above 5
     gen = bad.times_sqrtD(S37.D)

@@ -5,9 +5,14 @@
 These tests pin their bits and texts to mpmath's object layer under
 ``workprec`` (kept here as the reference), and run them from three
 threads at once, which a global working precision would not survive.
+``oracle.e1``'s continued fraction is pinned the same way at z up to about 200
+and at the display bits of ``--digits`` 30 and 60 (152 and 272): a wrong
+partial numerator gives wrong bits, a depth too shallow falls back to the
+same bits, and its enclosure holds ``mpmath.e1`` at 2,000 bits.
 The ``coeffs`` stream's mixed-term cutoff reads no global precision either.
 """
 
+import inspect
 import json
 import random
 import sys
@@ -16,11 +21,13 @@ from fractions import Fraction
 
 import mpmath
 
+import cmeis.oracle
+import cmeis.verify
 from cmeis.cli import _float_str, coefficient_records, main
 from cmeis.eisenstein import _mixed_term
 from cmeis.exact import LogLinear, _log_prime, is_prime
 from cmeis.field import Setup
-from cmeis.oracle import e1
+from cmeis.oracle import _e1_depth, _e1_enclosure, _e1_fraction, e1
 
 
 def _to_float_reference(value, precision):
@@ -73,17 +80,68 @@ def test_to_float_text_matches_the_object_path():
     assert LogLinear.zero().to_float(53) == 0 and _float_str(0, 5) == "0"
 
 
-def test_e1_matches_the_object_path():
-    rng = random.Random(2813)
-    for _ in range(400):
-        precision = rng.choice((53, 69, 128, 144))
-        z = rng.uniform(0, 80)
-        if rng.random() < 0.5:  # a z wider than a float, as _mixed_term passes
+def _e1_cases(seed, count):
+    """(z, precision) pairs, z up to about 200; half are wider than a float, as in _mixed_term."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        precision = rng.choice((53, 69, 128, 144, 152, 272))
+        z = rng.uniform(0, 200)
+        if rng.random() < 0.5:
             with mpmath.mp.workprec(precision + 16):
-                z = mpmath.mpf(z) * mpmath.pi / 4
-        assert e1(z, precision)._mpf_ == _e1_reference(z, precision)._mpf_, (z, precision)
-    for z in (1e-12, 1, 79.5):
-        assert e1(z, 53)._mpf_ == _e1_reference(z, 53)._mpf_
+                z = mpmath.mpf(z) * mpmath.pi / 3
+        yield z, precision
+
+
+def _e1_disagreements(cases):
+    return [(z, p) for z, p in cases if e1(z, p)._mpf_ != _e1_reference(z, p)._mpf_]
+
+
+def _through_the_fraction(z, precision):
+    return _e1_fraction(mpmath.mpf(z, prec=precision + 32)._mpf_, precision) is not None
+
+
+_CASES = list(_e1_cases(2813, 400))
+
+
+def test_e1_matches_the_object_path():
+    assert _e1_disagreements(_CASES) == []
+    assert _e1_disagreements([(1e-12, 53), (1, 53), (79.5, 53)]) == []
+    # 152 and 272 bits are the display bits of --digits 30 and 60
+    for precision in (152, 272):
+        cases = [(z, p) for z, p in _CASES if p == precision]
+        assert sum(_through_the_fraction(z, p) for z, p in cases) > len(cases) / 2
+
+
+def test_e1_with_a_wrong_coefficient_disagrees(monkeypatch):
+    # the partial numerator (k+1)^2 as (k+1)(k+2): the enclosure is as narrow,
+    # so the rounding test passes and certifies wrong bits
+    source = inspect.getsource(cmeis.oracle._e1_enclosure)
+    assert "(k + 1) ** 2" in source
+    namespace = dict(vars(cmeis.oracle))
+    exec(source.replace("(k + 1) ** 2", "(k + 1) * (k + 2)"), namespace)
+    monkeypatch.setattr(cmeis.oracle, "_e1_enclosure", namespace["_e1_enclosure"])
+    wrong = _e1_disagreements(_CASES)
+    assert len(wrong) == sum(_through_the_fraction(z, p) for z, p in _CASES) > 0
+    assert cmeis.verify._e1_quadrature(random.Random(0)) == "e1 vs quadrature at x=20"
+
+
+def test_e1_too_shallow_falls_back_to_the_same_bits(monkeypatch):
+    monkeypatch.setattr(cmeis.oracle, "_e1_depth", lambda z, precision: 3)
+    assert not any(_through_the_fraction(z, p) for z, p in _CASES)
+    assert _e1_disagreements(_CASES) == []
+
+
+def test_e1_enclosure_contains_the_value():
+    # against mpmath.e1 at 2,000 bits; each width is below 2^-(precision+20) relative
+    for z, precision in ((9.2, 53), (30.7, 53), (26.1, 152), (60.3, 152), (140.9, 152),
+                         (46.4, 272), (199.6, 272)):
+        x = mpmath.mpf(z)
+        low, high = _e1_enclosure(x._mpf_, precision, _e1_depth(z, precision))
+        with mpmath.mp.workprec(2000):
+            value = mpmath.e1(x)
+            low, high = mpmath.mpf(low), mpmath.mpf(high)
+            assert low < value < high, (z, precision)
+            assert high - low < value * mpmath.mpf(2) ** -(precision + 20), (z, precision)
 
 
 def _wrong_answers_under_threads(jobs, calls):
@@ -124,6 +182,14 @@ def test_float_text_is_thread_safe():
 def test_mixed_term_is_thread_safe():
     # (-3,-7), D = 21: x = 7 at trace 1 has rho = 2
     jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 0.9, b)._mpf_ for b in (53, 152, 400)]
+    assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
+
+
+def test_e1_fraction_is_thread_safe():
+    # the mixed term above has z = 2.98, below every precision/6: these z take the fraction
+    cases = ((30, 53), (60, 152), (140, 272))
+    assert all(_through_the_fraction(z, b) for z, b in cases)
+    jobs = [lambda z=z, b=b: e1(z, b)._mpf_ for z, b in cases]
     assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
 
 
