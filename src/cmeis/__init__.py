@@ -50,6 +50,7 @@ from .genus import (
     genus_char_prime,
     norm_ideal_count,
     prime_multiplicity,
+    trace_one_product,
 )
 from .oracle import (
     LFunctionCenter,

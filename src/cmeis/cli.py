@@ -21,13 +21,13 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from mpmath.libmp import from_int, mpf_abs, mpf_cmp, mpf_pow_int, round_nearest, to_str
 
-from .eisenstein import _degree_report, _mixed_term, constant_term, trace_degree
+from .eisenstein import _index_report, _LocalTable, _mixed_term, constant_term, trace_degree
 from .exact import InvariantError, LogLinear
 from .field import FPrimeIdeal, Setup, SetupError, _half_slice, _line_sieve
-from .genus import norm_ideal_count
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
 
@@ -74,6 +74,17 @@ def _ratio_text(a: int, b: int) -> str:
 
 def _diff_text(primes) -> str:
     return "[" + ",".join(f'{{"p":{q.p},"kind":"{q.kind}"}}' for q in primes) + "]"
+
+
+@lru_cache(maxsize=1 << 8)
+def _diff_texts(diff):
+    """The diff texts at x and at -x, where the split primes swap their kinds.
+
+    The obstruction sets of small primes recur at many indices; a few
+    hundred of them take most lookups, and the cache stays small.
+    """
+    mirror = sorted((q.conjugate() for q in diff), key=FPrimeIdeal.sort_key)
+    return _diff_text(diff), _diff_text(mirror)
 
 
 def _tail(report, digits, bits):
@@ -130,21 +141,25 @@ def _mixed_ranges(D, trace_max, v, digits):
     return ranges
 
 
-def _mixed_records(setup, m, xs, v1, v2, digits, bits):
+def _mixed_records(table, m, xs, v1, v2, digits, bits):
     """Nonzero mixed-signature records at trace m over the scan range xs, in scan order.
 
-    The line sieve factors each x once; the index at -x has the conjugate
-    ideal and the same rho, so each x with rho != 0 gives the terms at -x,
-    then x, both through ``_mixed_term``, as ``mixed_coefficient`` does.
+    The line sieve factors each x once and ``_index_report`` reads rho off
+    its factors with the run's ``table``; the index at -x has the
+    conjugate ideal and the same rho, so each x with rho != 0 gives the
+    terms at -x, then x, both through ``_mixed_term``, as
+    ``mixed_coefficient`` does.
     The term reads only |x|, so with v1 == v2 it is valued once for both.
     A term is kept when |value| >= 10^-(digits+2), both sides rounded to
     53 bits in ``libmp``: the cutoff reads no global precision.
     """
+    setup = table.setup
     D = setup.D
     cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
     records = []
-    for x, _, ideal in _line_sieve(setup, m, xs):
-        rho = norm_ideal_count(setup, ideal)  # 0 for most x
+    for x, _, factors in _line_sieve(setup, m, xs):
+        # rho(alpha*D), 0 at most x: the obstruction set has even length here, rarely 0
+        rho = _index_report(table, m, x, factors).rho
         if rho:
             low = _mixed_term(D, m, -x, rho, v1, bits)
             high = low if v1 == v2 else _mixed_term(D, m, x, rho, v2, bits)
@@ -161,8 +176,11 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     CSV columns.  Always one record per trace-slice element for
     1 <= m <= trace_max: each pair x, -x is factored and reported once, and
     the record at -x is the Galois mirror of the one at x, sharing its
-    tail (the a_alpha, deg_X, float and nu texts).  Tails are built once
-    per key (P's p, 2 nu, rho) of the integer report.  With imaginary
+    tail (the a_alpha, deg_X, float and nu texts).  Each report comes
+    from the sieve's (q, e) pairs (``eisenstein._index_report``), read
+    with one table of local data per call; tails are built once per key
+    (P's p, 2 nu, rho) of the report, and the diff texts of x and -x come
+    from a small cache.  With imaginary
     parts given, also the constant term (m = 0) and the mixed-signature
     terms whose numeric size clears the display cutoff.  Bad or too small
     imaginary parts are a ``SetupError`` here, before the first record.
@@ -178,6 +196,7 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
 def _records(setup, trace_max, v1, v2, digits, scans):
     bits = _display_bits(digits)
     D = setup.D
+    table = _LocalTable(setup)
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
 
     if v1 is not None:
@@ -185,21 +204,20 @@ def _records(setup, trace_max, v1, v2, digits, scans):
     for m in range(1, trace_max + 1):
         m_text, u = str(m), _ratio_text(m, 2)
         below, per_m = [], []
-        for x, _, ideal in _half_slice(setup, m):
-            report = _degree_report(setup, ideal)
+        for x, _, factors in _half_slice(setup, m):
+            report = _index_report(table, m, x, factors)
             key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = _tail(report, digits, bits)
+            diff, mirror = _diff_texts(report.diff)
             x_text, v = str(x), _ratio_text(x, 2 * D)
-            per_m.append((m_text, x_text, u, v, _diff_text(report.diff), *tail))
+            per_m.append((m_text, x_text, u, v, diff, *tail))
             if x:
-                # the conjugate index: the split primes swap their kinds
-                diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
-                below.append((m_text, "-" + x_text, u, "-" + v, _diff_text(diff), *tail))
+                below.append((m_text, "-" + x_text, u, "-" + v, mirror, *tail))
         per_m[:0] = reversed(below)
         if v1 is not None:
-            per_m.extend(_mixed_records(setup, m, scans[m - 1], v1, v2, digits, bits))
+            per_m.extend(_mixed_records(table, m, scans[m - 1], v1, v2, digits, bits))
             per_m.sort(key=lambda r: int(r[1]))
         yield from per_m
 

@@ -11,7 +11,9 @@ Coefficients are computed through two deliberately disjoint paths:
 * the closed form 2 * ord * rho * log p attached to the unique
   obstruction prime (``arakelov_degree``, whose coefficient is also
   ``holomorphic_coefficient``) at alpha = m/2 + (x/(2D)) sqrt(D), read
-  off the ideal the line sieve (``field._line_sieve``) factors from (m, x),
+  straight off the (q, e) pairs that the line sieve
+  (``field._line_sieve``) finds in the norm of sqrt(D) * alpha, by Gross
+  and Zagier's local rule (``_index_report``), with no ideal built,
 * a product-rule assembly of finite local Whittaker values and the one
   local derivative (``assemble_derivative``) on the ``FElem`` alpha:
   literal finite sums at the primes of the norm, valued by the check
@@ -22,11 +24,13 @@ Coefficients are computed through two deliberately disjoint paths:
   ``LogLinear``, the derivative at the obstruction prime times the rest.
 
 The matching Arakelov degree of the zero-dimensional CM locus is one
-quarter of the coefficient; ``trace_degree`` sums a trace slice and also
-recomputes it through the per-prime multiplicity sums as a cross-check.
-Both sums walk only the half slice x >= 0 (``field._half_slice``), with
-weight 2 for x > 0 and 1 for x = 0, since the index at -x carries the
-Galois conjugate ideal and the same degree and multiplicities.
+quarter of the coefficient; ``trace_degree`` sums the reports of a trace
+slice and also recomputes the sum through the per-prime multiplicity
+sums on the ideals ``field._slice_ideal`` builds from the same pairs, a
+cross-check on other code.  Both sums walk only the half slice x >= 0
+(``field._half_slice``), with weight 2 for x > 0 and 1 for x = 0, since
+the index at -x carries the Galois conjugate ideal and the same degree
+and multiplicities.
 
 Derivative convention: the finite Whittaker derivative at s = 0 is taken
 in the variable for which the coefficient identities above hold, i.e.
@@ -60,16 +64,16 @@ from mpmath.libmp import (
 from .exact import InvariantError, LogLinear, factor, padic_val
 from .field import (
     FElem,
-    FIdealFactored,
     FPrimeIdeal,
     Setup,
     _half_slice,
     _line_sieve,
+    _slice_ideal,
     element_valuation,
     prime_ideals_above,
     principal_ideal,
 )
-from .genus import diff_set, genus_char_prime, norm_ideal_count, prime_multiplicity
+from .genus import genus_char_prime, norm_ideal_count, prime_multiplicity
 from .oracle import e1, lambda_at_zero
 
 __all__ = [
@@ -109,12 +113,6 @@ def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal) -> tuple[int, int]:
     return value, prm.residue_degree * (half_different * value + weighted)
 
 
-def _index_ideal(setup: Setup, m: int, x: int) -> FIdealFactored:
-    """The integral ideal ((x + m*sqrt(D))/2), x of either sign, from a one-index line sieve."""
-    ((_, _, ideal),) = _line_sieve(setup, m, range(x, x + 1, 2))
-    return ideal
-
-
 def holomorphic_coefficient(setup: Setup, m: int, x: int) -> LogLinear:
     """Coefficient of the totally positive index alpha = m/2 + (x/(2D)) sqrt(D).
 
@@ -150,7 +148,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int):
     is even, i.e. sqrt(D) * alpha = (x + m sqrt(D))/2 is integral, and is
     else 2 rho * e1(4 pi |sigma_l| v_l), where l is the embedding at which
     alpha is negative (1 for x < 0, 2 for x > 0); it decays to 0 as v_l grows.
-    rho comes from the line sieve at x, the value from ``_mixed_term``.
+    rho is the report of a one-index line sieve at x, the value from ``_mixed_term``.
     """
     D = setup.D
     if x * x <= m * m * D:
@@ -159,7 +157,7 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int):
         raise ValueError("imaginary parts must be positive")
     if (x - m * D) % 2:
         return mpmath.mpf(0)
-    rho = norm_ideal_count(setup, _index_ideal(setup, m, x))
+    rho = _one_index_report(setup, m, x).rho
     return _mixed_term(D, m, x, rho, v1 if x < 0 else v2, precision) if rho else mpmath.mpf(0)
 
 
@@ -187,10 +185,12 @@ class DegreeReport:
 
     Stores integers only: the obstruction set ``diff``, its one prime
     ``reflex`` (None for the empty locus), ``two_nu`` = ord_P(alpha*P*D)
-    and ``rho`` = rho(alpha*D/P), both 0 for the empty locus.  ``nu`` (the
-    common length of the local rings), ``degree`` = nu * rho * log p and
-    ``coefficient`` = 4 * degree are derived on access; both are zero for
-    the empty locus.
+    (0 for the empty locus) and ``rho`` = rho(alpha*D/P).  With no single
+    P, ``rho`` is rho(alpha*D), which is 0 unless the obstruction set is
+    empty; that happens only at mixed signature, where the coefficient is
+    2 rho * e1(...) (``mixed_coefficient``).  ``nu`` (the common length of the local
+    rings), ``degree`` = nu * rho * log p and ``coefficient`` = 4 * degree
+    are derived on access; both are zero for the empty locus.
     """
 
     diff: tuple[FPrimeIdeal, ...]
@@ -214,30 +214,102 @@ class DegreeReport:
         return self._log_p(Fraction(2 * self.two_nu * self.rho))
 
 
-def _degree_report(setup: Setup, ideal: FIdealFactored) -> DegreeReport:
-    """``arakelov_degree`` of the index whose ideal alpha * (different) is ``ideal``.
+# the most primes one _LocalTable keeps; it looks any further prime up each time
+_TABLE_SIZE = 1 << 14
 
-    Takes the line sieve's integral ideal.  Finds the obstruction set, its
-    one prime P, ord_P(ideal) + 1 and rho of the ideal less P's entry;
-    builds no ``LogLinear`` or ``Fraction``.
+
+class _LocalTable(dict):
+    """q -> (kind, chi, primes above q) for one ``Setup``, filled as the primes come.
+
+    kind is the splitting of q in F, chi the genus character at a prime
+    above q (``genus_char_prime``; both primes above a split q have norm
+    q and share it).  A run builds one table and reads it at every index:
+    a ``coeffs`` stream, a trace degree, one setup of a check's sweep.
+    It is not shared between runs or threads.
     """
-    diff = diff_set(setup, ideal)
-    if len(diff) != 1:
-        return DegreeReport(diff, None, 0, 0)
-    prm = diff[0]
+
+    __slots__ = ("setup",)
+
+    def __init__(self, setup: Setup):
+        super().__init__()
+        self.setup = setup
+
+    def __missing__(self, q: int):
+        prms = prime_ideals_above(self.setup, q)
+        entry = (prms[0].kind, genus_char_prime(self.setup, prms[0]), prms)
+        if len(self) < _TABLE_SIZE:
+            self[q] = entry
+        return entry
+
+
+def _index_report(table: _LocalTable, m: int, x: int, factors) -> DegreeReport:
+    """The report of the index (m, x), of either signature, from the (q, e) pairs of its norm.
+
+    ``factors`` are the pairs of n = |m^2*D - x^2|/4, q increasing, as the
+    line sieve finds them.  Gross and Zagier's local rule (On singular
+    moduli, 1985) gives the exponent k of (x + m*sqrt(D))/2 at each place
+    above q: e/2 at inert q; e at ramified q; at split q, t at both places
+    and the other e - 2t at the one where sqrt(D) = s = -u/w (mod q, or
+    mod 4 at q = 2), split_minus if 2s > q (or 4), else split_plus.  Here
+    (x + m*sqrt(D))/2 = q^t (u + w*sqrt(D))/2 with t as large as it can
+    be, as in ``field._slice_ideal``, whose copy of the rule is the check
+    paths'.  A place with chi = +1 multiplies rho by k + 1; one with
+    chi = -1 and k odd is an obstruction place.  The ``FPrimeIdeal``s of
+    the report are the table's, taken for the obstruction places alone.
+    """
+    D = table.setup.D
+    obstruction, rho = [], 1
+    for q, e in factors:
+        kind, chi, prms = table[q]
+        if kind == "inert":
+            if e % 2:
+                raise InvariantError("odd norm valuation at an inert prime")
+            places = ((prms[0], e // 2),)
+        elif kind == "ramified":
+            places = ((prms[0], e),)
+        else:
+            u, w, t = x, m, 0
+            while u % q == 0 and w % q == 0 and (q > 2 or (u - w) % 4 == 0):
+                u, w, t = u // q, w // q, t + 1
+            plus = minus = t
+            if e > 2 * t:
+                r = 4 if q == 2 else q
+                s = -u * pow(w, -1, r) % r if w % q else None  # sqrt(D) = s at that place
+                if s is None or (s * s - D) % r:
+                    raise InvariantError("x is not in exactly one root class of a split prime")
+                if 2 * s > r:
+                    minus += e - 2 * t
+                else:
+                    plus += e - 2 * t
+            places = ((prms[0], plus), (prms[1], minus))
+        for prm, k in places:
+            if chi == 1:
+                rho *= k + 1
+            elif k % 2:
+                obstruction.append((prm, k))
+    if len(obstruction) != 1:
+        diff = tuple(prm for prm, _ in obstruction)
+        return DegreeReport(diff, None, 0, 0 if diff else rho)
+    prm, k = obstruction[0]
     if prm.residue_degree != 1:
         raise InvariantError("obstruction primes have residue degree 1")
-    # rho(ideal / P): P's own factor is 1 (chi(P) = -1, even exponent left)
-    rest = FIdealFactored(tuple(entry for entry in ideal.entries if entry[0] != prm))
-    return DegreeReport(diff, prm, ideal.ord_at(prm) + 1, norm_ideal_count(setup, rest))
+    # rho(alpha*D/P): P's own factor is 1 (chi(P) = -1, even exponent left)
+    return DegreeReport((prm,), prm, k + 1, rho)
+
+
+def _one_index_report(setup: Setup, m: int, x: int) -> DegreeReport:
+    """``_index_report`` of (m, x), x of either sign, from a one-index line sieve."""
+    ((_, _, factors),) = _line_sieve(setup, m, range(x, x + 1, 2))
+    return _index_report(_LocalTable(setup), m, x, factors)
 
 
 def arakelov_degree(setup: Setup, m: int, x: int) -> DegreeReport:
     """Length- and automorphism-weighted point count at alpha = m/2 + (x/(2D)) sqrt(D).
 
     Needs m >= 1 and x^2 < m^2 D.  The report is empty unless x = mD
-    (mod 2) and the ideal alpha * (different), read off the line sieve,
-    has one obstruction prime P: then the locus lies in characteristic p,
+    (mod 2) and the ideal alpha * (different), whose local data
+    ``_index_report`` reads off the line sieve's factors, has one
+    obstruction prime P: then the locus lies in characteristic p,
     each local ring of length nu = (1/2) ord_P(alpha*P*D), and
 
         degree = nu * rho(alpha*D/P) * log p,
@@ -248,14 +320,15 @@ def arakelov_degree(setup: Setup, m: int, x: int) -> DegreeReport:
         raise ValueError("expected a nonzero totally positive element")
     if (x - m * setup.D) % 2:
         return DegreeReport((), None, 0, 0)
-    return _degree_report(setup, _index_ideal(setup, m, x))
+    return _one_index_report(setup, m, x)
 
 
 def trace_degree(setup: Setup, m: int) -> LogLinear:
     """Degree of the trace-m CM locus, computed two ways and compared.
 
-    (a) sum of per-index degrees over the trace slice;
-    (b) one half of the double sum of per-prime multiplicities.
+    (a) sum of per-index degrees over the trace slice (``_index_report``);
+    (b) one half of the double sum of per-prime multiplicities, on the
+        ideals ``field._slice_ideal`` builds from the same factors.
     Both walk the half slice x >= 0 and weight each index 2 for x > 0 and
     1 for x = 0: the index at -x has the Galois conjugate ideal, and
     degrees and multiplicities depend only on norms and chi, which the
@@ -264,12 +337,14 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     """
     total_a: dict[int, int] = {}  # twice path (a), sum of weight * two_nu * rho
     total_b: dict[int, int] = {}  # twice path (b)
-    for x, _, ideal in _half_slice(setup, m):
+    table = _LocalTable(setup)
+    for x, _, factors in _half_slice(setup, m):
         weight = 2 if x else 1
-        report = _degree_report(setup, ideal)
+        report = _index_report(table, m, x, factors)
         if report.reflex is not None:
             p = report.reflex.p
             total_a[p] = total_a.get(p, 0) + weight * report.two_nu * report.rho
+        ideal = _slice_ideal(setup, m, x, factors)
         for p in ideal.rational_primes():
             total_b[p] = total_b.get(p, 0) + weight * prime_multiplicity(setup, ideal, p)
     degree = LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_a.items()})
@@ -322,21 +397,20 @@ def assemble_derivative(setup: Setup, alpha: FElem) -> LogLinear:
     return LogLinear._unchecked({place.p: Fraction(coeff)})
 
 
-def coherent_ratio_check(setup: Setup, m: int, x: int) -> bool:
+def coherent_ratio_check(setup: Setup, m: int, x: int, report: DegreeReport) -> bool:
     """Exact identity at alpha = m/2 + (x/(2D)) sqrt(D): derivative = nu * log p * coherent value.
 
-    The ``arakelov_degree`` report, read off the line sieve, gives the
-    obstruction prime P, 2 nu and rho.  One ``_local_factors`` pass on the
-    ``FElem`` alpha (the literal sums of ``_local_sums``, which find P on
-    their own as the center value 0) gives the derivative at P and the
-    other center values; the identity fails if that place is not the
-    report's P.  The section twisted at P has center value -1 there, so
+    ``report`` is the index's ``arakelov_degree`` report, from the line
+    sieve the caller walks: the obstruction prime P, 2 nu and rho.  One
+    ``_local_factors`` pass on the ``FElem`` alpha (the literal sums of
+    ``_local_sums``, which find P on their own as the center value 0)
+    gives the derivative at P and the other center values; the identity
+    fails if that place is not the report's P.  The section twisted at P has center value -1 there, so
     the coherent value is minus the product of the others, asserted
     against 4 * rho of ``principal_ideal``.  The assembled derivative,
     nu * (coherent value) and the closed form 4 * nu * rho are then
     compared as integer multiples of log p.
     """
-    report = arakelov_degree(setup, m, x)
     if report.reflex is None:
         raise ValueError("identity needs a single obstruction prime")
     prm = report.reflex

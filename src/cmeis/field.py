@@ -27,9 +27,12 @@ p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
 p not dividing m), on either side of m*sqrt(D): one sieve over the line
 serves the slice and the mixed-signature x > m*sqrt(D), of norm
 (x^2 - m^2*D)/4, dividing each small p out at those indices only, as in
-the quadratic sieve.  The ideal then comes
-from the (p, e) pairs: e/2 at inert p, e at ramified p, and at split p
-t to both primes above it and the other e - 2t to the one prime P where
+the quadratic sieve.  The sieve hands on the (p, e) pairs of each n(x);
+the production path reads each index's report straight from them
+(``eisenstein._index_report``) and builds no ideal.  ``_slice_ideal``
+builds the ideal from the same pairs, for ``enumerate_trace_slice`` and
+the check paths: e/2 at inert p, e at ramified p, and at split p t to
+both primes above it and the other e - 2t to the one prime P where
 sqrt(D) = -x/m, p^t the p-part of the content of (x + m*sqrt(D))/2
 (after Gross-Zagier, On singular moduli): the index names P.  The slice
 factors only x >= 0: x -> -x is the Galois conjugation of F, so the
@@ -392,6 +395,7 @@ class TraceSliceElement:
     alpha: FElem
     x: int
     n: int
+    factors: tuple[tuple[int, int], ...]  # the sieve's (p, e) pairs of n, p increasing
     ideal: FIdealFactored  # (sqrt(D) * alpha), integral of norm n
 
 
@@ -408,7 +412,9 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     must be a root of D mod q.  The other e - 2t then go to split_plus
     when s is the least root (2s < q, see ``FPrimeIdeal``) and to
     split_minus otherwise.  No root of D is looked up.  The entries come
-    out in sort_key order.
+    out in sort_key order.  ``eisenstein._index_report`` applies the same
+    rule on its own code, so that ``trace_degree``'s two paths differ in
+    code, and the checks compare both with ``principal_ideal``.
     """
     D = setup.D
     entries = []
@@ -439,7 +445,7 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
 
 
 def _line_sieve(setup: Setup, m: int, xs: range):
-    """Yield (x, n, ideal) for x in xs, a step-2 range of either sign, or one index.
+    """Yield (x, n, factors) for x in xs, a step-2 range of either sign, or one index.
 
     The nonzero norms n(x) = |m^2*D - x^2|/4 of the range are factored
     in one sieve: the 2-part comes off each by bit arithmetic, and each
@@ -447,7 +453,8 @@ def _line_sieve(setup: Setup, m: int, xs: range):
     indices of its root classes mod p (see the module docstring; any
     root r = sqrt_mod_prime_power(D, p, 1) gives a split p's +/-m*r).  What
     is left of each n(x) is 1 or prime, unless n > 997^2, when a composite
-    rest goes to ``factor``.  The ideal is that of (x + m*sqrt(D))/2.
+    rest goes to ``factor``.  ``factors`` is the list of (p, e) pairs of
+    n(x), p increasing.
     """
     D = setup.D
     x0, mmD = xs.start, m * m * D
@@ -481,8 +488,7 @@ def _line_sieve(setup: Setup, m: int, xs: range):
     for v, fs in zip(rest, factors):
         if v > 1:
             fs.extend([(v, 1)] if is_prime(v) else factor(v))
-    for x, n, fs in zip(xs, ns, factors):
-        yield x, n, _slice_ideal(setup, m, x, fs)
+    yield from zip(xs, ns, factors)
 
 
 def _half_slice(setup: Setup, m: int):
@@ -495,12 +501,12 @@ def _half_slice(setup: Setup, m: int):
 
 def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
     """All totally positive alpha in the trace dual with trace m, by x."""
-    half = list(_half_slice(setup, m))
-    mirror = [(-x, n, ideal.conjugate()) for x, n, ideal in reversed(half) if x]
+    half = [(x, n, tuple(fs), _slice_ideal(setup, m, x, fs)) for x, n, fs in _half_slice(setup, m)]
+    mirror = [(-x, n, fs, ideal.conjugate()) for x, n, fs, ideal in reversed(half) if x]
     D = setup.D
     return [
-        TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, n, ideal)
-        for x, n, ideal in mirror + half
+        TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, n, fs, ideal)
+        for x, n, fs, ideal in mirror + half
     ]
 
 

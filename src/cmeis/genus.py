@@ -7,22 +7,31 @@ chi(P) = kronecker(d_i, N(P)) for either i with residue characteristic
 not dividing d_i; when both choices are legal they agree, and the code
 asserts that for free.
 
-Every function here works on ideals of F, prime or factored, never on
-elements.
+Every function here but one works on ideals of F, prime or factored,
+never on elements.
 
 rho(b) counts integral ideals of K with relative norm b: the local factor
 at P is e+1 when chi(P) = +1 and (1 if e even else 0) when chi(P) = -1,
-and 0 whenever b has a pole.  ``norm_ideal_count`` is the one production
-copy of that rule.  The check path keeps one deliberately literal copy:
-the center values of the finite Whittaker functions, which
-``eisenstein._local_sums`` sums term by term.
+and 0 whenever b has a pole.  ``norm_ideal_count`` applies that rule to
+an ideal: for ``trace_degree``'s multiplicity sums and for the checks.
+The production path (``coeffs`` and ``trace_degree``'s per-index sum)
+applies it to the line sieve's integers, in ``eisenstein._index_report``,
+with chi from ``genus_char_prime``.  The check path keeps one more,
+deliberately literal, copy: the center values of the finite Whittaker
+functions, which ``eisenstein._local_sums`` sums term by term.
+
+``trace_one_product`` is the exception: Gross and Zagier's product for
+the trace-1 degree, on rational integers alone (``factor`` and
+``kronecker``), an ideal-free check of ``trace_degree(setup, 1)``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 
-from .exact import InvariantError, kronecker
+from .exact import InvariantError, LogLinear, factor, kronecker
 from .field import FIdealFactored, FPrimeIdeal, Setup, prime_ideals_above
 
 __all__ = [
@@ -31,6 +40,7 @@ __all__ = [
     "genus_char_prime",
     "norm_ideal_count",
     "prime_multiplicity",
+    "trace_one_product",
 ]
 
 
@@ -96,3 +106,35 @@ def prime_multiplicity(setup: Setup, ideal: FIdealFactored, p: int) -> int:
     for prm in prime_ideals_above(setup, p):
         total += (ideal.ord_at(prm) + 1) * norm_ideal_count(setup, ideal.times(prm, -1))
     return total
+
+
+def _rational_genus_char(setup: Setup, q: int) -> int:
+    """eps(q) at a rational prime q: (d1/q) if q does not divide d1, else (d2/q)."""
+    return kronecker(setup.d1, q) if setup.d1 % q else kronecker(setup.d2, q)
+
+
+def trace_one_product(setup: Setup) -> LogLinear:
+    """Sum over x of log F((D - x^2)/4), as a prime-log map.
+
+    x runs over x^2 < D with x = D (mod 2), both signs, and
+    F(n) = prod_{n1 n2 = n} n1^eps(n2), eps the completely multiplicative
+    genus character of rational integers (``_rational_genus_char`` at
+    each prime).  Gross and Zagier (On singular moduli, J. reine angew.
+    Math. 355, 1985) show J(d1, d2)^(8/(w1 w2)) = +/- prod_x F, so the sum
+    is the trace-1 degree.  It runs over every divisor n1 of each n, from
+    ``factor`` and ``kronecker`` alone.
+    """
+    D, total = setup.D, {}
+    xmax = math.isqrt(D - 1)
+    xmax -= (xmax - D) % 2
+    for x in range(-xmax, xmax + 1, 2):
+        pairs = list(factor((D - x * x) // 4))
+        for exps in itertools.product(*(range(a + 1) for _, a in pairs)):
+            # n1 = prod q^b and n2 = n/n1, so eps(n2) = prod eps(q)^(a - b)
+            sign = math.prod(
+                _rational_genus_char(setup, q) ** (a - b) for (q, a), b in zip(pairs, exps)
+            )
+            for (q, _), b in zip(pairs, exps):
+                if b:
+                    total[q] = total.get(q, 0) + sign * b
+    return LogLinear(total)

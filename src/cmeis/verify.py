@@ -4,12 +4,13 @@
 seeded ``random.Random`` and returns the detail of its first failure, or
 None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
 ``eisenstein`` and ``oracle`` checks, and ``splitting-degree-sum``,
-``trace-slice-invariants``, ``support-odd-and-matches`` and
-``zeta-convolution``, sweep fixed ranges and draw nothing from theirs, so
-every seed runs the same sweep there; only the other ``arith``, ``field``
-and ``genus`` checks draw from the rng.  Tier-1 runs every suite clean
-once, through the CLI, and one fault per check; the tests share
-``TEST_MATRIX``, and the counting helpers are private to this module.
+``trace-slice-invariants``, ``support-odd-and-matches``,
+``zeta-convolution`` and ``gross-zagier-trace-1``, sweep fixed ranges
+and draw nothing from theirs, so every seed runs the same sweep there;
+only the other ``arith``, ``field`` and ``genus`` checks draw from the
+rng.  Tier-1 runs every suite clean once, through the CLI, and one fault
+per check; the tests share ``TEST_MATRIX``, and the counting helpers are
+private to this module.
 """
 
 from __future__ import annotations
@@ -201,8 +202,23 @@ def _valuation_norm_compatible(rng: random.Random) -> str | None:
     return None
 
 
+def _ideal_report(setup: Setup, ideal: FIdealFactored) -> eisenstein.DegreeReport:
+    """The report of an index read off its ideal by ``diff_set`` and ``norm_ideal_count``."""
+    diff = genus.diff_set(setup, ideal)
+    if len(diff) != 1:
+        rho = 0 if diff else genus.norm_ideal_count(setup, ideal)
+        return eisenstein.DegreeReport(diff, None, 0, rho)
+    (prm,) = diff
+    k = ideal.ord_at(prm)
+    rest = ideal.times(prm, -k)  # the ideal less P's entry
+    return eisenstein.DegreeReport(diff, prm, k + 1, genus.norm_ideal_count(setup, rest))
+
+
 def _trace_slice_invariants(rng: random.Random) -> str | None:
+    # the sieve's ideal and its integer report (what coeffs prints), each against
+    # the Hensel-lifted principal ideal of sqrt(D) * alpha
     for setup in _setups():
+        table = eisenstein._LocalTable(setup)
         for m in range(1, 11):
             elems = enumerate_trace_slice(setup, m)
             xs = [e.x for e in elems]
@@ -210,14 +226,20 @@ def _trace_slice_invariants(rng: random.Random) -> str | None:
                 return f"slice not symmetric/sorted at m={m}, {setup}"
             for e in elems:
                 gen = e.alpha.times_sqrtD(setup.D)
+                ideal = principal_ideal(setup, gen)
                 if (
                     e.alpha.trace() != m
                     or not e.alpha.is_totally_positive(setup.D)
                     or not gen.is_integral(setup.D)
                     or e.ideal.norm() != e.n
-                    or e.ideal != principal_ideal(setup, gen)
+                    or e.ideal != ideal
                 ):
                     return f"slice invariants failed at x={e.x}, m={m}, {setup}"
+                report = eisenstein._index_report(table, m, e.x, e.factors)
+                if report != _ideal_report(setup, ideal):
+                    return (
+                        f"slice report disagrees with the principal ideal at x={e.x}, m={m}, {setup}"
+                    )
     return None
 
 
@@ -362,19 +384,29 @@ def _chi_invariant_under_norms(rng: random.Random) -> str | None:
     return None
 
 
+def _gross_zagier_trace_1(rng: random.Random) -> str | None:
+    # the product over x of F((D - x^2)/4), on rational integers alone, against the
+    # trace-1 degree of the sieve's reports (and of trace_degree's multiplicity sums)
+    for setup in [*_setups(), Setup(-191, -239)]:
+        if genus.trace_one_product(setup) != eisenstein.trace_degree(setup, 1):
+            return f"trace-1 product disagrees with the trace-1 degree for {setup}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 
 
 def _degree_coefficient_identity(rng: random.Random) -> str | None:
-    # closed form from the slice's factorization (what coeffs prints), assembly from valuations,
+    # closed form from the slice's factors (the report coeffs prints), assembly from valuations,
     # and a Hilbert-symbol support of exactly {P}, so no prime reaches outside the obstruction;
     # x and -x share a Hasse diagonal, so each line takes the support once per |x|
     for setup in _setups():
+        table = eisenstein._LocalTable(setup)
         for m in range(1, 21):
             supports: dict[int, set[int]] = {}
             line = f"m={m}, {setup}"
             for e in enumerate_trace_slice(setup, m):
-                rep = eisenstein._degree_report(setup, e.ideal)
+                rep = eisenstein._index_report(table, m, e.x, e.factors)
                 if len(rep.diff) % 2 == 0:
                     return f"even obstruction set at x={e.x}, {line}"
                 if len(rep.diff) > 1:
@@ -404,11 +436,13 @@ def _trace_degree_two_paths(rng: random.Random) -> str | None:
 
 def _coherent_ratio(rng: random.Random) -> str | None:
     for setup in _setups()[:3]:
+        table = eisenstein._LocalTable(setup)
         for m in range(1, 6):
             for e in enumerate_trace_slice(setup, m):
-                if len(genus.diff_set(setup, e.ideal)) != 1:
+                report = eisenstein._index_report(table, m, e.x, e.factors)
+                if report.reflex is None:
                     continue
-                if not eisenstein.coherent_ratio_check(setup, m, e.x):
+                if not eisenstein.coherent_ratio_check(setup, m, e.x, report):
                     return f"coherent ratio failed at x={e.x}, m={m}, {setup}"
     return None
 
@@ -542,6 +576,7 @@ SUITES = {
         "zeta-convolution": _zeta_convolution,
         "rho-multiplicative": _rho_multiplicative,
         "chi-invariant-under-norms": _chi_invariant_under_norms,
+        "gross-zagier-trace-1": _gross_zagier_trace_1,
     },
     "eisenstein": {
         "degree-coefficient-identity": _degree_coefficient_identity,

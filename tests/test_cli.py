@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from cmeis.eisenstein import (
     mixed_coefficient,
     trace_degree,
 )
-from cmeis.exact import OO, Factorization, LogLinear, factor, is_prime
+from cmeis.exact import OO, Factorization, InvariantError, LogLinear, factor, is_prime
 from cmeis.field import (
     FElem,
     FIdealFactored,
@@ -291,20 +292,23 @@ def test_mixed_scan_keeps_a_late_record(capsys, monkeypatch):
 
 @pytest.mark.parametrize("pair", [*TEST_MATRIX, (-191, -239)])
 def test_mixed_lines_match_the_check_path(pair):
-    # over every x of the scan range, m = 1..3: the sieve's ideal is the principal ideal of
-    # (x + m sqrt(D))/2 built prime by prime, and rho is the product of the Whittaker
-    # center values at the primes of n
+    # over every x of the scan range, m = 1..3: the ideal of the sieve's factors is the
+    # principal ideal of (x + m sqrt(D))/2 built prime by prime, and the rho that coeffs
+    # reads off the factors is the product of the Whittaker center values at the primes of n
     setup, nonzero = Setup(*pair), 0
+    table = cmeis.eisenstein._LocalTable(setup)
     for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 1.0, 30), 1):
         assert len(xs) > 10
-        for x, n, ideal in cmeis.field._line_sieve(setup, m, xs):
+        for x, n, factors in cmeis.field._line_sieve(setup, m, xs):
             gen = FElem.from_triple(x, m, 2)
-            assert ideal == principal_ideal(setup, gen), (pair, m, x)
+            ideal = principal_ideal(setup, gen)
+            assert cmeis.field._slice_ideal(setup, m, x, factors) == ideal, (pair, m, x)
             centers = 1
             for p in factor(n).primes():
                 for prm in cmeis.field.prime_ideals_above(setup, p):
                     centers *= cmeis.eisenstein._local_sums(setup, gen, prm)[0]
-            assert norm_ideal_count(setup, ideal) == centers, (pair, m, x)
+            rho = cmeis.eisenstein._index_report(table, m, x, factors).rho
+            assert rho == norm_ideal_count(setup, ideal) == centers, (pair, m, x)
             nonzero += centers != 0
     assert nonzero
 
@@ -317,21 +321,21 @@ from cmeis.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
-# (fault, argv, message): a factor list that claims a split prime the index does
-# not name, past the content of (x + m sqrt(D))/2 = p^t (u + w sqrt(D))/2: 37, which
-# splits in Q(sqrt(21)) and divides no n(x) at trace 1, and 5 at trace 5, which
-# divides m and not x = 1, so it stays in w; and a resultant with a prime 7 past
-# the Gross-Zagier bound |d1 d2| / 4 = 5
+# (fault, argv, message): a line sieve whose factor lists claim a split prime the
+# index does not name, past the content of (x + m sqrt(D))/2 = p^t (u + w sqrt(D))/2:
+# 37, which splits in Q(sqrt(21)) and divides no n(x) at trace 1, and 5 at trace 5,
+# which divides m and not x = 1, so it stays in w; and a resultant with a prime 7
+# past the Gross-Zagier bound |d1 d2| / 4 = 5
 _INVARIANT_FAULTS = (
     (
-        "slice_ideal = cmeis.field._slice_ideal\n"
-        "cmeis.field._slice_ideal = lambda s, m, x, fs: slice_ideal(s, m, x, fs + [(37, 1)])",
+        "sieve = cmeis.field._line_sieve\n"
+        "cmeis.field._line_sieve = lambda s, m, xs: ((x, n, fs + [(37, 1)]) for x, n, fs in sieve(s, m, xs))",
         ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"],
         "x is not in exactly one root class of a split prime",
     ),
     (
-        "slice_ideal = cmeis.field._slice_ideal\n"
-        "cmeis.field._slice_ideal = lambda s, m, x, fs: slice_ideal(s, m, x, [(5, 1)] + fs)",
+        "sieve = cmeis.field._line_sieve\n"
+        "cmeis.field._line_sieve = lambda s, m, xs: ((x, n, [(5, 1)] + fs) for x, n, fs in sieve(s, m, xs))",
         ["degree", "--d1", "-3", "--d2", "-7", "--m", "5"],
         "x is not in exactly one root class of a split prime",
     ),
@@ -455,13 +459,24 @@ def test_coeffs_into_a_closed_pipe_is_quiet():
     assert err == b""
 
 
-def test_slice_path_skips_the_felem_factorization():
-    # coeffs, degree and the closed forms factor each index's ideal from integers only
+def test_slice_path_skips_the_felem_factorization(monkeypatch):
+    # coeffs, degree and the closed forms read each index's local data from integers only,
+    # and coeffs, with or without the mixed walk, builds no ideal and reads none back
     setup = Setup(-7, -23)
     principal_ideal.cache_clear()
     element_valuation.cache_clear()
-    list(coefficient_records(setup, 5))
-    list(coefficient_records(setup, 2, v1=1, v2=1))
+    want = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
+    with monkeypatch.context() as patch:
+        for name in ("_slice_ideal", "diff_set", "norm_ideal_count"):
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} on the coeffs path")
+
+            for module in (cmeis.cli, cmeis.eisenstein, cmeis.field, cmeis.genus):
+                if name in vars(module):
+                    patch.setattr(module, name, refuse)
+        got = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
+    assert got == want
     trace_degree(setup, 5)
     for m in range(1, 6):
         for e in enumerate_trace_slice(setup, m):
@@ -484,14 +499,14 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
     # one report per half-slice index, shared with the mirror at -x, and one
     # float text per tail key (P's p, 2 nu, rho)
     setup = Setup(-7, -23)
-    real_report, real_float = cmeis.cli._degree_report, cmeis.cli._float_str
+    real_report, real_float = cmeis.cli._index_report, cmeis.cli._float_str
     reports, floats = [], []
 
-    def counting_report(s, ideal):
-        reports.append(real_report(s, ideal))
+    def counting_report(table, m, x, factors):
+        reports.append(real_report(table, m, x, factors))
         return reports[-1]
 
-    monkeypatch.setattr(cmeis.cli, "_degree_report", counting_report)
+    monkeypatch.setattr(cmeis.cli, "_index_report", counting_report)
     monkeypatch.setattr(cmeis.cli, "_float_str", lambda *a: floats.append(a) or real_float(*a))
     code, out, _ = _run(capsys, "coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20")
     assert code == 0
@@ -504,17 +519,18 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
 
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
     # the ideal at -x is the conjugate of the one at x: the line sieve factors each |x|
-    # of the scan range once, factor sees only a composite rest above 997^2, and no
-    # term is valued for a pair with rho = 0
+    # of the scan range once and one report reads rho off its factors, factor sees only
+    # a composite rest above 997^2, and no term is valued for a pair with rho = 0
     setup = Setup(-7, -23)
-    real_slice_ideal, real_term, real_factor = (
-        cmeis.field._slice_ideal, cmeis.cli._mixed_term, cmeis.field.factor
+    table = cmeis.eisenstein._LocalTable(setup)
+    real_report, real_term, real_factor = (
+        cmeis.cli._index_report, cmeis.cli._mixed_term, cmeis.field.factor
     )
     factored, valued, rests = [], [], []
     monkeypatch.setattr(
-        cmeis.field,
-        "_slice_ideal",
-        lambda s, m, x, factors: factored.append(x) or real_slice_ideal(s, m, x, factors),
+        cmeis.cli,
+        "_index_report",
+        lambda t, m, x, factors: factored.append(x) or real_report(t, m, x, factors),
     )
     monkeypatch.setattr(
         cmeis.cli,
@@ -525,14 +541,14 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 0.9, 30), 1):
         factored.clear()
         valued.clear()
-        records = cmeis.cli._mixed_records(setup, m, xs, 1.0, 0.9, 30, 128)
+        records = cmeis.cli._mixed_records(table, m, xs, 1.0, 0.9, 30, 128)
         assert records and factored == list(xs)
         assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
         assert 0 < len(valued) < 2 * len(factored)
         # with v1 == v2 the term at -x serves x too: it reads only |x|
         negative = valued[0::2]
         valued.clear()
-        cmeis.cli._mixed_records(setup, m, xs, 0.9, 0.9, 30, 128)
+        cmeis.cli._mixed_records(table, m, xs, 0.9, 0.9, 30, 128)
         assert valued == negative
     assert all(n > 997**2 and not is_prime(n) for n in rests)
 
@@ -652,6 +668,7 @@ _genus_char_prime = cmeis.genus.genus_char_prime
 _class_reps = cmeis.oracle.class_reps
 _hilbert_class_poly = cmeis.oracle.hilbert_class_poly
 _class_number = cmeis.oracle.class_number
+_rational_genus_char = cmeis.genus._rational_genus_char
 
 
 def _loglinear_keeping_zeros(terms):
@@ -698,6 +715,11 @@ FAULTS = {
         "genus", cmeis.genus, "genus_char_prime",
         lambda setup, prm: -1 if prm.kind == "split_plus" else _genus_char_prime(setup, prm),
     ),
+    # eps flipped at 2 in the product's own sum
+    "gross-zagier-trace-1": (
+        "genus", cmeis.genus, "_rational_genus_char",
+        lambda setup, q: _rational_genus_char(setup, q) * (-1 if q == 2 else 1),
+    ),
     "degree-coefficient-identity": (
         "eisenstein", cmeis.eisenstein, "assemble_derivative",
         lambda setup, alpha: LogLinear.zero(),
@@ -734,6 +756,7 @@ FAULT_DETAILS = {
     "trace-slice-invariants": "slice invariants failed",
     "rho-multiplicative": "rho not multiplicative",
     "chi-invariant-under-norms": "chi changed by split norm ideal",
+    "gross-zagier-trace-1": "trace-1 product disagrees with the trace-1 degree for Setup(d1=-4, d2=-7)",
     "trace-degree-two-paths": "multiplicity sums",
     "support-odd-and-matches": "support vs obstruction prime mismatch",
     "degree-coefficient-identity": "4*degree != coefficient",
@@ -761,28 +784,41 @@ def test_every_verify_check_has_a_fault():
     assert set(FAULTS) | {"zeta-convolution"} == {name for checks in SUITES.values() for name in checks}
 
 
-# Faults in the local rule of rho, in chi and in the index ideal: each is patched in
-# every module that holds the name, and each listed check must fail (a raise counts)
+# Faults in the local rule of rho, in chi and in the index ideal: each (name, broken)
+# pair is patched in every module that holds the name, and each listed check must fail
+# (a raise counts).  The rule of rho has two production copies, on ideals and on the
+# sieve's integers, so its fault goes into both.
 _norm_ideal_count = cmeis.genus.norm_ideal_count
 _principal_ideal = cmeis.field.principal_ideal
+_index_report = cmeis.eisenstein._index_report
+
+
+def _rho_plus_one_at_5(table, m, x, factors):
+    report = _index_report(table, m, x, factors)
+    return dataclasses.replace(report, rho=report.rho + any(q == 5 for q, _ in factors))
+
+
 LOCAL_RULE_FAULTS = {
     "rho-plus-one-at-5": (
-        "norm_ideal_count",
-        lambda setup, ideal: _norm_ideal_count(setup, ideal) + (5 in ideal.rational_primes()),
+        (
+            ("norm_ideal_count",
+             lambda setup, ideal: _norm_ideal_count(setup, ideal) + (5 in ideal.rational_primes())),
+            ("_index_report", _rho_plus_one_at_5),
+        ),
         ("zeta-convolution", "rho-multiplicative", "degree-coefficient-identity",
          "trace-degree-two-paths", "coherent-ratio"),
     ),
     "chi-negated-at-11": (
-        "genus_char_prime",
-        lambda setup, prm: _genus_char_prime(setup, prm) * (-1 if prm.p == 11 else 1),
+        (("genus_char_prime",
+          lambda setup, prm: _genus_char_prime(setup, prm) * (-1 if prm.p == 11 else 1)),),
         ("zeta-convolution", "degree-coefficient-identity", "trace-degree-two-paths"),
     ),
     "ideal-conjugated-at-5": (
-        "principal_ideal",
-        lambda setup, gen: FIdealFactored.from_pairs(
-            (prm.conjugate() if prm.p == 5 else prm, e)
-            for prm, e in _principal_ideal(setup, gen).entries
-        ),
+        (("principal_ideal",
+          lambda setup, gen: FIdealFactored.from_pairs(
+              (prm.conjugate() if prm.p == 5 else prm, e)
+              for prm, e in _principal_ideal(setup, gen).entries
+          )),),
         ("trace-slice-invariants", "coherent-ratio"),
     ),
 }
@@ -790,12 +826,13 @@ LOCAL_RULE_FAULTS = {
 
 @pytest.mark.parametrize("fault", LOCAL_RULE_FAULTS)
 def test_local_rule_faults_fail_their_checks(monkeypatch, fault):
-    attr, broken, names = LOCAL_RULE_FAULTS[fault]
+    patches, names = LOCAL_RULE_FAULTS[fault]
     modules = (cmeis.cli, cmeis.eisenstein, cmeis.exact, cmeis.field, cmeis.genus,
                cmeis.oracle, cmeis.verify)
-    for module in modules:
-        if attr in vars(module):
-            monkeypatch.setattr(module, attr, broken)
+    for attr, broken in patches:
+        for module in modules:
+            if attr in vars(module):
+                monkeypatch.setattr(module, attr, broken)
     checks = {name: check for suite in SUITES.values() for name, check in suite.items()}
     for name in names:
         try:
@@ -803,6 +840,81 @@ def test_local_rule_faults_fail_their_checks(monkeypatch, fault):
         except Exception as exc:  # a check that raises has failed, as in run_suites
             detail = f"{type(exc).__name__}: {exc}"
         assert detail, name
+
+
+def _mutate_index_report(monkeypatch, old, new):
+    # a broken copy of the integer rule: its own source with one edit, run in its module
+    source = inspect.getsource(_index_report)
+    assert source.count(old) == 1
+    namespace = dict(vars(cmeis.eisenstein))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(cmeis.eisenstein, "_index_report", namespace["_index_report"])
+
+
+# faults in the integer rule alone, each with the first failure of trace-slice-invariants:
+# _slice_ideal keeps its own copy of the rule, so only the report's comparison with the
+# Hensel-lifted principal ideal sees them.  With t forced to 0 the whole of e goes to one
+# side; at (-3,-7), m = 5, x = -15 the quotient (-3 + sqrt(21))/2 lies in neither prime
+# above 5, and the rule's own root-class check raises (a raise fails a check).
+INTEGER_RULE_FAULTS = {
+    "t-forced-to-0": (
+        ("u, w, t = u // q, w // q, t + 1", "u, w, t = u // q, w // q, 0"),
+        "InvariantError: x is not in exactly one root class of a split prime",
+    ),
+    "split-side-swapped": (
+        ("if 2 * s > r:", "if 2 * s < r:"),
+        "slice report disagrees with the principal ideal at x=-1, m=1, Setup(d1=-3, d2=-7)",
+    ),
+    "eps-flipped-at-5": (
+        None,
+        "slice report disagrees with the principal ideal at x=-1, m=1, Setup(d1=-3, d2=-7)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", INTEGER_RULE_FAULTS)
+def test_integer_rule_faults_fail_the_slice_check(monkeypatch, fault):
+    edit, want = INTEGER_RULE_FAULTS[fault]
+    if edit is None:
+        # chi as the report's table reads it (the rule's own eps), and nowhere else
+        monkeypatch.setattr(
+            cmeis.eisenstein, "genus_char_prime",
+            lambda setup, prm: _genus_char_prime(setup, prm) * (-1 if prm.p == 5 else 1),
+        )
+    else:
+        _mutate_index_report(monkeypatch, *edit)
+    try:
+        detail = SUITES["field"]["trace-slice-invariants"](random.Random(0))
+    except InvariantError as exc:
+        detail = f"InvariantError: {exc}"
+    assert detail == want
+
+
+def test_gross_zagier_check_reads_the_sieve_integers(monkeypatch, capsys):
+    # one exponent + 2 in the (q, e) pairs of one index at trace 1, which both of
+    # trace_degree's paths read: only the product, which factors n itself, sees it
+    # ((-3,-7), x = 3: n = 3, the ramified 3 with eps = -1, so 2 nu goes from 2 to 4)
+    real_sieve = cmeis.field._line_sieve
+
+    def bumped(setup, m, xs):
+        out = list(real_sieve(setup, m, xs))
+        if m == 1:
+            x, n, ((q, e), *rest) = out[-1]
+            out[-1] = (x, n, [(q, e + 2), *rest])
+        return iter(out)
+
+    check = SUITES["genus"]["gross-zagier-trace-1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cmeis.field, "_line_sieve", bumped)
+        assert check(random.Random(0)) == (
+            "trace-1 product disagrees with the trace-1 degree for Setup(d1=-3, d2=-7)"
+        )
+    # the exponent at P + 2 in the integer rule's report alone: trace_degree's multiplicity
+    # path disagrees, and the check fails through the command line too
+    _fault_at_trace(monkeypatch, 1, _bump_obstruction_exponent)
+    code, out, err = _run(capsys, "verify", "--suite", "genus")
+    assert code == 1 and "FAIL genus.gross-zagier-trace-1" in out.splitlines()
+    assert "slice decomposition disagrees with multiplicity sums" in err
 
 
 def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):
@@ -814,35 +926,38 @@ def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):
     assert "class poly residual too big at d=-3" in check(random.Random(0))
 
 
-_slice_ideal = cmeis.field._slice_ideal
+def _bump_obstruction_exponent(report):
+    # the exponent at P two higher: 2 nu = ord_P + 1 with it
+    return dataclasses.replace(report, two_nu=report.two_nu + 2)
 
 
-def _bump_first_exponent(ideal):
-    (prm, e), *rest = ideal.entries
-    return FIdealFactored(((prm, e + 2), *rest))
+def _conjugate_report(report):
+    # split_plus and split_minus swapped at P
+    prm = report.reflex.conjugate()
+    return dataclasses.replace(report, diff=(prm,), reflex=prm)
 
 
 def _fault_at_trace(monkeypatch, trace, fault):
-    def faulty(setup, m, x, factors):
-        ideal = _slice_ideal(setup, m, x, factors)
-        return fault(ideal) if m == trace and ideal.entries else ideal
+    def faulty(table, m, x, factors):
+        report = _index_report(table, m, x, factors)
+        return fault(report) if m == trace and report.reflex else report
 
-    monkeypatch.setattr(cmeis.field, "_slice_ideal", faulty)
+    monkeypatch.setattr(cmeis.eisenstein, "_index_report", faulty)
 
 
 def test_degree_identity_reads_the_slice_factorization(monkeypatch, capsys):
-    # one exponent off in the factorization coeffs prints, at trace 13 only
-    _fault_at_trace(monkeypatch, 13, _bump_first_exponent)
+    # one exponent off in the report coeffs prints, read off the slice's factors, at trace 13 only
+    _fault_at_trace(monkeypatch, 13, _bump_obstruction_exponent)
     detail = SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0))
     assert detail and "4*degree != coefficient" in detail and "m=13" in detail
-    # the closed form of coherent-ratio reads the same factorization: one exponent off,
+    # the closed form of coherent-ratio reads the same report: one exponent off,
     # or split_plus and split_minus swapped, at trace 3 only
     where = "coherent ratio failed at x=-13, m=3, Setup(d1=-3, d2=-7)"
     line = json.dumps(
         {"suite": "eisenstein", "invariant": "coherent-ratio", "detail": where},
         separators=(",", ":"),
     )
-    for fault in (_bump_first_exponent, FIdealFactored.conjugate):
+    for fault in (_bump_obstruction_exponent, _conjugate_report):
         _fault_at_trace(monkeypatch, 3, fault)
         assert SUITES["eisenstein"]["coherent-ratio"](random.Random(0)) == where
         code, out, err = _run(capsys, "verify", "--suite", "eisenstein")
@@ -882,19 +997,20 @@ def test_support_check_catches_a_broken_product_formula(monkeypatch):
     )
 
 
-_degree_report = cmeis.eisenstein._degree_report
-
-
-def _split_index_report(setup, ideal):
+def _split_index_report(table, m, x, factors):
     # a single-prime report passed off as one with three obstruction primes
-    rep = _degree_report(setup, ideal)
+    rep = _index_report(table, m, x, factors)
     return dataclasses.replace(rep, diff=rep.diff * 3) if rep.reflex else rep
+
+
+def _no_obstruction_report(table, m, x, factors):
+    return dataclasses.replace(_index_report(table, m, x, factors), diff=())
 
 
 # each failure of the identity check, a fault that brings it out, and the first index it names
 IDENTITY_FAULTS = {
-    "even obstruction set": (cmeis.eisenstein, "diff_set", lambda setup, ideal: (), "x=-3, m=1"),
-    "split index nonzero": (cmeis.eisenstein, "_degree_report", _split_index_report, "x=-3, m=1"),
+    "even obstruction set": (cmeis.eisenstein, "_index_report", _no_obstruction_report, "x=-3, m=1"),
+    "split index nonzero": (cmeis.eisenstein, "_index_report", _split_index_report, "x=-3, m=1"),
     "4*degree != coefficient": FAULTS["degree-coefficient-identity"][1:] + ("x=-3, m=1",),
     # the support half: one Hasse invariant short, with the per-line memo of signs in place
     "degree support outside obstruction": (

@@ -10,7 +10,8 @@ import pytest
 import cmeis.eisenstein as eisenstein
 from cmeis.eisenstein import (
     DegreeReport,
-    _degree_report,
+    _index_report,
+    _LocalTable,
     arakelov_degree,
     assemble_derivative,
     coherent_ratio_check,
@@ -184,7 +185,8 @@ def test_degree_example_x1():
 
 # (count, sha256) of the lines "m x diff reflex nu degree coefficient" (reprs
 # of the report's values) over the half slices m <= 8, recorded from the
-# report that stored nu, degree and coefficient as Fraction and LogLinear
+# report that stored nu, degree and coefficient as Fraction and LogLinear and
+# read them off the ideal; the report now comes from the sieve's factors
 _REPORT_GOLDEN = {
     (-3, -7): (84, "6f6968761dcd25c1cbf24fb835df94303a917e035ea460699d25ae1ff607accc"),
     (-4, -7): (99, "aa165db8aba96b0c3a84f940136df8f719e8e831456ca8dff6a7fd346fe96f15"),
@@ -196,9 +198,10 @@ _REPORT_GOLDEN = {
 @pytest.mark.parametrize("pair", sorted(_REPORT_GOLDEN))
 def test_degree_report_golden(pair):
     s, lines = Setup(*pair), []
+    table = _LocalTable(s)
     for m in range(1, 9):
-        for x, _, ideal in _half_slice(s, m):
-            r = _degree_report(s, ideal)
+        for x, _, factors in _half_slice(s, m):
+            r = _index_report(table, m, x, factors)
             lines.append(f"{m} {x} {r.diff!r} {r.reflex!r} {r.nu} {r.degree!r} {r.coefficient!r}")
             assert type(r.nu) is Fraction and r.coefficient == _times4(r.degree)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -230,7 +233,7 @@ def _index(x):
 _SABOTAGE = {
     "coherent_coefficient": (
         "norm_ideal_count", lambda *args: 0,
-        lambda: coherent_ratio_check(S37, 1, -3),
+        lambda: coherent_ratio_check(S37, 1, -3, arakelov_degree(S37, 1, -3)),
         "coherent center value disagrees with 4 * rho",
     ),
     "assemble_derivative": (
@@ -258,20 +261,22 @@ def test_assembly_matches_closed_form_x1():
 
 
 def test_assembly_identity_on_slices(monkeypatch):
-    # the closed form reads the slice's factorization first; the assembly then
-    # runs with no ideal factorization and no obstruction set to read
+    # the closed form reads the slice's factors first; the assembly then runs
+    # with no ideal factorization and no report of the closed form to read
     cases = []
     for s in (S37, S34, Setup(-4, -7), Setup(-7, -23)):
+        table = _LocalTable(s)
         for m in (1, 2, 3, 4, 5):
             for e in enumerate_trace_slice(s, m):
-                cases.append((s, e.alpha, _degree_report(s, e.ideal), support(s, e.alpha)))
+                report = _index_report(table, m, e.x, e.factors)
+                cases.append((s, e.alpha, report, support(s, e.alpha)))
     assert {report.reflex is None for *_, report, _ in cases} == {True, False}
 
     def refuse(*args):
         raise AssertionError("the assembly must not read the closed form's ideal data")
 
-    monkeypatch.setattr(eisenstein, "principal_ideal", refuse)
-    monkeypatch.setattr(eisenstein, "diff_set", refuse)
+    for name in ("principal_ideal", "_slice_ideal", "_index_report", "_line_sieve"):
+        monkeypatch.setattr(eisenstein, name, refuse)
     for s, alpha, report, spt in cases:
         if report.reflex is None:
             with pytest.raises(ValueError, match="single obstruction prime"):
@@ -294,7 +299,7 @@ def test_coherent_coefficient_x1():
     # the coherent value -scalar is 4 = 4 * rho at x = 1, and the identity holds there
     _, minus = prime_ideals_above(S37, 5)
     place, _, scalar = eisenstein._local_factors(S37, ALPHA_X1)
-    assert (place, -scalar) == (minus, 4) and coherent_ratio_check(S37, 1, 1)
+    assert (place, -scalar) == (minus, 4) and coherent_ratio_check(S37, 1, 1, arakelov_degree(S37, 1, 1))
 
 
 def test_coherent_ratio_check_takes_one_assembly_pass(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cmeis.eisenstein
 import cmeis.field
-from cmeis.eisenstein import _index_ideal
+from cmeis.eisenstein import _index_report, _LocalTable, _one_index_report
 from cmeis.exact import InvariantError, factor, hilbert_symbol, is_prime, padic_val
 from cmeis.field import (
     FElem,
@@ -27,7 +28,7 @@ from cmeis.field import (
     support,
 )
 from cmeis.exact import OO
-from cmeis.verify import SUITES, TEST_MATRIX
+from cmeis.verify import SUITES, TEST_MATRIX, _ideal_report
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,10 @@ def test_slice_ideal_matches_principal_ideal(index):
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
     ideal = principal_ideal(s, gen)
     assert _slice_ideal(s, m, x, factor(n)) == ideal
-    # the closed form's one-index sieve, x of either sign, m <= 0 included
-    assert _index_ideal(s, m, x) == ideal
+    # the report of the closed form's one-index sieve, from the integers alone,
+    # x of either sign, m <= 0 included, against the one diff_set and norm_ideal_count
+    # read off the ideal
+    assert _one_index_report(s, m, x) == _ideal_report(s, ideal)
 
 
 def _mirror_holds(s, m, x):
@@ -276,7 +279,7 @@ def test_slice_ideal_checksum_can_fail():
     # = p^t (u + w sqrt(D))/2 must name the prime where sqrt(D) = -u/w: in
     # Q(sqrt(21)) 37 splits but does not divide n(1) = 5 at m = 1, and at m = 5
     # the claimed 5 divides w; in Q(sqrt(161)) 2 splits, and at m = 2, x = 0
-    # the content is 1 and w = 2 is even
+    # the content is 1 and w = 2 is even; the reports' integer rule checks the same
     for setup, m, x, factors in (
         (Setup(-3, -7), 1, 1, [(37, 1)]),
         (Setup(-3, -7), 5, 1, [(5, 1), (131, 1)]),
@@ -284,6 +287,23 @@ def test_slice_ideal_checksum_can_fail():
     ):
         with pytest.raises(InvariantError, match="not in exactly one root class"):
             _slice_ideal(setup, m, x, factors)
+        with pytest.raises(InvariantError, match="not in exactly one root class"):
+            _index_report(_LocalTable(setup), m, x, factors)
+
+
+def test_local_rule_guards_can_fail(monkeypatch):
+    # an odd exponent at an inert prime (2 in Q(sqrt(21))) fails both rules; an obstruction
+    # place of residue degree 2, which only a wrong chi at an inert prime makes, fails the report
+    s = Setup(-3, -7)
+    with pytest.raises(InvariantError, match="odd norm valuation at an inert prime"):
+        _slice_ideal(s, 1, 1, [(2, 1)])
+    with pytest.raises(InvariantError, match="odd norm valuation at an inert prime"):
+        _index_report(_LocalTable(s), 1, 1, [(2, 1)])
+    monkeypatch.setattr(
+        cmeis.eisenstein, "genus_char_prime", lambda setup, prm: -1 if prm.kind == "inert" else 1
+    )
+    with pytest.raises(InvariantError, match="obstruction primes have residue degree 1"):
+        _index_report(_LocalTable(s), 1, 1, [(2, 2)])
 
 
 def test_swapped_root_fails_the_slice_checks(monkeypatch):
@@ -314,14 +334,14 @@ _SIEVE_CASES = [(pair, range(1, 41)) for pair in TEST_MATRIX] + [
 
 
 def test_sieved_half_slice_matches_factor(monkeypatch):
-    # the sieve's factorization of each n(x) builds the ideal factor(n) does
+    # the sieve gives the (p, e) pairs of each n(x) that factor(n) does, in its order
     setups = [(Setup(*pair), ms) for pair, ms in _SIEVE_CASES]
     rests = []
     monkeypatch.setattr(cmeis.field, "factor", lambda n: rests.append(n) or factor(n))
     for s, ms in setups:
         for m in ms:
-            for x, n, ideal in _half_slice(s, m):
-                assert ideal == _slice_ideal(s, m, x, factor(n))
+            for x, n, factors in _half_slice(s, m):
+                assert factors == list(factor(n))
     # only a rest past 997^2 can be composite, and only then does the sieve call factor
     assert rests and all(r > 997**2 and not is_prime(r) for r in rests)
 

@@ -9,7 +9,9 @@ threads at once, which a global working precision would not survive.
 and at the display bits of ``--digits`` 30 and 60 (152 and 272): a wrong
 partial numerator gives wrong bits, a depth too shallow falls back to the
 same bits, and its enclosure holds ``mpmath.e1`` at 2,000 bits.
-The ``coeffs`` stream's mixed-term cutoff reads no global precision either.
+The ``coeffs`` stream's mixed-term cutoff reads no global precision either,
+and ``coefficient_records`` runs from three threads at once: each call
+builds its own table of local data over the shared caches.
 """
 
 import inspect
@@ -21,12 +23,14 @@ from fractions import Fraction
 
 import mpmath
 
+import cmeis.cli
 import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import _float_str, coefficient_records, main
 from cmeis.eisenstein import _mixed_term
-from cmeis.exact import LogLinear, _log_prime, is_prime
-from cmeis.field import Setup
+from cmeis.exact import LogLinear, _log_prime, factor, is_prime
+from cmeis.field import Setup, prime_ideals_above
+from cmeis.genus import genus_char_prime
 from cmeis.oracle import _e1_depth, _e1_enclosure, _e1_fraction, e1
 
 
@@ -191,6 +195,32 @@ def test_e1_fraction_is_thread_safe():
     assert all(_through_the_fraction(z, b) for z, b in cases)
     jobs = [lambda z=z, b=b: e1(z, b)._mpf_ for z, b in cases]
     assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
+
+
+def test_coefficient_records_is_thread_safe():
+    # three pairs at once, each call with its own table, over caches emptied first,
+    # so the threads fill the shared lru caches together
+    pairs = ((-3, -7), (-7, -23), (-8, -11))
+    want = [list(coefficient_records(Setup(*pair), 12)) for pair in pairs]
+    for cache in (prime_ideals_above, genus_char_prime, factor, cmeis.cli._diff_texts):
+        cache.cache_clear()
+    got = [None] * len(pairs)
+
+    def worker(i):
+        got[i] = list(coefficient_records(Setup(*pairs[i]), 12))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_mixed_cutoff_ignores_the_global_precision():
