@@ -50,7 +50,6 @@ from .genus import (
     genus_char_prime,
     norm_ideal_count,
     prime_multiplicity,
-    trace_one_product,
 )
 from .oracle import (
     LFunctionCenter,

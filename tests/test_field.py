@@ -19,6 +19,7 @@ from cmeis.field import (
     SetupError,
     _half_slice,
     _invariant_diagonal,
+    _line_sieve,
     _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
@@ -241,9 +242,11 @@ def test_slice_ideal_matches_principal_ideal(index):
     gen = FElem(Fraction(x, 2), Fraction(m, 2))
     ideal = principal_ideal(s, gen)
     assert _slice_ideal(s, m, x, factor(n)) == ideal
-    # the report of the closed form's one-index sieve, from the integers alone,
-    # x of either sign, m <= 0 included, against the one diff_set and norm_ideal_count
-    # read off the ideal
+    # the closed form's one-index sieve, x of either sign, m <= 0 included: its (p, e)
+    # pairs are factor(n)'s and build the ideal, and the report it reads off them from
+    # the integers alone is the one diff_set and norm_ideal_count read off the ideal
+    ((_, _, factors),) = _line_sieve(s, m, range(x, x + 1, 2))
+    assert factors == list(factor(n))
     assert _one_index_report(s, m, x) == _ideal_report(s, ideal)
 
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import mpmath
 
-import cmeis.cli
 import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import _float_str, coefficient_records, main
@@ -202,7 +201,7 @@ def test_coefficient_records_is_thread_safe():
     # so the threads fill the shared lru caches together
     pairs = ((-3, -7), (-7, -23), (-8, -11))
     want = [list(coefficient_records(Setup(*pair), 12)) for pair in pairs]
-    for cache in (prime_ideals_above, genus_char_prime, factor, cmeis.cli._diff_texts):
+    for cache in (prime_ideals_above, genus_char_prime, factor):
         cache.cache_clear()
     got = [None] * len(pairs)
 
