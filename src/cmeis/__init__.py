@@ -46,7 +46,6 @@ from .field import (
 )
 from .genus import (
     diff_set,
-    genus_char_ideal,
     genus_char_prime,
     norm_ideal_count,
     prime_multiplicity,

@@ -51,10 +51,11 @@ def _loglinear_map(value: LogLinear) -> dict[str, str]:
 
 
 def _float_str(x, digits: int) -> str:
-    """x to ``digits`` significant digits, "0" for zero: ``mpmath.nstr``'s text.
+    """x to ``digits`` significant digits, "0" for zero: ``nstr(x, digits, strip_zeros=False)``.
 
-    Calls ``libmp.to_str``, the kernel under ``nstr``, on the mpf's raw
-    tuple; it reads no global precision.
+    So 3.29 at 1 digit is "3." where plain ``nstr`` gives "3.0".  Calls
+    ``libmp.to_str``, the kernel under ``nstr``, on the mpf's raw tuple;
+    it reads no global precision.
     """
     if x == 0:
         return "0"

@@ -30,14 +30,15 @@ serves the slice and the mixed-signature x > m*sqrt(D), of norm
 the quadratic sieve.  The sieve hands on the (p, e) pairs of each n(x);
 the production path reads each index's report straight from them
 (``eisenstein._index_report``) and builds no ideal.  ``_slice_ideal``
-builds the ideal from the same pairs, for ``enumerate_trace_slice`` and
-the check paths: e/2 at inert p, e at ramified p, and at split p t to
-both primes above it and the other e - 2t to the one prime P where
-sqrt(D) = -x/m, p^t the p-part of the content of (x + m*sqrt(D))/2
-(after Gross-Zagier, On singular moduli): the index names P.  The slice
-factors only x >= 0: x -> -x is the Galois conjugation of F, so the
-ideal at -x is the conjugate of the one at x (the split primes swap).
-A single index, of either sign, is a one-element range.
+builds the ideal from the same pairs, for ``trace_degree``'s path (b)
+and the two ``field`` checks of ``verify`` that read an ideal: e/2 at
+inert p, e at ramified p, and at split p t to both primes above it and
+the other e - 2t to the one prime P where sqrt(D) = -x/m, p^t the
+p-part of the content of (x + m*sqrt(D))/2 (after Gross-Zagier, On
+singular moduli): the index names P.  The slice factors only x >= 0:
+x -> -x is the Galois conjugation of F, so n(-x) = n(x) and the ideal
+at -x is the conjugate of the one at x (the split primes swap).  A
+single index, of either sign, is a one-element range.
 """
 
 from __future__ import annotations
@@ -282,9 +283,6 @@ class FIdealFactored:
                 return e
         return 0
 
-    def __mul__(self, other: "FIdealFactored") -> "FIdealFactored":
-        return FIdealFactored.from_pairs(self.entries + other.entries)
-
     def times(self, prm: FPrimeIdeal, e: int = 1) -> "FIdealFactored":
         """The ideal times prm^e.
 
@@ -300,16 +298,6 @@ class FIdealFactored:
     @property
     def is_integral(self) -> bool:
         return all(e >= 0 for _, e in self.entries)
-
-    def norm(self) -> Fraction:
-        out = Fraction(1)
-        for prm, e in self.entries:
-            out *= Fraction(prm.norm) ** e
-        return out
-
-    def conjugate(self) -> "FIdealFactored":
-        """The Galois conjugate ideal, its entries still in sort_key order."""
-        return FIdealFactored.from_pairs((prm.conjugate(), e) for prm, e in self.entries)
 
     def rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({prm.p for prm, _ in self.entries}))
@@ -394,9 +382,7 @@ class TraceSliceElement:
 
     alpha: FElem
     x: int
-    n: int
-    factors: tuple[tuple[int, int], ...]  # the sieve's (p, e) pairs of n, p increasing
-    ideal: FIdealFactored  # (sqrt(D) * alpha), integral of norm n
+    factors: tuple[tuple[int, int], ...]  # the sieve's (p, e) pairs of n(x), p increasing
 
 
 def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
@@ -414,7 +400,8 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     split_minus otherwise.  No root of D is looked up.  The entries come
     out in sort_key order.  ``eisenstein._index_report`` applies the same
     rule on its own code, so that ``trace_degree``'s two paths differ in
-    code, and the checks compare both with ``principal_ideal``.
+    code, and the ``field`` checks compare this ideal, at every index and
+    x < 0 included, with ``principal_ideal``.
     """
     D = setup.D
     entries = []
@@ -500,13 +487,16 @@ def _half_slice(setup: Setup, m: int):
 
 
 def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
-    """All totally positive alpha in the trace dual with trace m, by x."""
-    half = [(x, n, tuple(fs), _slice_ideal(setup, m, x, fs)) for x, n, fs in _half_slice(setup, m)]
-    mirror = [(-x, n, fs, ideal.conjugate()) for x, n, fs, ideal in reversed(half) if x]
+    """All totally positive alpha in the trace dual with trace m, by x.
+
+    n(-x) = n(x), so the element at -x takes the sieve's pairs of x.  No
+    ideal is built: a check that reads one calls ``_slice_ideal``.
+    """
+    half = [(x, tuple(fs)) for x, _, fs in _half_slice(setup, m)]
     D = setup.D
     return [
-        TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, n, fs, ideal)
-        for x, n, fs, ideal in mirror + half
+        TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, fs)
+        for x, fs in [(-x, fs) for x, fs in reversed(half) if x] + half
     ]
 
 

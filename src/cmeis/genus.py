@@ -37,7 +37,6 @@ from .field import FIdealFactored, FPrimeIdeal, Setup, prime_ideals_above
 
 __all__ = [
     "diff_set",
-    "genus_char_ideal",
     "genus_char_prime",
     "norm_ideal_count",
     "prime_multiplicity",
@@ -55,14 +54,6 @@ def genus_char_prime(setup: Setup, prm: FPrimeIdeal) -> int:
     if len(vals) != 1:
         raise InvariantError("base-change character values disagree")
     return vals.pop()
-
-
-def genus_char_ideal(setup: Setup, ideal: FIdealFactored) -> int:
-    out = 1
-    for prm, e in ideal.entries:
-        if e % 2:
-            out *= genus_char_prime(setup, prm)
-    return out
 
 
 def diff_set(setup: Setup, ideal: FIdealFactored) -> tuple[FPrimeIdeal, ...]:

@@ -442,13 +442,6 @@ def hilbert_class_poly(d: int, precision: int) -> list[int]:
     return list(out)
 
 
-def poly_eval(coeffs, x):
-    total = 0
-    for c in reversed(list(coeffs)):
-        total = total * x + c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # resultants over Z
 

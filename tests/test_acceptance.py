@@ -17,7 +17,7 @@ import mpmath
 
 from cmeis.eisenstein import arakelov_degree, coherent_ratio_check, trace_degree
 from cmeis.exact import LogLinear, factor
-from cmeis.field import Setup, enumerate_trace_slice
+from cmeis.field import Setup, _slice_ideal, enumerate_trace_slice
 from cmeis.genus import prime_multiplicity
 from cmeis.oracle import (
     ReducedForm,
@@ -65,8 +65,9 @@ def test_criterion_3_trace_degree_decomposition():
             for elt in enumerate_trace_slice(setup, m):
                 for p, c in arakelov_degree(setup, m, elt.x).degree.terms().items():
                     by_index[p] = by_index.get(p, 0) + c
-                for p in elt.ideal.rational_primes():
-                    fp = prime_multiplicity(setup, elt.ideal, p)
+                ideal = _slice_ideal(setup, m, elt.x, elt.factors)
+                for p in ideal.rational_primes():
+                    fp = prime_multiplicity(setup, ideal, p)
                     if fp:
                         by_multiplicity[p] = by_multiplicity.get(p, 0) + Fraction(fp, 2)
             assert by_index == by_multiplicity, (setup, m)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -34,6 +35,7 @@ from cmeis.field import (
     Setup,
     _half_slice,
     _invariant_diagonal,
+    _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
     principal_ideal,
@@ -657,6 +659,13 @@ def test_verify_suite_passes(capsys, suite):
     code, out, err = _run(capsys, "verify", "--suite", suite, "--seed", "0")
     assert (code, err) == (0, "")
     assert out.splitlines() == [f"ok {suite}.{name}" for name in SUITES[suite]]
+    if suite == "eisenstein":
+        # the benchmark's verify ops, one per seed, each expect these bytes: the suite
+        # draws nothing from its seed, so a renamed or reordered check fails them all
+        ops = json.loads((ROOT / "perfbench" / "expected.json").read_text())["workload_ops"]
+        prefix = "verify --suite eisenstein --seed "
+        recorded = [sha for key, sha in ops.items() if key.startswith(prefix)]
+        assert recorded == [hashlib.sha256(out.encode()).hexdigest()] * 8
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):
@@ -1054,7 +1063,7 @@ def test_identity_check_signs_each_diagonal_once_per_line(monkeypatch):
     for m in range(1, 21):
         line = {}
         for e in enumerate_trace_slice(setup, m):
-            if len(cmeis.genus.diff_set(setup, e.ideal)) == 1:
+            if len(cmeis.genus.diff_set(setup, _slice_ideal(setup, m, e.x, e.factors))) == 1:
                 diag = _invariant_diagonal(setup, e.alpha)
                 assert line.setdefault(abs(e.x), diag) == diag
                 indices += 1

@@ -25,6 +25,7 @@ from cmeis.field import (
     FElem,
     Setup,
     _half_slice,
+    _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
     prime_ideals_above,
@@ -103,13 +104,13 @@ def test_local_factors_match_whittaker_finite():
         s = Setup(*pair)
         for m in range(1, 9):
             for e in enumerate_trace_slice(s, m):
-                if len(diff_set(s, e.ideal)) != 1:
+                if len(diff_set(s, _slice_ideal(s, m, e.x, e.factors))) != 1:
                     continue
                 place, deriv_coeff, scalar = eisenstein._local_factors(s, e.alpha)
                 assert _sums(s, e.alpha, place) == (0, deriv_coeff)
                 others = [
                     _sums(s, e.alpha, prm)[0]
-                    for p in factor(e.n).primes()
+                    for p in factor((m * m * s.D - e.x * e.x) // 4).primes()
                     for prm in prime_ideals_above(s, p)
                     if prm != place
                 ]
@@ -309,7 +310,7 @@ def test_coherent_ratio_check_takes_one_assembly_pass(monkeypatch):
         for s in (Setup(*pair) for pair in TEST_MATRIX[:3])
         for m in range(1, 6)
         for e in enumerate_trace_slice(s, m)
-        if len(diff_set(s, e.ideal)) == 1
+        if len(diff_set(s, _slice_ideal(s, m, e.x, e.factors))) == 1
     ]
     real, calls = eisenstein._local_factors, []
     monkeypatch.setattr(eisenstein, "_local_factors", lambda s, a: calls.append(a) or real(s, a))

@@ -32,6 +32,16 @@ from cmeis.exact import OO
 from cmeis.verify import SUITES, TEST_MATRIX, _ideal_report
 
 
+def _norm(ideal):
+    """The absolute norm of a factored ideal, a positive rational."""
+    return math.prod(Fraction(prm.norm) ** e for prm, e in ideal.entries)
+
+
+def _conjugate(ideal):
+    """The Galois conjugate of a factored ideal: the two split primes above each p swap."""
+    return FIdealFactored.from_pairs((prm.conjugate(), e) for prm, e in ideal.entries)
+
+
 # ---------------------------------------------------------------------------
 # setup validation
 
@@ -130,7 +140,7 @@ def test_principal_ideal_norms_random():
             beta = FElem(u, v)
             if beta.is_zero:
                 continue
-            assert principal_ideal(s, beta).norm() == abs(beta.norm(s.D))
+            assert _norm(principal_ideal(s, beta)) == abs(beta.norm(s.D))
 
 
 def test_principal_ideal_keeps_primes_cancelling_in_the_norm():
@@ -141,7 +151,7 @@ def test_principal_ideal_keeps_primes_cancelling_in_the_norm():
     ideal = principal_ideal(s, gen)
     above5 = prime_ideals_above(s, 5)
     assert sorted(ideal.ord_at(prm) for prm in above5) == [-1, 1]
-    assert ideal.norm() == abs(gen.norm(s.D))
+    assert _norm(ideal) == abs(gen.norm(s.D))
 
 
 def test_principal_ideal_matches_element_valuation_random():
@@ -176,7 +186,7 @@ def test_different_ideal():
     assert {(q.p, e) for q, e in d34.entries} == {(2, 2), (3, 1)}
     for d1, d2 in TEST_MATRIX:
         s = Setup(d1, d2)
-        assert principal_ideal(s, sqrt_d).norm() == s.D
+        assert _norm(principal_ideal(s, sqrt_d)) == s.D
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +197,12 @@ def test_trace_slice_examples():
     s = Setup(-3, -7)
     elems = enumerate_trace_slice(s, 1)
     assert [e.x for e in elems] == [-3, -1, 1, 3]
-    assert [e.n for e in elems] == [3, 5, 5, 3]
+    # the (p, e) pairs of n(x) = (21 - x^2)/4 = 3, 5, 5, 3
+    assert [e.factors for e in elems] == [((3, 1),), ((5, 1),), ((5, 1),), ((3, 1),)]
     s34 = Setup(-3, -4)
     elems34 = enumerate_trace_slice(s34, 1)
     assert [e.x for e in elems34] == [-2, 0, 2]
-    assert [e.n for e in elems34] == [2, 3, 2]
+    assert [e.factors for e in elems34] == [((2, 1),), ((3, 1),), ((2, 1),)]
 
 
 @st.composite
@@ -252,7 +263,7 @@ def test_slice_ideal_matches_principal_ideal(index):
 
 def _mirror_holds(s, m, x):
     n = abs(m * m * s.D - x * x) // 4
-    return _slice_ideal(s, m, x, factor(n)).conjugate() == _slice_ideal(s, m, -x, factor(n))
+    return _conjugate(_slice_ideal(s, m, x, factor(n))) == _slice_ideal(s, m, -x, factor(n))
 
 
 # (-7, -23): 2 splits in F; 2 | gcd(x, m), 5 | gcd(x, m), 3 | gcd(x, m)
@@ -270,11 +281,28 @@ def test_slice_ideal_mirror(index):
 
 
 def test_slice_ideal_mirror_can_fail(monkeypatch):
-    # a conjugation that leaves split_plus and split_minus in place must fail
-    # the mirror property and the field suite's comparison with principal_ideal
+    # a conjugation that leaves split_plus and split_minus in place must fail the
+    # mirror property, and an ideal at -x that is the one at x, unconjugated, must
+    # fail the field suite's comparison with principal_ideal
     monkeypatch.setattr(FPrimeIdeal, "conjugate", lambda self: self)
     assert not _mirror_holds(Setup(-7, -23), 1, 1)
+    monkeypatch.setattr(
+        cmeis.verify, "_slice_ideal", lambda s, m, x, factors: _slice_ideal(s, m, abs(x), factors)
+    )
     assert SUITES["field"]["trace-slice-invariants"](random.Random(0))
+
+
+def test_slice_invariants_check_the_rule_at_negative_x(monkeypatch):
+    # the split side swapped at x < 0 alone: the check builds the ideal at each index,
+    # so it fails; a check that conjugated the x >= 0 ideal never saw x < 0
+    def swapped_below_zero(s, m, x, factors):
+        ideal = _slice_ideal(s, m, x, factors)
+        return _conjugate(ideal) if x < 0 else ideal
+
+    for module in (cmeis.field, cmeis.eisenstein, cmeis.verify):
+        monkeypatch.setattr(module, "_slice_ideal", swapped_below_zero)
+    detail = SUITES["field"]["trace-slice-invariants"](random.Random(0))
+    assert detail == "slice invariants failed at x=-1, m=1, Setup(d1=-3, d2=-7)"
 
 
 def test_slice_ideal_checksum_can_fail():
@@ -421,9 +449,10 @@ def test_ideal_algebra():
     plus, minus = prime_ideals_above(s, 5)
     a = FIdealFactored.from_pairs([(plus, 2), (minus, 1)])
     b = FIdealFactored.from_pairs([(minus, -1)])
-    assert (a * b).ord_at(minus) == 0
-    assert (a * b).ord_at(plus) == 2
-    assert a.norm() == 125
+    ab = FIdealFactored.from_pairs(a.entries + b.entries)
+    assert ab.ord_at(minus) == 0
+    assert ab.ord_at(plus) == 2
+    assert _norm(a) == 125
     assert not b.is_integral
     assert a.times(plus, -2).ord_at(plus) == 0
 
@@ -435,13 +464,14 @@ def test_times_matches_from_pairs_on_slice_ideals():
         s = Setup(*pair)
         for m in (1, 2, 3, 4, 5, 6):
             for e in enumerate_trace_slice(s, m):
-                entries = e.ideal.entries
+                ideal = _slice_ideal(s, m, e.x, e.factors)
+                entries = ideal.entries
                 prms = {prm for prm, _ in entries}
                 prms.update(prm for q in (2, 3, 5, 7) for prm in prime_ideals_above(s, q))
                 for prm in prms:
-                    e_prm = e.ideal.ord_at(prm)
+                    e_prm = ideal.ord_at(prm)
                     for k in {1, -1, 2, -e_prm}:
-                        got = e.ideal.times(prm, k)
+                        got = ideal.times(prm, k)
                         assert got == FIdealFactored.from_pairs(entries + ((prm, k),))
                     cancelled += e_prm != 0
     assert cancelled

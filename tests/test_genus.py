@@ -11,7 +11,6 @@ from cmeis.field import (
 )
 from cmeis.genus import (
     diff_set,
-    genus_char_ideal,
     genus_char_prime,
     norm_ideal_count,
     prime_multiplicity,
@@ -43,14 +42,6 @@ def test_genus_char_prime_examples():
     # inert primes split in the biquadratic extension
     (inert,) = prime_ideals_above(s, 2)
     assert genus_char_prime(s, inert) == 1
-
-
-def test_genus_char_ideal():
-    s = Setup(-3, -7)
-    assert genus_char_ideal(s, FIdealFactored()) == 1
-    minus5 = _ideal(s, (5, "split_minus", 1))
-    assert genus_char_ideal(s, minus5) == -1
-    assert genus_char_ideal(s, minus5 * minus5) == 1
 
 
 # ---------------------------------------------------------------------------
