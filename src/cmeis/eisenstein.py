@@ -16,9 +16,10 @@ Coefficients are computed through two deliberately disjoint paths:
   and Zagier's local rule (``_index_report``), with no ideal built,
 * a product-rule assembly of finite local Whittaker values and the one
   local derivative (``assemble_derivative``) on the ``FElem`` alpha:
-  literal finite sums at the primes of the norm, valued by the check
-  paths' ``element_valuation``, the obstruction prime found as the one
-  center value 0, no ideal built.  Each archimedean value is -2i.
+  literal finite sums at the primes of the norm, factored once, each
+  place valued from its prime's exponent there by the check paths' rule
+  ``field._place_valuation`` (no cache), the obstruction prime found as
+  the one center value 0, no ideal built.  Each archimedean value is -2i.
   One integer kernel, ``_local_sums``, takes the two sums at a place;
   the assembly multiplies the center values as integers and builds one
   ``LogLinear``, the derivative at the obstruction prime times the rest.
@@ -68,8 +69,8 @@ from .field import (
     Setup,
     _half_slice,
     _line_sieve,
+    _place_valuation,
     _slice_ideal,
-    element_valuation,
     prime_ideals_above,
     principal_ideal,
 )
@@ -91,20 +92,22 @@ __all__ = [
 _ARCH_PRODUCT = -4
 
 
-def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal) -> tuple[int, int]:
+def _local_sums(setup: Setup, gen: FElem, prm: FPrimeIdeal, t: int) -> tuple[int, int]:
     """(value0, deriv_coeff) at a finite prime, for gen = sqrt(D) * alpha.
 
-    With t = ord_P(gen) and eps = chi(P), value0 is the norm-count sum
-    sum_{r=0..t} eps^r and deriv_coeff the coefficient of log p in the
+    ``t`` is ord_p(a^2 - D*b^2) for gen = (a + b*sqrt(D))/c, from the
+    caller's factorization of the norm; ``field._place_valuation`` turns it
+    into k = ord_P(gen).  With eps = chi(P), value0 is the norm-count sum
+    sum_{r=0..k} eps^r and deriv_coeff the coefficient of log p in the
     derivative of the module convention above.  Both sums are taken term
     by term, not in closed form, because this path is the independent check.
     """
-    t = element_valuation(setup, gen, prm)
-    if t < 0:
+    k = _place_valuation(setup.D, gen.a, gen.b, gen.c, t, prm)
+    if k < 0:
         raise ValueError("alpha has a pole against the inverse different here")
     eps = genus_char_prime(setup, prm)
     value = weighted = 0
-    for r in range(t + 1):
+    for r in range(k + 1):
         term = eps**r
         value += term
         weighted += r * term
@@ -359,11 +362,13 @@ def _local_factors(setup: Setup, alpha: FElem) -> tuple[FPrimeIdeal, int, int]:
     """(place, deriv_coeff, scalar): the obstruction place, its derivative, the other values.
 
     Finite values are 1 off the primes of N(sqrt(D) * alpha); the obstruction
-    place is the unique one where sum_{r<=t} chi(P)^r = 0 (chi(P) = -1, t odd).
-    sqrt(D) * alpha is built once, ``_local_sums`` runs at every prime of
-    its norm, both split primes included, and the nonzero center values
-    multiply as integers, with the archimedean (-2i)^2 (``scalar``); the
-    obstruction place keeps its coefficient of log p (``deriv_coeff``).
+    place is the unique one where sum_{r<=k} chi(P)^r = 0 (chi(P) = -1, k odd).
+    sqrt(D) * alpha = (a + b*sqrt(D))/c is built once and its norm factored
+    once; ``_local_sums`` runs at every prime p of the norm, both split
+    primes included, with t = ord_p(a^2 - D*b^2), the norm's exponent plus
+    2 ord_p(c).  The nonzero center values multiply as integers, with the
+    archimedean (-2i)^2 (``scalar``); the obstruction place keeps its
+    coefficient of log p (``deriv_coeff``).
     """
     if alpha.is_zero or not alpha.is_totally_positive(setup.D):
         raise ValueError("expected a nonzero totally positive element")
@@ -372,9 +377,10 @@ def _local_factors(setup: Setup, alpha: FElem) -> tuple[FPrimeIdeal, int, int]:
         raise ValueError("index is outside the inverse different")
     zeros, scalar = [], _ARCH_PRODUCT
     norm = (gen.a * gen.a - setup.D * gen.b * gen.b) // (gen.c * gen.c)  # exact: gen is integral
-    for p in factor(abs(norm)).primes():
+    for p, e in factor(abs(norm)):
+        t = e + 2 * padic_val(gen.c, p)  # ord_p(a^2 - D*b^2)
         for prm in prime_ideals_above(setup, p):
-            value, deriv_coeff = _local_sums(setup, gen, prm)
+            value, deriv_coeff = _local_sums(setup, gen, prm, t)
             if value:
                 scalar *= value
             else:

@@ -226,49 +226,29 @@ def padic_val(x: Fraction | int, p: int) -> int:
 
 def _square_class_rep(x) -> int:
     # numerator * denominator is in the same square class as the rational
-    if isinstance(x, int):
-        return x
-    x = Fraction(x)
-    return x.numerator * x.denominator
-
-
-def _local_parts(a: int, place) -> tuple[int, int]:
-    """(ord, unit) of a nonzero integer at a place: all a Hilbert symbol reads.
-
-    At a prime p, ord_p(a) and the unit a / p^ord reduced mod p, or mod 8
-    at p = 2.  At OO the sign stands in for the valuation: ord is 1 for a
-    negative a and 0 otherwise, and the unit is 1.
-    """
-    if a == 0:
+    if not isinstance(x, int):
+        x = Fraction(x)
+        x = x.numerator * x.denominator
+    if x == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if place == OO:
-        return int(a < 0), 1
-    p = int(place)
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    return alpha, a % (8 if p == 2 else p)
+    return x
 
 
-def _local_symbol(alpha: int, u: int, beta: int, v: int, place) -> int:
-    """(p^alpha u, p^beta v) at the place, from ``_local_parts`` of each side.
+def _local_symbol(alpha: int, u: int, beta: int, v: int, p: int) -> int:
+    """(p^alpha u, p^beta v) at the prime p, for units u, v (mod p, or mod 8 at p = 2).
 
-    The closed-form case analysis: the signs at OO, Legendre symbols of
-    the units at odd p, the (u-1)/2 and (u^2-1)/8 invariants mod 8 at
-    p = 2.  Only the parities of alpha and beta matter.
+    The closed-form case analysis: Legendre symbols of the units at odd
+    p, by Euler's criterion, and the (u-1)/2 and (u^2-1)/8 invariants
+    mod 8 at p = 2.  Only the parities of alpha and beta matter.
     """
-    if place == OO:
-        return -1 if alpha % 2 and beta % 2 else 1
-    p = int(place)
     if p != 2:
         s = 1
         if alpha % 2 and beta % 2 and p % 4 == 3:
             s = -s
-        if beta % 2:
-            s *= kronecker(u, p)
-        if alpha % 2:
-            s *= kronecker(v, p)
+        if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+            s = -s
+        if alpha % 2 and pow(v, (p - 1) // 2, p) != 1:
+            s = -s
         return s
     eps_u = (u - 1) // 2 % 2
     eps_v = (v - 1) // 2 % 2
@@ -282,30 +262,42 @@ def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a rational place (prime or OO).
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
-    completion; ``_local_symbol`` of the two ``_local_parts``.
+    completion: the Hasse invariant of the form <a, b>.
     """
-    alpha, u = _local_parts(_square_class_rep(a), place)
-    beta, v = _local_parts(_square_class_rep(b), place)
-    return _local_symbol(alpha, u, beta, v, place)
+    return hasse_invariant((a, b), place)
 
 
 def hasse_invariant(diag, place) -> int:
     """Hasse invariant prod_{i<j} (a_i, a_j) of a diagonal quadratic form.
 
-    The symbol is bimultiplicative, so the product equals
-    prod_j (a_1 * ... * a_{j-1}, a_j): n - 1 symbols instead of
-    n(n-1)/2.  Each entry is split once into ``_local_parts``, and the
-    prefix is carried as the sum of the valuations and the product of the
-    units, reduced as the units are (mod p, mod 8 at 2; 1 at OO).
+    At OO the symbol (a_i, a_j) is -1 iff both entries are negative, so
+    with k negative entries the invariant is (-1)^(k(k-1)/2).  At a prime
+    the symbol is bimultiplicative, so the product equals
+    prod_j (a_1 * ... * a_{j-1}, a_j): n - 1 ``_local_symbol``s instead
+    of n(n-1)/2.  Each entry is split in the same pass into its
+    valuation and its unit, reduced mod p (mod 8 at 2), and the prefix
+    is carried as the sum of the valuations and the product of the units.
     """
-    parts = [_local_parts(_square_class_rep(x), place) for x in diag]
-    if not parts:
+    if not diag:
         raise ValueError("empty diagonal")
-    modulus = 2 if place == OO else 8 if place == 2 else int(place)
-    s, (alpha, u) = 1, parts[0]
-    for beta, v in parts[1:]:
-        s *= _local_symbol(alpha, u, beta, v, place)
-        alpha, u = alpha + beta, u * v % modulus
+    if place == OO:
+        k = sum(_square_class_rep(x) < 0 for x in diag)
+        return -1 if k % 4 > 1 else 1
+    p = int(place)
+    modulus = 8 if p == 2 else p
+    s = 1
+    alpha = u = None  # the prefix: its valuation and its unit
+    for x in diag:
+        a, beta = _square_class_rep(x), 0
+        while a % p == 0:
+            a //= p
+            beta += 1
+        v = a % modulus
+        if alpha is None:
+            alpha, u = beta, v
+        else:
+            s *= _local_symbol(alpha, u, beta, v, p)
+            alpha, u = alpha + beta, u * v % modulus
     return s
 
 

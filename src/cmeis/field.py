@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exact import (
     _SMALL_PRIMES,
@@ -119,8 +119,9 @@ class Setup:
         if math.isqrt(D) ** 2 == D:
             raise SetupError(f"D = {D} is a perfect square")
 
-    @property
+    @cached_property
     def D(self) -> int:
+        # kept in the instance dict, outside the fields: repr, == and hash see d1, d2 alone
         return self.d1 * self.d2
 
     @property
@@ -322,27 +323,38 @@ def _split_valuation(D: int, a: int, b: int, t: int, prm: FPrimeIdeal) -> int:
     return t if res == 0 else min(padic_val(res, prm.p), t)
 
 
+def _place_valuation(D: int, a: int, b: int, c: int, t: int, prm: FPrimeIdeal) -> int:
+    """ord of (a + b*sqrt(D))/c at a prime of F above p, given t = ord_p(a^2 - D*b^2).
+
+    The integral a + b*sqrt(D) has valuation t/2 at an inert prime, t at
+    a ramified one, and ``_split_valuation`` at a split one; then the
+    denominator c comes off, twice at a ramified prime.  No cache: the
+    caller already has t.
+    """
+    if prm.kind == "inert":
+        if t % 2:
+            raise InvariantError("odd norm valuation at an inert prime")
+        val = t // 2
+    elif prm.kind == "ramified":
+        val = t
+    else:
+        val = _split_valuation(D, a, b, t, prm)
+    return val - prm.ramification * padic_val(c, prm.p) if c > 1 else val
+
+
 @lru_cache(maxsize=1 << 16)
 def element_valuation(setup: Setup, beta: FElem, prm: FPrimeIdeal) -> int:
     """ord of beta = (a + b*sqrt(D))/c at a prime of F.
 
-    Inert and ramified primes read the valuation off the norm.  At a split
-    prime the integral a + b*sqrt(D) goes to ``_split_valuation`` and the
-    denominator c comes off.
+    Takes t = ord_p(a^2 - D*b^2) off the norm and hands it to
+    ``_place_valuation``, whose rule ``eisenstein._local_factors`` also
+    calls with the t of its own factorization, past this cache.
     """
     if beta.is_zero:
         raise ValueError("valuation of 0")
-    p = prm.p
-    a, b, c = beta.a, beta.b, beta.c
-    t = padic_val(a * a - setup.D * b * b, p)  # nonzero: D is not a square
-    if prm.kind == "inert":
-        if t % 2:
-            raise InvariantError("odd norm valuation at an inert prime")
-        return t // 2 - padic_val(c, p)
-    if prm.kind == "ramified":
-        return t - 2 * padic_val(c, p)
-    val = _split_valuation(setup.D, a, b, t, prm)
-    return val - padic_val(c, p) if c > 1 else val
+    a, b = beta.a, beta.b
+    t = padic_val(a * a - setup.D * b * b, prm.p)  # nonzero: D is not a square
+    return _place_valuation(setup.D, a, b, beta.c, t, prm)
 
 
 @lru_cache(maxsize=1 << 15)

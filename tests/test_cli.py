@@ -28,13 +28,14 @@ from cmeis.eisenstein import (
     mixed_coefficient,
     trace_degree,
 )
-from cmeis.exact import OO, Factorization, InvariantError, LogLinear, factor, is_prime
+from cmeis.exact import OO, Factorization, InvariantError, LogLinear, factor, is_prime, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
     Setup,
     _half_slice,
     _invariant_diagonal,
+    _place_valuation,
     _slice_ideal,
     element_valuation,
     enumerate_trace_slice,
@@ -305,10 +306,10 @@ def test_mixed_lines_match_the_check_path(pair):
             gen = FElem.from_triple(x, m, 2)
             ideal = principal_ideal(setup, gen)
             assert cmeis.field._slice_ideal(setup, m, x, factors) == ideal, (pair, m, x)
-            centers = 1
+            centers, norm = 1, gen.a * gen.a - setup.D * gen.b * gen.b
             for p in factor(n).primes():
                 for prm in cmeis.field.prime_ideals_above(setup, p):
-                    centers *= cmeis.eisenstein._local_sums(setup, gen, prm)[0]
+                    centers *= cmeis.eisenstein._local_sums(setup, gen, prm, padic_val(norm, p))[0]
             rho = cmeis.eisenstein._index_report(table, m, x, factors).rho
             assert rho == norm_ideal_count(setup, ideal) == centers, (pair, m, x)
             nonzero += centers != 0
@@ -379,19 +380,21 @@ def test_violated_invariant_is_exit_1_with_json():
 
 
 def test_verify_reports_a_check_that_raises_as_its_fail(monkeypatch, capsys):
-    # one more at p = 5 from element_valuation: the assembly raises ValueError under
-    # degree-coefficient-identity, principal_ideal raises InvariantError under
-    # trace-slice-invariants; each is that check's FAIL, and the later checks still run
-    for module, suite, check, detail in (
-        (cmeis.eisenstein, "eisenstein", "degree-coefficient-identity",
+    # one more at p = 5 from the assembly's valuation kernel, which raises ValueError under
+    # degree-coefficient-identity, and from principal_ideal's element_valuation, which
+    # raises InvariantError under trace-slice-invariants; each is that check's FAIL, and
+    # the later checks still run
+    for module, attr, broken, suite, check, detail in (
+        (cmeis.eisenstein, "_place_valuation",
+         lambda D, a, b, c, t, prm: _place_valuation(D, a, b, c, t, prm) + (prm.p == 5),
+         "eisenstein", "degree-coefficient-identity",
          "ValueError: assembly needs a single obstruction prime"),
-        (cmeis.field, "field", "trace-slice-invariants",
+        (cmeis.field, "element_valuation",
+         lambda setup, beta, prm: element_valuation(setup, beta, prm) + (prm.p == 5),
+         "field", "trace-slice-invariants",
          "InvariantError: valuations disagree with the norm"),
     ):
-        monkeypatch.setattr(
-            module, "element_valuation",
-            lambda setup, beta, prm: element_valuation(setup, beta, prm) + (prm.p == 5),
-        )
+        monkeypatch.setattr(module, attr, broken)
         principal_ideal.cache_clear()
         try:
             code, out, err = _run(capsys, "verify", "--suite", suite)
@@ -461,30 +464,37 @@ def test_coeffs_into_a_closed_pipe_is_quiet():
     assert err == b""
 
 
+def _refuse(patch, names, path):
+    for name in names:
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} on the {path} path")
+
+        for module in (cmeis.cli, cmeis.eisenstein, cmeis.field, cmeis.genus):
+            if name in vars(module):
+                patch.setattr(module, name, refuse)
+
+
 def test_slice_path_skips_the_felem_factorization(monkeypatch):
     # coeffs, degree and the closed forms read each index's local data from integers only,
-    # and coeffs, with or without the mixed walk, builds no ideal and reads none back
+    # and never reach the check paths' valuation kernel; coeffs, with or without the mixed
+    # walk, builds no ideal and reads none back
     setup = Setup(-7, -23)
     principal_ideal.cache_clear()
     element_valuation.cache_clear()
     want = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
     with monkeypatch.context() as patch:
-        for name in ("_slice_ideal", "diff_set", "norm_ideal_count"):
-
-            def refuse(*args, name=name):
-                raise AssertionError(f"{name} on the coeffs path")
-
-            for module in (cmeis.cli, cmeis.eisenstein, cmeis.field, cmeis.genus):
-                if name in vars(module):
-                    patch.setattr(module, name, refuse)
-        got = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
-    assert got == want
-    trace_degree(setup, 5)
-    for m in range(1, 6):
-        for e in enumerate_trace_slice(setup, m):
-            arakelov_degree(setup, m, e.x)
-            holomorphic_coefficient(setup, m, e.x)
-    mixed_coefficient(setup, 1, -15, 1.0, 1.0, 53)
+        _refuse(patch, ("_place_valuation",), "production")
+        with monkeypatch.context() as coeffs_patch:
+            _refuse(coeffs_patch, ("_slice_ideal", "diff_set", "norm_ideal_count"), "coeffs")
+            got = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
+        assert got == want
+        trace_degree(setup, 5)
+        for m in range(1, 6):
+            for e in enumerate_trace_slice(setup, m):
+                arakelov_degree(setup, m, e.x)
+                holomorphic_coefficient(setup, m, e.x)
+        mixed_coefficient(setup, 1, -15, 1.0, 1.0, 53)
     assert principal_ideal.cache_info().misses == 0
     assert element_valuation.cache_info().misses == 0
 

@@ -20,7 +20,7 @@ from cmeis.eisenstein import (
     mixed_coefficient,
     trace_degree,
 )
-from cmeis.exact import InvariantError, LogLinear, factor
+from cmeis.exact import InvariantError, LogLinear, factor, padic_val
 from cmeis.field import (
     FElem,
     Setup,
@@ -46,7 +46,9 @@ ALPHA_X1 = FElem(Fraction(1, 2), Fraction(1, 42))  # trace-1 slice, x = 1
 
 
 def _sums(setup, alpha, prm):
-    return eisenstein._local_sums(setup, alpha.times_sqrtD(setup.D), prm)
+    gen = alpha.times_sqrtD(setup.D)
+    t = padic_val(gen.a * gen.a - setup.D * gen.b * gen.b, prm.p)
+    return eisenstein._local_sums(setup, gen, prm, t)
 
 
 def test_whittaker_finite_unramified_trivial():
@@ -117,6 +119,47 @@ def test_local_factors_match_whittaker_finite():
                 assert scalar == -4 * math.prod(others)
                 cases += 1
     assert cases > 1000
+
+
+def test_assembly_values_each_place_from_its_one_factorization(monkeypatch):
+    # past element_valuation and its cache, the assembly's kernel gives the same ord at
+    # every place above every prime of N(sqrt(D) * alpha), x of both signs; on 2 inert,
+    # ramified and split, and whether or not the index has a single obstruction place
+    real, seen = eisenstein._place_valuation, []
+
+    def recording(D, a, b, c, t, prm):
+        k = real(D, a, b, c, t, prm)
+        seen.append((prm, k))
+        return k
+
+    monkeypatch.setattr(eisenstein, "_place_valuation", recording)
+    signs = set()
+    for s in (S37, S34, Setup(-7, -23)):
+        for m in range(1, 9):
+            for e in enumerate_trace_slice(s, m):
+                seen.clear()
+                try:
+                    eisenstein._local_factors(s, e.alpha)
+                except ValueError as exc:
+                    assert str(exc) == "assembly needs a single obstruction prime"
+                gen = e.alpha.times_sqrtD(s.D)
+                places = [
+                    prm
+                    for p in factor(abs(gen.norm(s.D).numerator)).primes()
+                    for prm in prime_ideals_above(s, p)
+                ]
+                assert [prm for prm, _ in seen] == places
+                assert all(k == element_valuation(s, gen, prm) for prm, k in seen), (s, m, e.x)
+                signs.add((e.x > 0) - (e.x < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_identity_check_takes_no_valuation_through_the_cache():
+    # element_valuation's lru_cache missed on every call of this sweep: the check
+    # must not reach it again
+    element_valuation.cache_clear()
+    assert SUITES["eisenstein"]["degree-coefficient-identity"](random.Random(0)) is None
+    assert element_valuation.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -57,6 +58,20 @@ def test_setup_unit_counts():
     assert Setup(-4, -7).w1 == 4
     assert Setup(-7, -8).w1 == 2
     assert Setup(-3, -4).w2 == 4
+
+
+def test_setup_keeps_D_out_of_repr_eq_and_hash():
+    # D is computed once and kept on the instance; what a Setup shows and compares is unchanged
+    s, twin = Setup(-3, -7), Setup(-3, -7)
+    assert s.D == 21  # read on s alone
+    assert repr(s) == "Setup(d1=-3, d2=-7)"
+    assert s == twin and hash(s) == hash(twin) and {s: 1}[twin] == 1
+    assert s != Setup(-7, -3) and Setup(-7, -3).D == 21
+    moved = dataclasses.replace(s, d2=-4)
+    assert moved == Setup(-3, -4) and moved.D == 12 and repr(moved) == "Setup(d1=-3, d2=-4)"
+    assert dataclasses.replace(s) == s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.d1 = -4
 
 
 @pytest.mark.parametrize(
