@@ -22,10 +22,18 @@ import math
 import os
 import sys
 
-from mpmath.libmp import from_int, mpf_abs, mpf_cmp, mpf_pow_int, round_nearest, to_str
+from mpmath.libmp import (
+    from_int,
+    mpf_abs,
+    mpf_cmp,
+    mpf_mul_int,
+    mpf_pow_int,
+    round_nearest,
+    to_str,
+)
 
 from .eisenstein import _index_report, _LocalTable, _mixed_term, constant_term, trace_degree
-from .exact import InvariantError, LogLinear
+from .exact import InvariantError, LogLinear, _log_prime
 from .field import FPrimeIdeal, Setup, SetupError, _half_slice, _line_sieve
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
@@ -77,15 +85,23 @@ def _diff_text(primes) -> str:
 
 
 def _tail(report, digits, bits):
-    """The a_alpha, deg_X, float and nu texts: a function of (P's p, 2 nu, rho) alone."""
+    """The a_alpha, deg_X, float and nu texts: a function of (P's p, 2 nu, rho) alone.
+
+    The float is the coefficient 2 * 2nu * rho * log p as one ``libmp``
+    product of the cached log p at ``bits``, rounded to nearest: the one
+    rounding ``LogLinear.to_float`` makes of a one-prime integer
+    coefficient, so the text is that of ``report.coefficient``.  Here
+    2 nu >= 2 and rho >= 1, so the product is never zero.
+    """
     nu = _ratio_text(report.two_nu, 2)
     if report.reflex is None:
-        return "{}", "{}", _float_str(0, digits), nu
+        return "{}", "{}", "0", nu
     p, count = report.reflex.p, report.two_nu * report.rho  # degree = count/2 * log p
+    value = mpf_mul_int(_log_prime(p, bits), 2 * count, bits, round_nearest)
     return (
         f'{{"{p}":"{2 * count}"}}',
         f'{{"{p}":"{_ratio_text(count, 2)}"}}',
-        _float_str(report.coefficient.to_float(bits), digits),
+        to_str(value, digits, strip_zeros=False),
         nu,
     )
 
@@ -167,8 +183,11 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     the record at -x is the Galois mirror of the one at x, sharing its
     tail (the a_alpha, deg_X, float and nu texts).  Each report comes
     from the sieve's (q, e) pairs (``eisenstein._index_report``), read
-    with one table of local data per call; tails are built once per key
-    (P's p, 2 nu, rho) of the report.  With imaginary
+    with one table of local data per call.  Every text of a record comes
+    from a table that lives for the call: tails are built once per key
+    (P's p, 2 nu, rho) of the report, the float among them as one
+    ``libmp`` product of the cached log p (see ``_tail``), and the diff
+    texts at x and -x once per obstruction set.  With imaginary
     parts given, also the constant term (m = 0) and the mixed-signature
     terms whose numeric size clears the display cutoff.  Bad or too small
     imaginary parts are a ``SetupError`` here, before the first record.
@@ -186,6 +205,10 @@ def _records(setup, trace_max, v1, v2, digits, scans):
     D = setup.D
     table = _LocalTable(setup)
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
+    # report.diff -> its diff texts at x and at -x.  For (-7, -23) there are 2,648 /
+    # 6,991 / 26,160 obstruction sets by trace 60 / 100 / 200, against 3,427 /
+    # 8,295 / 28,545 tail keys: this table grows as ``tails`` does
+    diffs = {}
 
     if v1 is not None:
         yield _numeric_record(D, 0, 0, _float_str(constant_term(setup, v1, v2, bits), digits))
@@ -198,12 +221,15 @@ def _records(setup, trace_max, v1, v2, digits, scans):
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = _tail(report, digits, bits)
-            x_text, v = str(x), _ratio_text(x, 2 * D)
-            per_m.append((m_text, x_text, u, v, _diff_text(report.diff), *tail))
-            if x:
+            diff = diffs.get(report.diff)
+            if diff is None:
                 # the conjugate index: the split primes swap their kinds
-                diff = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
-                below.append((m_text, "-" + x_text, u, "-" + v, _diff_text(diff), *tail))
+                mirror = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
+                diff = diffs[report.diff] = (_diff_text(report.diff), _diff_text(mirror))
+            x_text, v = str(x), _ratio_text(x, 2 * D)
+            per_m.append((m_text, x_text, u, v, diff[0], *tail))
+            if x:
+                below.append((m_text, "-" + x_text, u, "-" + v, diff[1], *tail))
         per_m[:0] = reversed(below)
         if v1 is not None:
             per_m.extend(_mixed_records(table, m, scans[m - 1], v1, v2, digits, bits))

@@ -508,25 +508,31 @@ def test_slice_path_factors_no_norm_one_by_one():
 
 
 def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
-    # one report per half-slice index, shared with the mirror at -x, and one
-    # float text per tail key (P's p, 2 nu, rho)
+    # one report per half-slice index, shared with the mirror at -x; one float (a
+    # libmp product of log p) per tail key (P's p, 2 nu, rho) with a prime P; and
+    # the two diff texts, at x and at -x, once per obstruction set of the run
     setup = Setup(-7, -23)
-    real_report, real_float = cmeis.cli._index_report, cmeis.cli._float_str
-    reports, floats = [], []
+    real_report, real_mul, real_diff = (
+        cmeis.cli._index_report, cmeis.cli.mpf_mul_int, cmeis.cli._diff_text
+    )
+    reports, floats, diff_texts = [], [], []
 
     def counting_report(table, m, x, factors):
         reports.append(real_report(table, m, x, factors))
         return reports[-1]
 
     monkeypatch.setattr(cmeis.cli, "_index_report", counting_report)
-    monkeypatch.setattr(cmeis.cli, "_float_str", lambda *a: floats.append(a) or real_float(*a))
+    monkeypatch.setattr(cmeis.cli, "mpf_mul_int", lambda *a: floats.append(a) or real_mul(*a))
+    monkeypatch.setattr(cmeis.cli, "_diff_text", lambda d: diff_texts.append(d) or real_diff(d))
     code, out, _ = _run(capsys, "coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20")
     assert code == 0
     half = [x for m in range(1, 21) for x, _, _ in _half_slice(setup, m)]
     assert len(reports) == len(half)
     assert len(out.splitlines()) == 2 * len(half) - half.count(0)
-    keys = {(r.reflex and r.reflex.p, r.two_nu, r.rho) for r in reports}
+    keys = {(r.reflex.p, r.two_nu, r.rho) for r in reports if r.reflex}
     assert 1 < len(floats) == len(keys) < len(reports)
+    diffs = {r.diff for r in reports}
+    assert 1 < len(diffs) < len(reports) and len(diff_texts) == 2 * len(diffs)
 
 
 def test_full_local_table_gives_the_same_records(monkeypatch):

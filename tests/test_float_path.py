@@ -9,9 +9,11 @@ threads at once, which a global working precision would not survive.
 and at the display bits of ``--digits`` 30 and 60 (152 and 272): a wrong
 partial numerator gives wrong bits, a depth too shallow falls back to the
 same bits, and its enclosure holds ``mpmath.e1`` at 2,000 bits.
-The ``coeffs`` stream's mixed-term cutoff reads no global precision either,
-and ``coefficient_records`` runs from three threads at once: each call
-builds its own table of local data over the shared caches.
+The ``coeffs`` stream's float text of a tail, one ``libmp`` product of the
+cached log p, is ``report.coefficient.to_float``'s text at every tail key
+of the test matrix.  The stream's mixed-term cutoff reads no global
+precision either, and ``coefficient_records`` runs from three threads at
+once: each call builds its own table of local data over the shared caches.
 """
 
 import inspect
@@ -25,10 +27,10 @@ import mpmath
 
 import cmeis.oracle
 import cmeis.verify
-from cmeis.cli import _float_str, coefficient_records, main
-from cmeis.eisenstein import _mixed_term
+from cmeis.cli import _display_bits, _float_str, _tail, coefficient_records, main
+from cmeis.eisenstein import _index_report, _LocalTable, _mixed_term
 from cmeis.exact import LogLinear, _log_prime, factor, is_prime
-from cmeis.field import Setup, prime_ideals_above
+from cmeis.field import Setup, _half_slice, prime_ideals_above
 from cmeis.genus import genus_char_prime
 from cmeis.oracle import _e1_depth, _e1_enclosure, _e1_fraction, e1
 
@@ -81,6 +83,26 @@ def test_to_float_text_matches_the_object_path():
                 text = _float_str_reference(want, digits)
                 assert _float_str(got, digits) == text, (value, digits)
     assert LogLinear.zero().to_float(53) == 0 and _float_str(0, 5) == "0"
+
+
+def test_tail_float_is_the_coefficient_text():
+    # one report per tail key (P's p, 2 nu, rho) of every matrix pair at trace <= 20,
+    # at the display bits of 1, 30 and 60 digits; at 53 bits the 60-digit text shows
+    # every bit of the product, so a product rounded the wrong way shows too
+    cases = [(d, _display_bits(d)) for d in (1, 30, 60)] + [(60, 53)]
+    for pair in cmeis.verify.TEST_MATRIX:
+        setup = Setup(*pair)
+        table, reports = _LocalTable(setup), {}
+        for m in range(1, 21):
+            for x, _, factors in _half_slice(setup, m):
+                report = _index_report(table, m, x, factors)
+                key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
+                reports.setdefault(key, report)
+        assert len(reports) > 1, pair
+        for report in reports.values():
+            for digits, bits in cases:
+                want = _float_str(report.coefficient.to_float(bits), digits)
+                assert _tail(report, digits, bits)[2] == want, (pair, report, digits, bits)
 
 
 def _e1_cases(seed, count):
@@ -197,11 +219,11 @@ def test_e1_fraction_is_thread_safe():
 
 
 def test_coefficient_records_is_thread_safe():
-    # three pairs at once, each call with its own table, over caches emptied first,
-    # so the threads fill the shared lru caches together
+    # three pairs at once, each call with its own tables, over caches emptied first,
+    # so the threads fill the shared lru caches (log p among them) together
     pairs = ((-3, -7), (-7, -23), (-8, -11))
     want = [list(coefficient_records(Setup(*pair), 12)) for pair in pairs]
-    for cache in (prime_ideals_above, genus_char_prime, factor):
+    for cache in (prime_ideals_above, genus_char_prime, factor, _log_prime):
         cache.cache_clear()
     got = [None] * len(pairs)
 
