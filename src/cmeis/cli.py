@@ -162,7 +162,7 @@ def _mixed_records(table, m, xs, v1, v2, digits, bits):
     D = setup.D
     cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
     records = []
-    for x, _, factors in _line_sieve(setup, m, xs):
+    for x, factors in _line_sieve(setup, m, xs):
         # rho(alpha*D), 0 at most x: the obstruction set has even length here, rarely 0
         rho = _index_report(table, m, x, factors).rho
         if rho:
@@ -215,7 +215,7 @@ def _records(setup, trace_max, v1, v2, digits, scans):
     for m in range(1, trace_max + 1):
         m_text, u = str(m), _ratio_text(m, 2)
         below, per_m = [], []
-        for x, _, factors in _half_slice(setup, m):
+        for x, factors in _half_slice(setup, m):
             report = _index_report(table, m, x, factors)
             key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
             tail = tails.get(key)

@@ -217,12 +217,6 @@ class DegreeReport:
         return self._log_p(Fraction(2 * self.two_nu * self.rho))
 
 
-# the most primes one _LocalTable keeps; it looks any further prime up each time.
-# coeffs at (-7, -23) meets 1,904 distinct primes by trace 60, 4,754 by trace 100
-# and 16,837 by trace 200: the table grows with the run, so it is capped
-_TABLE_SIZE = 1 << 14
-
-
 class _LocalTable(dict):
     """q -> (kind, chi, primes above q) for one ``Setup``, filled as the primes come.
 
@@ -230,7 +224,9 @@ class _LocalTable(dict):
     above q (``genus_char_prime``; both primes above a split q have norm
     q and share it).  A run builds one table and reads it at every index:
     a ``coeffs`` stream, a trace degree, one setup of a check's sweep.
-    It is not shared between runs or threads.
+    It keeps every prime of its run, with no bound, as the ``tails`` and
+    ``diffs`` tables of ``cli._records`` keep their keys, and is not
+    shared between runs or threads.
     """
 
     __slots__ = ("setup",)
@@ -241,9 +237,7 @@ class _LocalTable(dict):
 
     def __missing__(self, q: int):
         prms = prime_ideals_above(self.setup, q)
-        entry = (prms[0].kind, genus_char_prime(self.setup, prms[0]), prms)
-        if len(self) < _TABLE_SIZE:
-            self[q] = entry
+        entry = self[q] = (prms[0].kind, genus_char_prime(self.setup, prms[0]), prms)
         return entry
 
 
@@ -304,7 +298,7 @@ def _index_report(table: _LocalTable, m: int, x: int, factors) -> DegreeReport:
 
 def _one_index_report(setup: Setup, m: int, x: int) -> DegreeReport:
     """``_index_report`` of (m, x), x of either sign, from a one-index line sieve."""
-    ((_, _, factors),) = _line_sieve(setup, m, range(x, x + 1, 2))
+    ((_, factors),) = _line_sieve(setup, m, range(x, x + 1, 2))
     return _index_report(_LocalTable(setup), m, x, factors)
 
 
@@ -343,7 +337,7 @@ def trace_degree(setup: Setup, m: int) -> LogLinear:
     total_a: dict[int, int] = {}  # twice path (a), sum of weight * two_nu * rho
     total_b: dict[int, int] = {}  # twice path (b)
     table = _LocalTable(setup)
-    for x, _, factors in _half_slice(setup, m):
+    for x, factors in _half_slice(setup, m):
         weight = 2 if x else 1
         report = _index_report(table, m, x, factors)
         if report.reflex is not None:

@@ -27,8 +27,8 @@ p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
 p not dividing m), on either side of m*sqrt(D): one sieve over the line
 serves the slice and the mixed-signature x > m*sqrt(D), of norm
 (x^2 - m^2*D)/4, dividing each small p out at those indices only, as in
-the quadratic sieve.  The sieve hands on the (p, e) pairs of each n(x);
-the production path reads each index's report straight from them
+the quadratic sieve.  The sieve yields (x, factors), the (p, e) pairs
+of each n(x); the production path reads each index's report from them
 (``eisenstein._index_report``) and builds no ideal.  ``_slice_ideal``
 builds the ideal from the same pairs, for ``trace_degree``'s path (b)
 and the two ``field`` checks of ``verify`` that read an ideal: e/2 at
@@ -444,7 +444,7 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
 
 
 def _line_sieve(setup: Setup, m: int, xs: range):
-    """Yield (x, n, factors) for x in xs, a step-2 range of either sign, or one index.
+    """Yield (x, factors) for x in xs, a step-2 range of either sign, or one index.
 
     The nonzero norms n(x) = |m^2*D - x^2|/4 of the range are factored
     in one sieve: the 2-part comes off each by bit arithmetic, and each
@@ -453,7 +453,7 @@ def _line_sieve(setup: Setup, m: int, xs: range):
     root r = sqrt_mod_prime_power(D, p, 1) gives a split p's +/-m*r).  What
     is left of each n(x) is 1 or prime, unless n > 997^2, when a composite
     rest goes to ``factor``.  ``factors`` is the list of (p, e) pairs of
-    n(x), p increasing.
+    n(x), p increasing; a caller that needs n(x) reads it from (m, x).
     """
     D = setup.D
     x0, mmD = xs.start, m * m * D
@@ -487,11 +487,11 @@ def _line_sieve(setup: Setup, m: int, xs: range):
     for v, fs in zip(rest, factors):
         if v > 1:
             fs.extend([(v, 1)] if is_prime(v) else factor(v))
-    yield from zip(xs, ns, factors)
+    yield from zip(xs, factors)
 
 
 def _half_slice(setup: Setup, m: int):
-    """``_line_sieve`` over the trace-m slice for x >= 0; x -> -x mirrors it (conjugate ideals)."""
+    """``_line_sieve``'s (x, factors) on the trace-m slice for x >= 0; x -> -x conjugates the ideal."""
     if m < 1:
         raise ValueError("trace must be a positive integer")
     mmD = m * m * setup.D
@@ -504,7 +504,7 @@ def enumerate_trace_slice(setup: Setup, m: int) -> list[TraceSliceElement]:
     n(-x) = n(x), so the element at -x takes the sieve's pairs of x.  No
     ideal is built: a check that reads one calls ``_slice_ideal``.
     """
-    half = [(x, tuple(fs)) for x, _, fs in _half_slice(setup, m)]
+    half = [(x, tuple(fs)) for x, fs in _half_slice(setup, m)]
     D = setup.D
     return [
         TraceSliceElement(FElem.from_triple(m * D, x, 2 * D), x, fs)

@@ -302,12 +302,12 @@ def test_mixed_lines_match_the_check_path(pair):
     table = cmeis.eisenstein._LocalTable(setup)
     for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 1.0, 30), 1):
         assert len(xs) > 10
-        for x, n, factors in cmeis.field._line_sieve(setup, m, xs):
+        for x, factors in cmeis.field._line_sieve(setup, m, xs):
             gen = FElem.from_triple(x, m, 2)
             ideal = principal_ideal(setup, gen)
             assert cmeis.field._slice_ideal(setup, m, x, factors) == ideal, (pair, m, x)
             centers, norm = 1, gen.a * gen.a - setup.D * gen.b * gen.b
-            for p in factor(n).primes():
+            for p in factor(abs(m * m * setup.D - x * x) // 4).primes():
                 for prm in cmeis.field.prime_ideals_above(setup, p):
                     centers *= cmeis.eisenstein._local_sums(setup, gen, prm, padic_val(norm, p))[0]
             rho = cmeis.eisenstein._index_report(table, m, x, factors).rho
@@ -332,13 +332,13 @@ sys.exit(main(sys.argv[1:]))
 _INVARIANT_FAULTS = (
     (
         "sieve = cmeis.field._line_sieve\n"
-        "cmeis.field._line_sieve = lambda s, m, xs: ((x, n, fs + [(37, 1)]) for x, n, fs in sieve(s, m, xs))",
+        "cmeis.field._line_sieve = lambda s, m, xs: ((x, fs + [(37, 1)]) for x, fs in sieve(s, m, xs))",
         ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "1"],
         "x is not in exactly one root class of a split prime",
     ),
     (
         "sieve = cmeis.field._line_sieve\n"
-        "cmeis.field._line_sieve = lambda s, m, xs: ((x, n, [(5, 1)] + fs) for x, n, fs in sieve(s, m, xs))",
+        "cmeis.field._line_sieve = lambda s, m, xs: ((x, [(5, 1)] + fs) for x, fs in sieve(s, m, xs))",
         ["degree", "--d1", "-3", "--d2", "-7", "--m", "5"],
         "x is not in exactly one root class of a split prime",
     ),
@@ -526,7 +526,7 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
     monkeypatch.setattr(cmeis.cli, "_diff_text", lambda d: diff_texts.append(d) or real_diff(d))
     code, out, _ = _run(capsys, "coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "20")
     assert code == 0
-    half = [x for m in range(1, 21) for x, _, _ in _half_slice(setup, m)]
+    half = [x for m in range(1, 21) for x, _ in _half_slice(setup, m)]
     assert len(reports) == len(half)
     assert len(out.splitlines()) == 2 * len(half) - half.count(0)
     keys = {(r.reflex.p, r.two_nu, r.rho) for r in reports if r.reflex}
@@ -535,11 +535,10 @@ def test_coeffs_builds_each_report_and_tail_once(capsys, monkeypatch):
     assert 1 < len(diffs) < len(reports) and len(diff_texts) == 2 * len(diffs)
 
 
-def test_full_local_table_gives_the_same_records(monkeypatch):
-    # past _TABLE_SIZE primes the table looks each further prime up again: the
-    # records, with and without --v1/--v2, are those of an uncapped table
+def test_local_table_looks_each_prime_up_once(monkeypatch):
+    # one coefficient_records run keeps every prime it meets in its one table, with no
+    # bound: each distinct prime, with and without --v1/--v2, is looked up exactly once
     setup = Setup(-7, -23)
-    want = [list(coefficient_records(setup, 8, *v)) for v in ((), (1.0, 0.9))]
     real_above = cmeis.eisenstein.prime_ideals_above
     looked_up = []
     monkeypatch.setattr(
@@ -547,11 +546,11 @@ def test_full_local_table_gives_the_same_records(monkeypatch):
         "prime_ideals_above",
         lambda s, q: looked_up.append(q) or real_above(s, q),
     )
-    monkeypatch.setattr(cmeis.eisenstein, "_TABLE_SIZE", 8)
-    for v, records in zip(((), (1.0, 0.9)), want):
+    for v, primes in (((), 1904), ((1.0, 0.9), 2125)):
         looked_up.clear()
-        assert list(coefficient_records(setup, 8, *v)) == records
-        assert len(set(looked_up)) > 8 and len(looked_up) > len(set(looked_up))
+        for _ in coefficient_records(setup, 60, *v):
+            pass
+        assert len(looked_up) == len(set(looked_up)) == primes
 
 
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
@@ -943,8 +942,8 @@ def test_gross_zagier_check_reads_the_sieve_integers(monkeypatch, capsys):
     def bumped(setup, m, xs):
         out = list(real_sieve(setup, m, xs))
         if m == 1:
-            x, n, ((q, e), *rest) = out[-1]
-            out[-1] = (x, n, [(q, e + 2), *rest])
+            x, ((q, e), *rest) = out[-1]
+            out[-1] = (x, [(q, e + 2), *rest])
         return iter(out)
 
     check = SUITES["genus"]["gross-zagier-trace-1"]

@@ -51,19 +51,19 @@ def _sums(setup, alpha, prm):
     return eisenstein._local_sums(setup, gen, prm, t)
 
 
-def test_whittaker_finite_unramified_trivial():
+def test_local_sums_unramified_trivial():
     (inert2,) = prime_ideals_above(S37, 2)
     assert _sums(S37, ALPHA_X1, inert2) == (1, 0)
 
 
-def test_whittaker_finite_ramified_outside_index():
+def test_local_sums_ramified_outside_index():
     # P7 divides the different but not alpha * different: the derivative
     # carries only the |D|^(-s/2) factor, 1 * log 7
     (ram7,) = prime_ideals_above(S37, 7)
     assert _sums(S37, ALPHA_X1, ram7) == (1, 1)
 
 
-def test_whittaker_finite_at_obstruction():
+def test_local_sums_at_obstruction():
     _, minus = prime_ideals_above(S37, 5)
     assert _sums(S37, ALPHA_X1, minus) == (0, -1)  # -(1/2) * 2 * log 5
 
@@ -74,7 +74,7 @@ def _local_sums_case(setup, alpha, prm, eps, t):
     return _sums(setup, alpha, prm)
 
 
-def test_whittaker_finite_local_sums():
+def test_local_sums_center_and_derivative():
     # the center value is sum eps^r and the derivative f * sum r eps^r at
     # an unramified prime, for r = 0..t
     plus, _ = prime_ideals_above(S37, 5)
@@ -85,7 +85,7 @@ def test_whittaker_finite_local_sums():
     assert _local_sums_case(S37, alpha, inert2, 1, 2) == (3, 6)  # 6 * log 2
 
 
-def test_whittaker_finite_rejects_pole():
+def test_local_sums_rejects_pole():
     bad = FElem(Fraction(1, 10), Fraction(1, 10))  # pole above 5
     gen = bad.times_sqrtD(S37.D)
     polar = [
@@ -98,7 +98,7 @@ def test_whittaker_finite_rejects_pole():
         _sums(S37, bad, polar[0])
 
 
-def test_local_factors_match_whittaker_finite():
+def test_local_factors_match_local_sums():
     # the assembly's one pass over the places gives the kernel's derivative at
     # the obstruction place and -4 times every other place's center value
     cases = 0
@@ -244,7 +244,7 @@ def test_degree_report_golden(pair):
     s, lines = Setup(*pair), []
     table = _LocalTable(s)
     for m in range(1, 9):
-        for x, _, factors in _half_slice(s, m):
+        for x, factors in _half_slice(s, m):
             r = _index_report(table, m, x, factors)
             lines.append(f"{m} {x} {r.diff!r} {r.reflex!r} {r.nu} {r.degree!r} {r.coefficient!r}")
             assert type(r.nu) is Fraction and r.coefficient == _times4(r.degree)
@@ -275,7 +275,7 @@ def _index(x):
 # its message; each raises InvariantError, never a bare assert, so with the source
 # guard of tests/test_imports.py it holds under python -O too
 _SABOTAGE = {
-    "coherent_coefficient": (
+    "coherent_ratio_check": (
         "norm_ideal_count", lambda *args: 0,
         lambda: coherent_ratio_check(S37, 1, -3, arakelov_degree(S37, 1, -3)),
         "coherent center value disagrees with 4 * rho",
@@ -289,7 +289,7 @@ _SABOTAGE = {
 
 
 @pytest.mark.parametrize("sabotage", _SABOTAGE)
-def test_trace_degree_check_survives_optimize(monkeypatch, sabotage):
+def test_coherent_ratio_and_assembly_checks_survive_optimize(monkeypatch, sabotage):
     attr, broken, call, message = _SABOTAGE[sabotage]
     monkeypatch.setattr(eisenstein, attr, broken)
     with pytest.raises(InvariantError, match=re.escape(message)):
@@ -339,7 +339,7 @@ def test_assembly_rejects_long_diff():
         assemble_derivative(s, alpha)
 
 
-def test_coherent_coefficient_x1():
+def test_coherent_ratio_check_x1():
     # the coherent value -scalar is 4 = 4 * rho at x = 1, and the identity holds there
     _, minus = prime_ideals_above(S37, 5)
     place, _, scalar = eisenstein._local_factors(S37, ALPHA_X1)

@@ -271,7 +271,7 @@ def test_slice_ideal_matches_principal_ideal(index):
     # the closed form's one-index sieve, x of either sign, m <= 0 included: its (p, e)
     # pairs are factor(n)'s and build the ideal, and the report it reads off them from
     # the integers alone is the one diff_set and norm_ideal_count read off the ideal
-    ((_, _, factors),) = _line_sieve(s, m, range(x, x + 1, 2))
+    ((_, factors),) = _line_sieve(s, m, range(x, x + 1, 2))
     assert factors == list(factor(n))
     assert _one_index_report(s, m, x) == _ideal_report(s, ideal)
 
@@ -380,14 +380,14 @@ _SIEVE_CASES = [(pair, range(1, 41)) for pair in TEST_MATRIX] + [
 
 
 def test_sieved_half_slice_matches_factor(monkeypatch):
-    # the sieve gives the (p, e) pairs of each n(x) that factor(n) does, in its order
+    # the sieve gives factor's (p, e) pairs of |m^2 D - x^2|/4, taken from (m, x), in order
     setups = [(Setup(*pair), ms) for pair, ms in _SIEVE_CASES]
     rests = []
     monkeypatch.setattr(cmeis.field, "factor", lambda n: rests.append(n) or factor(n))
     for s, ms in setups:
         for m in ms:
-            for x, n, factors in _half_slice(s, m):
-                assert factors == list(factor(n))
+            for x, factors in _half_slice(s, m):
+                assert factors == list(factor((m * m * s.D - x * x) // 4)), (s, m, x)
     # only a rest past 997^2 can be composite, and only then does the sieve call factor
     assert rests and all(r > 997**2 and not is_prime(r) for r in rests)
 

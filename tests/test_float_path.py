@@ -94,7 +94,7 @@ def test_tail_float_is_the_coefficient_text():
         setup = Setup(*pair)
         table, reports = _LocalTable(setup), {}
         for m in range(1, 21):
-            for x, _, factors in _half_slice(setup, m):
+            for x, factors in _half_slice(setup, m):
                 report = _index_report(table, m, x, factors)
                 key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
                 reports.setdefault(key, report)
