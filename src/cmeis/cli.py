@@ -34,7 +34,7 @@ from mpmath.libmp import (
 
 from .eisenstein import _index_report, _LocalTable, _mixed_term, constant_term, trace_degree
 from .exact import InvariantError, LogLinear, _log_prime
-from .field import FPrimeIdeal, Setup, SetupError, _half_slice, _line_sieve
+from .field import FPrimeIdeal, Setup, SetupError, _line_sieve
 from .oracle import PrecisionError, singular_moduli_check
 from .verify import SUITES, run_suites
 
@@ -146,62 +146,54 @@ def _mixed_ranges(D, trace_max, v, digits):
     return ranges
 
 
-def _mixed_records(table, m, xs, v1, v2, digits, bits):
-    """Nonzero mixed-signature records at trace m over the scan range xs, in scan order.
+def _mixed_records(D, m, x, rho, v1, v2, digits, bits, cutoff):
+    """The 0-2 records of the mixed-signature pair -x, x at trace m, rho != 0, -x first.
 
-    The line sieve factors each x once and ``_index_report`` reads rho off
-    its factors with the run's ``table``; the index at -x has the
-    conjugate ideal and the same rho, so each x with rho != 0 gives the
-    terms at -x, then x, both through ``_mixed_term``, as
-    ``mixed_coefficient`` does.
-    The term reads only |x|, so with v1 == v2 it is valued once for both.
-    A term is kept when |value| >= 10^-(digits+2), both sides rounded to
-    53 bits in ``libmp``: the cutoff reads no global precision.
+    The index at -x has the conjugate ideal and the same rho.  The term
+    reads only |x| and its v, so with v1 == v2 it is valued once.  A term
+    is kept when |value| >= ``cutoff`` = 10^-(digits+2), both rounded to
+    53 bits in ``libmp``: no global precision is read.
     """
-    setup = table.setup
-    D = setup.D
-    cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
-    records = []
-    for x, factors in _line_sieve(setup, m, xs):
-        # rho(alpha*D), 0 at most x: the obstruction set has even length here, rarely 0
-        rho = _index_report(table, m, x, factors).rho
-        if rho:
-            low = _mixed_term(D, m, -x, rho, v1, bits)
-            high = low if v1 == v2 else _mixed_term(D, m, x, rho, v2, bits)
-            for sx, value in ((-x, low), (x, high)):
-                if mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0:
-                    records.append(_numeric_record(D, m, sx, _float_str(value, digits)))
-    return records
+    low = _mixed_term(D, m, -x, rho, v1, v2, bits)
+    high = low if v1 == v2 else _mixed_term(D, m, x, rho, v1, v2, bits)
+    return [
+        _numeric_record(D, m, sx, _float_str(value, digits))
+        for sx, value in ((-x, low), (x, high))
+        if mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0
+    ]
 
 
 def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     """An iterator over the emitted records in order, one trace m at a time.
 
     Each record is the tuple of its nine field texts, in the order of the
-    CSV columns.  Always one record per trace-slice element for
-    1 <= m <= trace_max: each pair x, -x is factored and reported once, and
-    the record at -x is the Galois mirror of the one at x, sharing its
-    tail (the a_alpha, deg_X, float and nu texts).  Each report comes
-    from the sieve's (q, e) pairs (``eisenstein._index_report``), read
-    with one table of local data per call.  Every text of a record comes
-    from a table that lives for the call: tails are built once per key
-    (P's p, 2 nu, rho) of the report, the float among them as one
-    ``libmp`` product of the cached log p (see ``_tail``), and the diff
-    texts at x and -x once per obstruction set.  With imaginary
-    parts given, also the constant term (m = 0) and the mixed-signature
-    terms whose numeric size clears the display cutoff.  Bad or too small
-    imaginary parts are a ``SetupError`` here, before the first record.
+    CSV columns.  The constant term (m = 0) comes first when imaginary
+    parts are given, then each trace 1 <= m <= trace_max with x
+    increasing, so the mixed-signature records at -x precede the slice.
+    One sieve call per trace line factors each x >= 0 of the slice and,
+    with imaginary parts, of the ``_mixed_ranges`` scan after it; its
+    (q, e) pairs give each report (``eisenstein._index_report``), read
+    with one table of local data per call.  Every slice element has a
+    record, the one at -x the Galois mirror of x's, sharing its tail (the
+    a_alpha, deg_X, float and nu texts, built once per (P's p, 2 nu, rho)
+    by ``_tail``) and the diff texts built once per obstruction set; a
+    mixed term has one when it clears the display cutoff.  Bad or too
+    small imaginary parts are a ``SetupError`` here, before the first record.
     """
     if (v1 is None) != (v2 is None):
         raise SetupError("v1 and v2 must be given together")
     if v1 is not None and not all(0 < v < math.inf for v in (v1, v2)):
         raise SetupError("imaginary parts must be positive and finite")
-    scans = None if v1 is None else _mixed_ranges(setup.D, trace_max, min(v1, v2), digits)
-    return _records(setup, trace_max, v1, v2, digits, scans)
+    if v1 is None:  # the slice alone: x^2 < m^2 D
+        stops = [math.isqrt(m * m * setup.D - 1) + 1 for m in range(1, trace_max + 1)]
+    else:
+        stops = [xs.stop for xs in _mixed_ranges(setup.D, trace_max, min(v1, v2), digits)]
+    return _records(setup, v1, v2, digits, stops)
 
 
-def _records(setup, trace_max, v1, v2, digits, scans):
+def _records(setup, v1, v2, digits, stops):
     bits = _display_bits(digits)
+    cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
     D = setup.D
     table = _LocalTable(setup)
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
@@ -212,11 +204,16 @@ def _records(setup, trace_max, v1, v2, digits, scans):
 
     if v1 is not None:
         yield _numeric_record(D, 0, 0, _float_str(constant_term(setup, v1, v2, bits), digits))
-    for m in range(1, trace_max + 1):
-        m_text, u = str(m), _ratio_text(m, 2)
-        below, per_m = [], []
-        for x, factors in _half_slice(setup, m):
+    for m, stop in enumerate(stops, 1):
+        m_text, u, mmD = str(m), _ratio_text(m, 2), m * m * D
+        below, above = [], []  # the records at x < 0, by |x|, and at x >= 0, by x
+        for x, factors in _line_sieve(setup, m, range(mmD % 2, stop, 2)):
             report = _index_report(table, m, x, factors)
+            if x * x > mmD:  # the first mixed x is the next one of the slice's parity
+                if report.rho:  # rho(alpha*D): 0 at most x, the obstruction set even there
+                    for rec in _mixed_records(D, m, x, report.rho, v1, v2, digits, bits, cutoff):
+                        (below if rec[1][0] == "-" else above).append(rec)
+                continue
             key = (report.reflex and report.reflex.p, report.two_nu, report.rho)
             tail = tails.get(key)
             if tail is None:
@@ -227,14 +224,11 @@ def _records(setup, trace_max, v1, v2, digits, scans):
                 mirror = sorted((q.conjugate() for q in report.diff), key=FPrimeIdeal.sort_key)
                 diff = diffs[report.diff] = (_diff_text(report.diff), _diff_text(mirror))
             x_text, v = str(x), _ratio_text(x, 2 * D)
-            per_m.append((m_text, x_text, u, v, diff[0], *tail))
+            above.append((m_text, x_text, u, v, diff[0], *tail))
             if x:
                 below.append((m_text, "-" + x_text, u, "-" + v, diff[1], *tail))
-        per_m[:0] = reversed(below)
-        if v1 is not None:
-            per_m.extend(_mixed_records(table, m, scans[m - 1], v1, v2, digits, bits))
-            per_m.sort(key=lambda r: int(r[1]))
-        yield from per_m
+        yield from reversed(below)
+        yield from above
 
 
 # one record as a JSON line; every field text is already JSON-safe

@@ -24,8 +24,8 @@ absolute norm n(x) = (m^2*D - x^2)/4.  The slice factors it from the
 integers (m, x) alone.  Along one trace n(x) is a quadratic in x, so an
 odd p divides it only for x in its root classes mod p (x = 0 when
 p | m*D, x = +/-m*r at split p, r a root of D mod p, none at inert
-p not dividing m), on either side of m*sqrt(D): one sieve over the line
-serves the slice and the mixed-signature x > m*sqrt(D), of norm
+p not dividing m), on either side of m*sqrt(D): one sieve call per trace
+line serves the slice and the mixed-signature x > m*sqrt(D), of norm
 (x^2 - m^2*D)/4, dividing each small p out at those indices only, as in
 the quadratic sieve.  The sieve yields (x, factors), the (p, e) pairs
 of each n(x); the production path reads each index's report from them

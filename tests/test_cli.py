@@ -316,11 +316,12 @@ def test_mixed_lines_match_the_check_path(pair):
     assert nonzero
 
 
+# the fault goes in before cmeis.cli binds the names it imports
 _BROKEN_RUN = """
 import sys
 import cmeis.field
-from cmeis.cli import main
 %s
+from cmeis.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -423,14 +424,14 @@ def test_degree_command(capsys):
 
 
 def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
-    original = cmeis.cli._half_slice
+    original = cmeis.cli._line_sieve
 
-    def failing(setup, m):
+    def failing(setup, m, xs):
         if m == 2:
             raise PrecisionError("injected at trace 2")
-        return original(setup, m)
+        return original(setup, m, xs)
 
-    monkeypatch.setattr(cmeis.cli, "_half_slice", failing)
+    monkeypatch.setattr(cmeis.cli, "_line_sieve", failing)
     code, out, err = _run(capsys, "coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2")
     assert code == 3
     assert "injected at trace 2" in err
@@ -554,11 +555,11 @@ def test_local_table_looks_each_prime_up_once(monkeypatch):
 
 
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
-    # the ideal at -x is the conjugate of the one at x: the line sieve factors each |x|
-    # of the scan range once and one report reads rho off its factors, factor sees only
-    # a composite rest above 997^2, and no term is valued for a pair with rho = 0
+    # the ideal at -x is the conjugate of the one at x: one sieve call per trace factors
+    # each x >= 0 of the line once, slice and scan range, and one report reads rho off
+    # its factors; factor sees only a composite rest above 997^2, and no term is valued
+    # for a pair with rho = 0
     setup = Setup(-7, -23)
-    table = cmeis.eisenstein._LocalTable(setup)
     real_report, real_term, real_factor = (
         cmeis.cli._index_report, cmeis.cli._mixed_term, cmeis.field.factor
     )
@@ -566,27 +567,47 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     monkeypatch.setattr(
         cmeis.cli,
         "_index_report",
-        lambda t, m, x, factors: factored.append(x) or real_report(t, m, x, factors),
+        lambda t, m, x, factors: factored.append((m, x)) or real_report(t, m, x, factors),
     )
     monkeypatch.setattr(
         cmeis.cli,
         "_mixed_term",
-        lambda D, m, x, *rest: valued.append(x) or real_term(D, m, x, *rest),
+        lambda D, m, x, *rest: valued.append((m, x)) or real_term(D, m, x, *rest),
     )
     monkeypatch.setattr(cmeis.field, "factor", lambda n: rests.append(n) or real_factor(n))
-    for m, xs in enumerate(cmeis.cli._mixed_ranges(setup.D, 3, 0.9, 30), 1):
-        factored.clear()
-        valued.clear()
-        records = cmeis.cli._mixed_records(table, m, xs, 1.0, 0.9, 30, 128)
-        assert records and factored == list(xs)
-        assert valued[0::2] == [-x for x in valued[1::2]]  # -x, then x
-        assert 0 < len(valued) < 2 * len(factored)
-        # with v1 == v2 the term at -x serves x too: it reads only |x|
-        negative = valued[0::2]
-        valued.clear()
-        cmeis.cli._mixed_records(table, m, xs, 0.9, 0.9, 30, 128)
-        assert valued == negative
-    assert all(n > 997**2 and not is_prime(n) for n in rests)
+    scans = cmeis.cli._mixed_ranges(setup.D, 3, 0.9, 30)
+    line = [
+        (m, x)
+        for m, xs in enumerate(scans, 1)
+        for x in range(m * m * setup.D % 2, xs.stop, 2)
+    ]
+    records = list(coefficient_records(setup, 3, 1.0, 0.9))
+    assert factored == line
+    mixed = [(m, x) for m, x in line if x * x > m * m * setup.D]
+    assert valued[0::2] == [(m, -x) for m, x in valued[1::2]]  # -x, then x
+    assert set(valued[1::2]) <= set(mixed) and 0 < len(valued) < 2 * len(mixed)
+    assert any(int(r[1]) ** 2 > int(r[0]) ** 2 * setup.D for r in records)
+    # with v1 == v2 the term at -x serves x too: it reads only |x|
+    negative = valued[0::2]
+    valued.clear()
+    for _ in coefficient_records(setup, 3, 0.9, 0.9):
+        pass
+    assert valued == negative
+    # the constant term's discriminant checks factor d1 and d2; the sieve's rests are > 0
+    assert all(n > 997**2 and not is_prime(n) for n in rests if n > 0)
+
+
+def test_coeffs_sieves_each_trace_once(monkeypatch):
+    # one _line_sieve call per trace line, with and without the mixed-signature scan
+    setup, real_sieve, calls = Setup(-7, -23), cmeis.cli._line_sieve, []
+    monkeypatch.setattr(
+        cmeis.cli, "_line_sieve", lambda s, m, xs: calls.append(m) or real_sieve(s, m, xs)
+    )
+    for trace_max, v in ((3, (1.0, 0.9)), (20, ())):
+        calls.clear()
+        for _ in coefficient_records(setup, trace_max, *v):
+            pass
+        assert calls == list(range(1, trace_max + 1))
 
 
 def test_production_path_reads_no_hensel_lift(monkeypatch):

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 import cmeis.eisenstein as eisenstein
+from cmeis.cli import _display_bits, _float_str, _mixed_ranges, coefficient_records
 from cmeis.eisenstein import (
     DegreeReport,
     _index_report,
@@ -435,6 +436,37 @@ def test_mixed_coefficient_bit_identical_to_felem_reference():
                 assert got == _mixed_reference(setup, m, x, v1, v2, precision), (setup, m, x)
                 kinds["zero" if got == 0 else "nonzero"] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+def test_coeffs_stream_matches_the_mixed_reference():
+    # coefficient_records emits the constant term, then trace by trace with x strictly
+    # increasing, and its mixed records are exactly the x of the scan range whose FElem
+    # reference, rounded to 53 bits, clears the display cutoff, each with that
+    # reference's text: v1 != v2 both ways tells the embeddings apart
+    digits = 30
+    bits = _display_bits(digits)
+    with mpmath.mp.workprec(53):
+        cutoff = mpmath.mpf(10) ** -(digits + 2)
+    for pair in ((-3, -7), (-4, -7), (-7, -23)):
+        setup = Setup(*pair)
+        for v1, v2 in ((0.3, 2.5), (2.5, 0.3), (1, 1)):
+            records = list(coefficient_records(setup, 2, v1, v2, digits))
+            assert records[0][:2] == ("0", "0")
+            indices = [(int(r[0]), int(r[1])) for r in records[1:]]
+            assert indices == sorted(indices) and len(set(indices)) == len(indices)
+            got = {
+                (m, x): r[7]
+                for (m, x), r in zip(indices, records[1:])
+                if x * x > m * m * setup.D
+            }
+            want = {}
+            for m, scan in enumerate(_mixed_ranges(setup.D, 2, min(v1, v2), digits), 1):
+                for x in [-x for x in scan] + list(scan):
+                    ref = _mixed_reference(setup, m, x, v1, v2, bits)
+                    with mpmath.mp.workprec(53):
+                        if abs(+ref) >= cutoff:
+                            want[m, x] = _float_str(ref, digits)
+            assert got == want and want, (pair, v1, v2)
 
 
 def test_fourier_coefficient_mixed_outside_inverse_different():

@@ -66,15 +66,16 @@ def test_perfbench_self_tests_pass():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-_TRACED_DEGREE = """
+_TRACED_OP = """
 import json, sys
 sys.path[:0] = ["perfbench", "src"]
 from spans import Tracer
 tracer = Tracer()
 tracer.install()
-code = tracer.run_op(0, ["degree", "--d1", "-3", "--d2", "-7", "--m", "1"])
+code = tracer.run_op(0, %r)
 print(json.dumps({"code": code, "summary": tracer.summary()}))
 """
+_TRACED_DEGREE = _TRACED_OP % (["degree", "--d1", "-3", "--d2", "-7", "--m", "1"],)
 
 
 def test_span_tracer_wraps_every_target():
@@ -90,3 +91,23 @@ def test_span_tracer_wraps_every_target():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["summary"]["layers"]["eisenstein.trace_degree"]["calls"] == 1
+
+
+def test_span_tracer_counts_the_mixed_records():
+    # the tracer adds the length of each cli._mixed_records result to mixed_emitted:
+    # that is every printed record of mixed signature, x^2 > m^2 D
+    argv = ["coeffs", "--d1", "-3", "--d2", "-7", "--trace-max", "2", "--v1", "1", "--v2", "0.9"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_OP % (argv,)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    assert result["code"] == 0
+    records = [json.loads(line) for line in lines]
+    mixed = sum(r["x"] ** 2 > r["m"] ** 2 * 21 for r in records)
+    assert 0 < mixed == result["summary"]["counters"]["mixed_emitted"]

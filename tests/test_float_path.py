@@ -206,7 +206,7 @@ def test_float_text_is_thread_safe():
 
 def test_mixed_term_is_thread_safe():
     # (-3,-7), D = 21: x = 7 at trace 1 has rho = 2
-    jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 0.9, b)._mpf_ for b in (53, 152, 400)]
+    jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 1.0, 0.9, b)._mpf_ for b in (53, 152, 400)]
     assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
 
 
