@@ -272,7 +272,7 @@ def _cmd_degree(args) -> int:
         "d2": args.d2,
         "m": args.m,
         "deg_T": _loglinear_map(value),
-        "deg_T_float": _float_str(0 if value.is_zero else value.to_float(bits), args.digits),
+        "deg_T_float": _float_str(value.to_float(bits), args.digits),
     }
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
     return EXIT_OK
@@ -306,17 +306,15 @@ def _cmd_singular_moduli(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed)
     failed = False
-    for res in results:
-        status = "ok" if res.ok else "FAIL"
-        sys.stdout.write(f"{status} {res.suite}.{res.name}\n")
-        if not res.ok:
+    for suite, name, detail in run_suites(names, seed=args.seed):
+        sys.stdout.write(f"{'ok' if detail is None else 'FAIL'} {suite}.{name}\n")
+        sys.stdout.flush()  # a piped reader sees each check as it ends
+        if detail is not None:
             failed = True
             sys.stderr.write(
                 json.dumps(
-                    {"suite": res.suite, "invariant": res.name, "detail": res.detail},
-                    separators=(",", ":"),
+                    {"suite": suite, "invariant": name, "detail": detail}, separators=(",", ":")
                 )
                 + "\n"
             )

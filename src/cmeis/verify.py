@@ -2,7 +2,10 @@
 
 ``SUITES`` maps each suite to its checks, in run order.  A check takes a
 seeded ``random.Random`` and returns the detail of its first failure, or
-None; ``run_suites`` (the CLI ``verify``) gives each suite one rng.  The
+None.  ``run_suites`` gives each suite one rng and yields ``(suite, name,
+detail)`` as each check ends: ``detail`` is None on a pass and
+``"<Type>: <message>"`` for a check that raises.  The CLI ``verify``
+writes, and flushes, each check's line when the check ends.  The
 ``eisenstein`` and ``oracle`` checks, and ``splitting-degree-sum``,
 ``trace-slice-invariants``, ``support-odd-and-matches``,
 ``zeta-convolution``, ``chi-invariant-under-norms`` and
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -50,7 +52,7 @@ from .field import (
     support,
 )
 
-__all__ = ["CheckResult", "SUITES", "TEST_MATRIX", "run_suites"]
+__all__ = ["SUITES", "TEST_MATRIX", "run_suites"]
 
 # The full matrix of discriminant pairs exercised end to end.
 TEST_MATRIX = (
@@ -68,14 +70,6 @@ TEST_MATRIX = (
 
 def _setups() -> list[Setup]:
     return [Setup(d1, d2) for d1, d2 in TEST_MATRIX]
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 def _random_nonzero_rational(rng: random.Random, height: int = 30) -> Fraction:
@@ -585,8 +579,7 @@ SUITES = {
 }
 
 
-def run_suites(names, seed: int = 0) -> list[CheckResult]:
-    results = []
+def run_suites(names, seed: int = 0):
     for suite in names:
         rng = random.Random((seed, suite).__repr__())
         for name, check in SUITES[suite].items():
@@ -594,5 +587,4 @@ def run_suites(names, seed: int = 0) -> list[CheckResult]:
                 detail = check(rng)
             except Exception as exc:  # a check that raises has failed
                 detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(suite, name, detail is None, detail or ""))
-    return results
+            yield suite, name, detail

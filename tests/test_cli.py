@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 from fractions import Fraction
@@ -411,7 +412,7 @@ def test_verify_reports_a_check_that_raises_as_its_fail(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
-def test_degree_command(capsys):
+def test_degree_command(capsys, monkeypatch):
     code, out, _ = _run(capsys, "degree", "--d1", "-3", "--d2", "-7", "--m", "1")
     assert code == 0
     obj = json.loads(out)
@@ -421,6 +422,10 @@ def test_degree_command(capsys):
     obj = json.loads(out)
     assert obj["deg_T"] == {"2": "2", "3": "1"}
     assert obj["deg_T_float"].startswith("2.4849066497880")
+    # a zero degree: LogLinear's zero float prints as "0"
+    monkeypatch.setattr(cmeis.cli, "trace_degree", lambda setup, m: LogLinear())
+    code, out, _ = _run(capsys, "degree", "--d1", "-3", "--d2", "-7", "--m", "1")
+    assert (code, out) == (0, '{"d1":-3,"d2":-7,"m":1,"deg_T":{},"deg_T_float":"0"}\n')
 
 
 def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
@@ -593,8 +598,13 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     for _ in coefficient_records(setup, 3, 0.9, 0.9):
         pass
     assert valued == negative
+    # one index whose rest is composite and above 997^2: n = (2600^2 - 4*161)/4 = 1163*1453
+    assert list(cmeis.field._line_sieve(setup, 2, range(2600, 2602, 2))) == [
+        (2600, [(1163, 1), (1453, 1)])
+    ]
     # the constant term's discriminant checks factor d1 and d2; the sieve's rests are > 0
-    assert all(n > 997**2 and not is_prime(n) for n in rests if n > 0)
+    rests = [n for n in rests if n > 0]
+    assert rests and all(n > 997**2 and not is_prime(n) for n in rests)
 
 
 def test_coeffs_sieves_each_trace_once(monkeypatch):
@@ -721,6 +731,63 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
     assert detail == "norm-count sum vs convolution at n=1, Setup(d1=-3, d2=-7)"
 
 
+def test_verify_writes_each_line_as_its_check_ends(monkeypatch):
+    # the second check starts after the first one's FAIL line and stderr JSON are written
+    out, err, seen = io.StringIO(), io.StringIO(), []
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setitem(SUITES, "arith", {
+        "first": lambda rng: "first broke",
+        "second": lambda rng: seen.append(
+            (out.getvalue().count("\n"), err.getvalue().count("\n"))
+        ),
+    })
+    assert main(["verify", "--suite", "arith"]) == 1
+    assert seen == [(1, 1)]
+    assert out.getvalue() == "FAIL arith.first\nok arith.second\n"
+    assert json.loads(err.getvalue()) == {
+        "suite": "arith", "invariant": "first", "detail": "first broke"
+    }
+
+
+# a verify run whose second check waits for a line on stdin and whose third reports
+# that it ran
+_PIPED_VERIFY = """
+import sys
+import cmeis.verify
+cmeis.verify.SUITES["arith"] = {
+    "first": lambda rng: None,
+    "second": lambda rng: sys.stdin.readline() and None,
+    "third": lambda rng: sys.stderr.write("third ran") and None,
+}
+from cmeis.cli import main
+sys.exit(main(["verify", "--suite", "arith"]))
+"""
+
+
+def test_verify_into_a_closed_pipe_ends_at_the_next_line():
+    # like `cmeis verify | head -1`: the first line arrives while the second check runs,
+    # the reader leaves, and the second check's line ends the run, quietly, with exit 0
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PIPED_VERIFY],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no line while a check runs"
+        assert proc.stdout.readline() == b"ok arith.first\n"
+        proc.stdout.close()
+        proc.stdin.write(b"\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+
+
 # Each sabotaged dependency must make the named check return a failure.
 _prime_multiplicity = cmeis.eisenstein.prime_multiplicity
 _local_factors = cmeis.eisenstein._local_factors
@@ -835,12 +902,18 @@ FAULT_DETAILS = {
 
 
 @pytest.mark.parametrize("check", FAULTS)
-def test_verify_check_can_fail(monkeypatch, check):
+def test_verify_check_can_fail(monkeypatch, capsys, check):
     suite, module, attr, broken = FAULTS[check]
     monkeypatch.setattr(module, attr, broken)
     detail = SUITES[suite][check](random.Random(0))
     assert detail
     assert FAULT_DETAILS[check] in detail
+    # through the CLI, with the suite cut to the broken check: its FAIL line and JSON
+    monkeypatch.setitem(SUITES, suite, {check: SUITES[suite][check]})
+    code, out, err = _run(capsys, "verify", "--suite", suite)
+    assert (code, out) == (1, f"FAIL {suite}.{check}\n")
+    (failure,) = [json.loads(line) for line in err.splitlines()]
+    assert (failure["suite"], failure["invariant"]) == (suite, check) and failure["detail"]
 
 
 def test_every_verify_check_has_a_fault():
