@@ -23,7 +23,7 @@ functions, which ``eisenstein._local_sums`` sums term by term.
 ``trace_one_product`` is the exception: Gross and Zagier's product for
 the trace-1 degree, on rational integers alone (``factor`` and
 ``kronecker``), an ideal-free check of ``trace_degree(setup, 1)`` that
-only ``verify`` calls, so the package does not export it.
+only ``verify`` calls, so it is left out of ``__all__``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-import cmeis
 import cmeis.cli
 import cmeis.eisenstein
 import cmeis.field
@@ -1100,20 +1099,6 @@ def test_degree_identity_reads_the_slice_factorization(monkeypatch, capsys):
         code, out, err = _run(capsys, "verify", "--suite", "eisenstein")
         assert code == 1 and "FAIL eisenstein.coherent-ratio" in out.splitlines()
         assert line in err.splitlines() and "Traceback" not in err
-
-
-def test_package_exports_match_module_all():
-    # the package re-exports exactly the names its math modules list in __all__;
-    # cli and verify are reached as submodules
-    modules = (cmeis.eisenstein, cmeis.exact, cmeis.field, cmeis.genus, cmeis.oracle)
-    for module in modules:
-        for name in module.__all__:
-            assert getattr(cmeis, name, None) is getattr(module, name), (module.__name__, name)
-    exported = {
-        name for name, value in vars(cmeis).items()
-        if not name.startswith("_") and not isinstance(value, type(cmeis))
-    }
-    assert exported == {name for module in modules for name in module.__all__}
 
 
 def test_support_check_catches_a_broken_product_formula(monkeypatch):

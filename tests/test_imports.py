@@ -1,10 +1,9 @@
-"""Three source guards.
+"""Source guards and the import layering of ``cmeis``.
 
 Every imported name is used: a module under ``src/cmeis``, ``tests/`` or
-``scripts/`` may not import a name that it never reads.
-``cmeis/__init__.py`` is left out: its imports are re-exports, which
-``test_package_exports_match_module_all`` checks.  ``from __future__``
-imports and names listed in a module's ``__all__`` count as used.
+``scripts/`` may not import a name that it never reads.  ``from __future__``
+imports and names listed in a module's ``__all__`` count as used.  Every
+name in a module's ``__all__`` is defined in that module.
 
 ``src/cmeis`` runs the same under ``python -O``: ``-O`` strips ``assert``
 statements and sets ``__debug__`` and ``sys.flags.optimize``, so no module
@@ -12,9 +11,16 @@ there may use any of them.  Every invariant raises its own error instead.
 
 No function under ``src/cmeis`` gives ``precision`` a default: each caller
 names the precision it computes at.
+
+Importing a module loads only the modules below it: the exact side
+(``exact``, ``field``, ``genus``, ``eisenstein``) and the floating-point
+oracle (``oracle``, on ``exact`` and ``field``) meet in ``eisenstein``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _module_files():
     dirs = (ROOT / "src" / "cmeis", ROOT / "tests", ROOT / "scripts")
-    return sorted(path for d in dirs for path in d.glob("*.py") if path.name != "__init__.py")
+    return sorted(path for d in dirs for path in d.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -57,6 +63,39 @@ os.sep
         str(path.relative_to(ROOT)): unused
         for path in _module_files()
         if (unused := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def _undefined_exports(tree: ast.Module) -> list[str]:
+    defined = set()  # names a top-level def, class or assignment binds; imports do not count
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            defined |= names
+    return [name for name in exported if name not in defined]
+
+
+def test_every_name_in_all_is_defined_in_its_module():
+    source = """
+from a import b
+__all__ = ["b", "c", "f", "K", "N", "gone"]
+c = 1
+N: int = 2
+def f(): pass
+class K: pass
+"""
+    assert _undefined_exports(ast.parse(source)) == ["b", "gone"]
+    found = {
+        str(path.relative_to(ROOT)): missing
+        for path in _module_files()
+        if (missing := _undefined_exports(ast.parse(path.read_text())))
     }
     assert found == {}
 
@@ -123,3 +162,37 @@ h = lambda *, precision=1: precision
         if (hits := _defaulted_precision(ast.parse(path.read_text())))
     }
     assert found == {}
+
+
+# the cmeis modules that importing each module loads, prefix dropped
+LAYERS = {
+    "exact": {"exact"},
+    "field": {"exact", "field"},
+    "genus": {"exact", "field", "genus"},
+    "oracle": {"exact", "field", "oracle"},  # eisenstein only at call time
+    "eisenstein": {"exact", "field", "genus", "oracle", "eisenstein"},
+    "verify": {"exact", "field", "genus", "oracle", "eisenstein", "verify"},
+    "cli": {"exact", "field", "genus", "oracle", "eisenstein", "verify", "cli"},
+}
+
+_LOADED = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(*(name for name in sys.modules if name.startswith("cmeis.")))
+"""
+
+
+def test_each_module_loads_only_the_modules_below_it():
+    package = ROOT / "src" / "cmeis"
+    assert set(LAYERS) == {path.stem for path in package.glob("*.py")} - {"__init__"}
+    loaded = {}
+    for module in LAYERS:  # a fresh interpreter each: an import loads a module once
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, f"cmeis.{module}"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded[module] = {name.removeprefix("cmeis.") for name in proc.stdout.split()}
+    assert loaded == LAYERS
