@@ -32,7 +32,14 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .eisenstein import _index_report, _LocalTable, _mixed_term, constant_term, trace_degree
+from .eisenstein import (
+    _index_report,
+    _LocalTable,
+    _mixed_term,
+    _z_constants,
+    constant_term,
+    trace_degree,
+)
 from .exact import InvariantError, LogLinear, _log_prime
 from .field import FPrimeIdeal, Setup, SetupError, _line_sieve
 from .oracle import PrecisionError, singular_moduli_check
@@ -112,20 +119,33 @@ def _numeric_record(D, m, x, float_text):
     return (str(m), str(x), *alpha, "[]", "{}", "{}", float_text, "0")
 
 
+def _bound_clears(c, z, digits):
+    """Whether c e^(-z)/z >= cutoff/2, cutoff = 10^-(digits+2) the display cutoff, in floats.
+
+    With c >= 2 rho this bounds the mixed term 2 rho E1(z), since
+    E1(z) < e^(-z)/z for z > 0 (Abramowitz and Stegun 5.1.20).  The factor
+    2 below the cutoff is far above the float error in z (about 1e-13)
+    and in the 53-bit test that keeps a record.
+    """
+    return math.log(c) - z - math.log(z) >= -(digits + 2) * math.log(10) - math.log(2)
+
+
 def _mixed_ranges(D, trace_max, v, digits):
     """The x-range of the mixed scan at each trace 1..trace_max, v = min(v1, v2).
 
     At trace m the scan walks x > m sqrt(D), x = mD (mod 2).  Each term at
-    +/-x is at most M(x) = 8n e^(-z)/z, n = (x^2 - m^2 D)/4, z = 4 pi sigma v
-    (rho <= d(n)^2 <= 4n, E1(z) < e^(-z)/z), and M falls for good once the
+    +/-x is 2 rho E1(z), z = 4 pi sigma v, n = (x^2 - m^2 D)/4, so it is
+    at most M(x) = 8n e^(-z)/z: rho <= d(n)^2 <= 4n, and E1(z) < e^(-z)/z
+    for z > 0 (Abramowitz and Stegun 5.1.20).  M falls for good once the
     bound 2x/(x^2 - m^2 D) - 2 pi v/sqrt(D) on d log M/dx is negative (its
     first term falls with x).  The range stops at the first such x with
-    2 M(x) below the display cutoff; nothing is factored.  More than
+    M(x) below half the display cutoff (``_bound_clears`` at c = 8n);
+    nothing is factored.  ``_mixed_records`` screens each term by the same
+    test with the exact 2 rho in place of 8n.  More than
     ``_MAX_MIXED_SCAN`` values of x in all is a ``SetupError``.
     """
     sqrt_D = math.sqrt(D)
     slope = 2 * math.pi * v / sqrt_D  # dz/dx
-    log_cutoff = -(digits + 2) * math.log(10) - math.log(2)  # ln(cutoff/2)
     ranges, left = [], _MAX_MIXED_SCAN
     for m in range(1, trace_max + 1):
         mmD = m * m * D
@@ -135,7 +155,7 @@ def _mixed_ranges(D, trace_max, v, digits):
             four_n = x * x - mmD
             if 2 * x < slope * four_n:  # then z > 1
                 z = slope * four_n / (x + m * sqrt_D)  # slope * (x - m sqrt(D))
-                if math.log(2 * four_n) - z - math.log(z) < log_cutoff:
+                if not _bound_clears(2 * four_n, z, digits):
                     break
             x, left = x + 2, left - 1
             if left < 0:
@@ -146,20 +166,40 @@ def _mixed_ranges(D, trace_max, v, digits):
     return ranges
 
 
-def _mixed_records(D, m, x, rho, v1, v2, digits, bits, cutoff):
+def _may_clear(D, m, x, rho, v, digits):
+    """The screen of the mixed term at (m, x) with its side's v: ``_bound_clears`` at c = 2 rho.
+
+    z = 4 pi |sigma| v is taken in floats as ``_mixed_ranges`` takes it.
+    """
+    sqrt_D = math.sqrt(D)
+    z = 2 * math.pi * v / sqrt_D * (x * x - m * m * D) / (abs(x) + m * sqrt_D)
+    return _bound_clears(2 * rho, z, digits)
+
+
+def _mixed_records(D, m, x, rho, v1, v2, constants, digits, bits, cutoff):
     """The 0-2 records of the mixed-signature pair -x, x at trace m, rho != 0, -x first.
 
-    The index at -x has the conjugate ideal and the same rho.  The term
-    reads only |x| and its v, so with v1 == v2 it is valued once.  A term
-    is kept when |value| >= ``cutoff`` = 10^-(digits+2), both rounded to
-    53 bits in ``libmp``: no global precision is read.
+    The index at -x has the conjugate ideal and the same rho.  A side's
+    term is valued only when ``_may_clear`` passes at its v: the stop test
+    of ``_mixed_ranges`` with the exact 2 rho in place of its bound 8n, so
+    a term it skips is below half the cutoff.  The term reads only |x| and
+    its v, so with v1 == v2 it is screened and valued once.  ``constants``
+    is ``_z_constants(D, v1, v2, bits)``.  A valued term is kept when
+    |value| >= ``cutoff`` = 10^-(digits+2), both rounded to 53 bits in
+    ``libmp``: no global precision is read.
     """
-    low = _mixed_term(D, m, -x, rho, v1, v2, bits)
-    high = low if v1 == v2 else _mixed_term(D, m, x, rho, v1, v2, bits)
+
+    def term(sx, v):
+        if _may_clear(D, m, sx, rho, v, digits):
+            return _mixed_term(D, m, sx, rho, constants, bits)
+        return None
+
+    low = term(-x, v1)
+    high = low if v1 == v2 else term(x, v2)
     return [
         _numeric_record(D, m, sx, _float_str(value, digits))
         for sx, value in ((-x, low), (x, high))
-        if mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0
+        if value is not None and mpf_cmp(mpf_abs(value._mpf_, 53, round_nearest), cutoff) >= 0
     ]
 
 
@@ -195,6 +235,7 @@ def _records(setup, v1, v2, digits, stops):
     bits = _display_bits(digits)
     cutoff = mpf_pow_int(from_int(10), -(digits + 2), 53, round_nearest)
     D = setup.D
+    constants = None if v1 is None else _z_constants(D, v1, v2, bits)
     table = _LocalTable(setup)
     tails = {}  # (p, 2 nu, rho) -> tail; few distinct keys recur
     # report.diff -> its diff texts at x and at -x.  For (-7, -23) there are 2,648 /
@@ -211,7 +252,9 @@ def _records(setup, v1, v2, digits, stops):
             report = _index_report(table, m, x, factors)
             if x * x > mmD:  # the first mixed x is the next one of the slice's parity
                 if report.rho:  # rho(alpha*D): 0 at most x, the obstruction set even there
-                    for rec in _mixed_records(D, m, x, report.rho, v1, v2, digits, bits, cutoff):
+                    for rec in _mixed_records(
+                        D, m, x, report.rho, v1, v2, constants, digits, bits, cutoff
+                    ):
                         (below if rec[1][0] == "-" else above).append(rec)
                 continue
             key = (report.reflex and report.reflex.p, report.two_nu, report.rho)

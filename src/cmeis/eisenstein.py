@@ -127,20 +127,37 @@ def holomorphic_coefficient(setup: Setup, m: int, x: int) -> LogLinear:
     return arakelov_degree(setup, m, x).coefficient
 
 
-def _mixed_term(D: int, m: int, x: int, rho: int, v1, v2, precision: int):
+def _z_constants(D: int, v1, v2, precision: int):
+    """The parts of ``_mixed_term``'s z that no term changes: sqrt(D), 4 pi, v1 and v2.
+
+    Each is rounded to nearest at precision + 16 bits, the working
+    precision of ``_mixed_term``: a run builds them once, for every term.
+    """
+    wp, rnd = precision + 16, round_nearest
+    return (
+        mpf_sqrt(from_int(D), wp, rnd),
+        mpf_mul_int(mpf_pi(wp, rnd), 4, wp, rnd),
+        mpmath.mpf(v1, prec=wp, rounding=rnd)._mpf_,
+        mpmath.mpf(v2, prec=wp, rounding=rnd)._mpf_,
+    )
+
+
+def _mixed_term(D: int, m: int, x: int, rho: int, constants, precision: int):
     """2 rho * e1(4 pi |sigma| v), sigma the negative embedding of m/2 + (x/(2D)) sqrt(D).
 
     That is the first, with v = v1, for x < 0, the second, with v = v2, for
-    x > 0.  ``libmp`` kernels at precision + 16 bits, rounding to nearest,
-    take the steps of mpmath's ``mpf`` operators under that ``workprec``:
-    the same bits, with no global precision set.
+    x > 0.  ``constants`` is ``_z_constants(D, v1, v2, precision)``.
+    ``libmp`` kernels at precision + 16 bits, rounding to nearest, take the
+    steps of mpmath's ``mpf`` operators under that ``workprec``: the same
+    bits, with no global precision set.
     """
+    sqrt_D, four_pi, v1, v2 = constants
     wp, rnd = precision + 16, round_nearest
     half_m = mpf_div(from_int(m, wp, rnd), from_int(2), wp, rnd)
     x_part = mpf_div(from_int(abs(x), wp, rnd), from_int(2 * D), wp, rnd)
-    sigma = mpf_sub(half_m, mpf_mul(x_part, mpf_sqrt(from_int(D), wp, rnd), wp, rnd), wp, rnd)
-    z = mpf_mul(mpf_mul_int(mpf_pi(wp, rnd), 4, wp, rnd), mpf_abs(sigma, wp, rnd), wp, rnd)
-    z = mpf_mul(z, mpmath.mpf(v1 if x < 0 else v2, prec=wp, rounding=rnd)._mpf_, wp, rnd)
+    sigma = mpf_sub(half_m, mpf_mul(x_part, sqrt_D, wp, rnd), wp, rnd)
+    z = mpf_mul(four_pi, mpf_abs(sigma, wp, rnd), wp, rnd)
+    z = mpf_mul(z, v1 if x < 0 else v2, wp, rnd)
     value = e1(mpmath.mp.make_mpf(z), precision)._mpf_
     return mpmath.mp.make_mpf(mpf_mul_int(value, 2 * rho, wp, rnd))
 
@@ -162,7 +179,9 @@ def mixed_coefficient(setup: Setup, m: int, x: int, v1, v2, precision: int):
     if (x - m * D) % 2:
         return mpmath.mpf(0)
     rho = _one_index_report(setup, m, x).rho
-    return _mixed_term(D, m, x, rho, v1, v2, precision) if rho else mpmath.mpf(0)
+    if not rho:
+        return mpmath.mpf(0)
+    return _mixed_term(D, m, x, rho, _z_constants(D, v1, v2, precision), precision)
 
 
 def constant_term(setup: Setup, v1, v2, precision: int):

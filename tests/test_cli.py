@@ -293,6 +293,66 @@ def test_mixed_scan_keeps_a_late_record(capsys, monkeypatch):
     assert 766 in xs and 786 not in xs
 
 
+# (pair, trace_max, v1, v2, _mixed_term calls or None): every pair of the matrix with
+# v1 < v2, v1 > v2 and v1 == v2, a wide v ratio, and an op whose sides part far
+SCREEN_CASES = [
+    *(
+        (pair, 3, v1, v2, None)
+        for pair in TEST_MATRIX
+        for v1, v2 in ((0.9, 1.1), (1.1, 0.9), (1.0, 1.0))
+    ),
+    ((-3, -7), 3, 0.3, 2.5, None),
+    ((-191, -239), 2, 1.7, 0.9, 2291),  # 3,424 with every term valued
+]
+
+# screens that are wrong, each made from the real one and the case's v1, v2
+SCREEN_FAULTS = {
+    "other-side-v": lambda real, v1, v2: (
+        lambda D, m, x, rho, v, digits: real(D, m, x, rho, v2 if x < 0 else v1, digits)
+    ),
+    "threshold-16x": lambda real, v1, v2: (
+        lambda D, m, x, rho, v, digits: real(D, m, x, rho / 16, v, digits)
+    ),
+}
+
+
+def _mixed_stream(case, screen):
+    """The JSON lines of a case with ``cli._may_clear`` replaced by screen, and its term count."""
+    pair, trace_max, v1, v2, _ = case
+    real_term, valued, out = cmeis.cli._mixed_term, [], io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cmeis.cli, "_may_clear", screen)
+        patch.setattr(
+            cmeis.cli, "_mixed_term", lambda *args: valued.append(args) or real_term(*args)
+        )
+        cmeis.cli._emit_json(coefficient_records(Setup(*pair), trace_max, v1, v2), out)
+    return out.getvalue(), len(valued)
+
+
+def _keep_every_term(*args):
+    return True
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES, ids=lambda case: repr(case[:4]))
+def test_mixed_screen_loses_no_record(case):
+    # a term skipped by the screen is below half the cutoff: the stream is byte for byte
+    # that of a walk that values every term of the scan range with rho != 0
+    screened, calls = _mixed_stream(case, cmeis.cli._may_clear)
+    assert screened == _mixed_stream(case, _keep_every_term)[0]
+    if case[4] is not None:
+        assert calls == case[4]
+
+
+@pytest.mark.parametrize("fault", sorted(SCREEN_FAULTS))
+def test_mixed_screen_faults_lose_a_record(fault):
+    # each fault makes test_mixed_screen_loses_no_record fail on some case
+    def loses(case):
+        screen = SCREEN_FAULTS[fault](cmeis.cli._may_clear, case[2], case[3])
+        return _mixed_stream(case, screen)[0] != _mixed_stream(case, _keep_every_term)[0]
+
+    assert any(map(loses, SCREEN_CASES))
+
+
 @pytest.mark.parametrize("pair", [*TEST_MATRIX, (-191, -239)])
 def test_mixed_lines_match_the_check_path(pair):
     # over every x of the scan range, m = 1..3: the ideal of the sieve's factors is the
@@ -561,18 +621,20 @@ def test_local_table_looks_each_prime_up_once(monkeypatch):
 def test_mixed_scan_factors_each_pair_once(monkeypatch):
     # the ideal at -x is the conjugate of the one at x: one sieve call per trace factors
     # each x >= 0 of the line once, slice and scan range, and one report reads rho off
-    # its factors; factor sees only a composite rest above 997^2, and no term is valued
-    # for a pair with rho = 0
+    # its factors; factor sees only a composite rest above 997^2, and a term is valued
+    # at most once per side, only for a mixed pair with rho != 0 that passes the screen
     setup = Setup(-7, -23)
     real_report, real_term, real_factor = (
         cmeis.cli._index_report, cmeis.cli._mixed_term, cmeis.field.factor
     )
-    factored, valued, rests = [], [], []
-    monkeypatch.setattr(
-        cmeis.cli,
-        "_index_report",
-        lambda t, m, x, factors: factored.append((m, x)) or real_report(t, m, x, factors),
-    )
+    factored, reports, valued, rests = [], {}, [], []
+
+    def report(t, m, x, factors):
+        factored.append((m, x))
+        result = reports[m, x] = real_report(t, m, x, factors)
+        return result
+
+    monkeypatch.setattr(cmeis.cli, "_index_report", report)
     monkeypatch.setattr(
         cmeis.cli,
         "_mixed_term",
@@ -587,16 +649,18 @@ def test_mixed_scan_factors_each_pair_once(monkeypatch):
     ]
     records = list(coefficient_records(setup, 3, 1.0, 0.9))
     assert factored == line
-    mixed = [(m, x) for m, x in line if x * x > m * m * setup.D]
-    assert valued[0::2] == [(m, -x) for m, x in valued[1::2]]  # -x, then x
-    assert set(valued[1::2]) <= set(mixed) and 0 < len(valued) < 2 * len(mixed)
+    mixed = {(m, x) for m, x in line if x * x > m * m * setup.D}
+    assert all((m, abs(x)) in mixed and reports[m, abs(x)].rho for m, x in valued)
+    # the screen skips 41 of the 288 terms that the scan range holds with rho != 0
+    assert len(set(valued)) == len(valued) == 247
     assert any(int(r[1]) ** 2 > int(r[0]) ** 2 * setup.D for r in records)
-    # with v1 == v2 the term at -x serves x too: it reads only |x|
-    negative = valued[0::2]
+    # with v1 == v2 the term at -x serves x too: it reads only |x| and its v, so the
+    # terms valued at -x with v = 0.9 are the mirrors of those valued at x with v2 = 0.9
+    positive = [(m, -x) for m, x in valued if x > 0]
     valued.clear()
     for _ in coefficient_records(setup, 3, 0.9, 0.9):
         pass
-    assert valued == negative
+    assert positive and valued == positive
     # one index whose rest is composite and above 997^2: n = (2600^2 - 4*161)/4 = 1163*1453
     assert list(cmeis.field._line_sieve(setup, 2, range(2600, 2602, 2))) == [
         (2600, [(1163, 1), (1453, 1)])

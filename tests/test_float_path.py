@@ -28,7 +28,7 @@ import mpmath
 import cmeis.oracle
 import cmeis.verify
 from cmeis.cli import _display_bits, _float_str, _tail, coefficient_records, main
-from cmeis.eisenstein import _index_report, _LocalTable, _mixed_term
+from cmeis.eisenstein import _index_report, _LocalTable, _mixed_term, _z_constants
 from cmeis.exact import LogLinear, _log_prime, factor, is_prime
 from cmeis.field import Setup, _half_slice, prime_ideals_above
 from cmeis.genus import genus_char_prime
@@ -206,7 +206,11 @@ def test_float_text_is_thread_safe():
 
 def test_mixed_term_is_thread_safe():
     # (-3,-7), D = 21: x = 7 at trace 1 has rho = 2
-    jobs = [lambda b=b: _mixed_term(21, 1, 7, 2, 1.0, 0.9, b)._mpf_ for b in (53, 152, 400)]
+    # each job builds its z constants too, as every coefficient_records call does
+    jobs = [
+        lambda b=b: _mixed_term(21, 1, 7, 2, _z_constants(21, 1.0, 0.9, b), b)._mpf_
+        for b in (53, 152, 400)
+    ]
     assert _wrong_answers_under_threads(jobs, 1000) == [0, 0, 0]
 
 
