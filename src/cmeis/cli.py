@@ -219,13 +219,15 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     by ``_tail``) and the diff texts built once per obstruction set; a
     mixed term has one when it clears the display cutoff.  Bad or too
     small imaginary parts are a ``SetupError`` here, before the first record.
+    Without imaginary parts no trace's slice end is computed before that
+    trace; with them the ``_mixed_ranges`` pre-pass runs here, in full.
     """
     if (v1 is None) != (v2 is None):
         raise SetupError("v1 and v2 must be given together")
     if v1 is not None and not all(0 < v < math.inf for v in (v1, v2)):
         raise SetupError("imaginary parts must be positive and finite")
     if v1 is None:  # the slice alone: x^2 < m^2 D
-        stops = [math.isqrt(m * m * setup.D - 1) + 1 for m in range(1, trace_max + 1)]
+        stops = (math.isqrt(m * m * setup.D - 1) + 1 for m in range(1, trace_max + 1))
     else:
         stops = [xs.stop for xs in _mixed_ranges(setup.D, trace_max, min(v1, v2), digits)]
     return _records(setup, v1, v2, digits, stops)

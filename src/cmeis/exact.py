@@ -15,7 +15,6 @@ immutable keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,7 +23,6 @@ from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_mul, ro
 
 __all__ = [
     "OO",
-    "Factorization",
     "InvariantError",
     "LogLinear",
     "factor",
@@ -120,26 +118,6 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed prime factorization; primes strictly increasing."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
 def _factor_positive(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -164,13 +142,11 @@ def _factor_positive(n: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1 << 16)
-def factor(n: int) -> Factorization:
-    """Factor a nonzero integer into primes, with sign."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (p, e) pairs of |n| for a nonzero integer n, p strictly increasing."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
-    fac = _factor_positive(abs(n))
-    return Factorization(sign, tuple(sorted(fac.items())))
+    return tuple(sorted(_factor_positive(abs(n)).items()))
 
 
 def kronecker(a: int, n: int) -> int:

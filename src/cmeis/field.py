@@ -369,10 +369,10 @@ def principal_ideal(setup: Setup, beta: FElem) -> FIdealFactored:
     if beta.is_zero:
         raise ValueError("(0) is not a fractional ideal")
     nrm = beta.norm(setup.D)
-    ps = set(factor(abs(nrm.numerator)).primes())
+    ps = {p for p, _ in factor(abs(nrm.numerator))}
     # nrm.denominator divides c^2, so its primes are among c's
     ps.update(
-        p for p in factor(beta.c).primes()
+        p for p, _ in factor(beta.c)
         if nrm.denominator % p == 0 or kronecker(setup.D, p) == 1
     )
     pairs = []
@@ -538,7 +538,7 @@ def _diagonal_signs(diag: tuple[int, ...]) -> dict:
     """
     primes = {2}
     for entry in diag:
-        primes.update(factor(abs(entry)).primes())
+        primes.update(p for p, _ in factor(abs(entry)))
     signs = {pl: hasse_invariant(diag, pl) * hilbert_symbol(-1, -1, pl) for pl in (OO, 2)}
     for p in sorted(primes - {2}):
         signs[p] = hasse_invariant(diag, p)

@@ -119,7 +119,7 @@ def trace_one_product(setup: Setup) -> LogLinear:
     xmax = math.isqrt(D - 1)
     xmax -= (xmax - D) % 2
     for x in range(-xmax, xmax + 1, 2):
-        pairs = list(factor((D - x * x) // 4))
+        pairs = factor((D - x * x) // 4)
         for exps in itertools.product(*(range(a + 1) for _, a in pairs)):
             # n1 = prod q^b and n2 = n/n1, so eps(n2) = prod eps(q)^(a - b)
             sign = math.prod(

@@ -88,7 +88,11 @@ def _factor_roundtrip(rng: random.Random) -> str | None:
         if n == 0:
             continue
         f = factor(n)
-        if f.value() != n or not all(is_prime(p) for p, _ in f):
+        if (
+            math.prod(p**e for p, e in f) != abs(n)
+            or not all(is_prime(p) and e >= 1 for p, e in f)
+            or any(p >= q for (p, _), (q, _) in zip(f, f[1:]))
+        ):
             return f"factor round-trip failed at {n}"
     return None
 
@@ -115,8 +119,8 @@ def _hilbert_product_formula(rng: random.Random) -> str | None:
         b = _random_nonzero_rational(rng)
         relevant = {OO, 2}
         for x in (a, b):
-            relevant.update(factor(abs(x.numerator)).primes())
-            relevant.update(factor(x.denominator).primes())
+            relevant.update(p for p, _ in factor(abs(x.numerator)))
+            relevant.update(p for p, _ in factor(x.denominator))
         prod = 1
         for place in relevant:
             prod *= hilbert_symbol(a, b, place)
@@ -187,7 +191,7 @@ def _valuation_norm_compatible(rng: random.Random) -> str | None:
         # a third rational and a third rational multiples of sqrt(D)
         beta = rng.choice((FElem(u, v), FElem(u, 0), FElem(0, v)))
         nrm = beta.norm(setup.D)
-        ps = set(factor(abs(nrm.numerator)).primes()) | set(factor(nrm.denominator).primes())
+        ps = {p for n in (abs(nrm.numerator), nrm.denominator) for p, _ in factor(n)}
         for p in ps:
             got = sum(
                 prm.residue_degree * element_valuation(setup, beta, prm)

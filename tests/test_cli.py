@@ -28,7 +28,7 @@ from cmeis.eisenstein import (
     mixed_coefficient,
     trace_degree,
 )
-from cmeis.exact import OO, Factorization, InvariantError, LogLinear, factor, is_prime, padic_val
+from cmeis.exact import OO, InvariantError, LogLinear, factor, is_prime, padic_val
 from cmeis.field import (
     FElem,
     FIdealFactored,
@@ -367,7 +367,7 @@ def test_mixed_lines_match_the_check_path(pair):
             ideal = principal_ideal(setup, gen)
             assert cmeis.field._slice_ideal(setup, m, x, factors) == ideal, (pair, m, x)
             centers, norm = 1, gen.a * gen.a - setup.D * gen.b * gen.b
-            for p in factor(abs(m * m * setup.D - x * x) // 4).primes():
+            for p, _ in factor(abs(m * m * setup.D - x * x) // 4):
                 for prm in cmeis.field.prime_ideals_above(setup, p):
                     centers *= cmeis.eisenstein._local_sums(setup, gen, prm, padic_val(norm, p))[0]
             rho = cmeis.eisenstein._index_report(table, m, x, factors).rho
@@ -501,6 +501,25 @@ def test_coeffs_streams_before_a_later_failure(capsys, monkeypatch):
     assert "injected at trace 2" in err
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["m"], r["x"]) for r in records] == [(1, -3), (1, -1), (1, 1), (1, 3)]
+
+
+def test_slice_stream_computes_no_later_trace_end_first(monkeypatch):
+    # without imaginary parts each trace's end x^2 < m^2 D is taken as that trace
+    # comes, so the first record costs one isqrt however large trace_max is
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def isqrt(self, n):
+            calls.append(n)
+            return math.isqrt(n)
+
+    monkeypatch.setattr(cmeis.cli, "math", CountingMath())
+    first = next(coefficient_records(Setup(-3, -7), 10**5))
+    assert first[:2] == ("1", "-3")
+    assert calls == [21 - 1]
 
 
 def test_non_integer_precision_bits_is_a_setup_error(capsys, monkeypatch):
@@ -872,7 +891,7 @@ def _loglinear_keeping_zeros(terms):
 
 
 FAULTS = {
-    "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: Factorization(1, ())),
+    "factor-roundtrip": ("arith", cmeis.verify, "factor", lambda n: ()),
     "hilbert-bimultiplicative": (
         "arith", cmeis.verify, "hilbert_symbol",
         lambda a, b, place: _hilbert_symbol(a, b + 1, place),
@@ -982,6 +1001,17 @@ def test_verify_check_can_fail(monkeypatch, capsys, check):
 def test_every_verify_check_has_a_fault():
     # zeta-convolution's fault is test_verify_reports_injected_fault
     assert set(FAULTS) | {"zeta-convolution"} == {name for checks in SUITES.values() for name in checks}
+
+
+def test_factor_roundtrip_checks_order_and_exponents(monkeypatch):
+    # the right product of primes, but out of order or with an exponent 0 pair: the
+    # callers read factor's pairs as sorted (p, e) with e >= 1, so the check must fail
+    check = SUITES["arith"]["factor-roundtrip"]
+    reversed_pairs = lambda n: factor(n)[::-1]
+    zero_at_2 = lambda n: ((2, 0),) + factor(n) if n % 2 else factor(n)
+    for broken in (reversed_pairs, zero_at_2):
+        monkeypatch.setattr(cmeis.verify, "factor", broken)
+        assert "factor round-trip failed" in check(random.Random(0))
 
 
 # Faults in the local rule of rho, in chi and in the index ideal: each (name, broken)

@@ -29,11 +29,9 @@ small_rationals = st.fractions(
 
 
 def test_factor_examples():
-    assert dict(factor(3375)) == {3: 3, 5: 3}
-    assert factor(3375).sign == 1
-    assert factor(1).factors == () and factor(1).sign == 1
-    assert dict(factor(-1728)) == {2: 6, 3: 3}
-    assert factor(-1728).sign == -1
+    assert factor(3375) == ((3, 3), (5, 3))
+    assert factor(1) == ()
+    assert factor(-1728) == factor(1728) == ((2, 6), (3, 3))
 
 
 def test_factor_rejects_zero():
@@ -45,9 +43,10 @@ def test_factor_rejects_zero():
 @given(nonzero_ints)
 def test_factor_roundtrip(n):
     f = factor(n)
-    assert f.value() == n
-    assert all(is_prime(p) for p, _ in f)
-    assert list(f.primes()) == sorted(set(f.primes()))
+    assert math.prod(p**e for p, e in f) == abs(n)
+    assert all(is_prime(p) and e >= 1 for p, e in f)
+    primes = [p for p, _ in f]
+    assert primes == sorted(set(primes))
 
 
 def test_is_prime_matches_trial_division():
@@ -158,8 +157,8 @@ def test_hilbert_square_invariance_and_bimultiplicativity(a, b, c):
 def test_hilbert_product_formula(a, b):
     places = {OO, 2}
     for x in (a, b):
-        places.update(factor(abs(x.numerator)).primes())
-        places.update(factor(x.denominator).primes())
+        places.update(p for p, _ in factor(abs(x.numerator)))
+        places.update(p for p, _ in factor(x.denominator))
     assert math.prod(hilbert_symbol(a, b, pl) for pl in places) == 1
 
 
