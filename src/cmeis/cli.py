@@ -146,7 +146,7 @@ def _mixed_ranges(D, trace_max, v, digits):
     """
     sqrt_D = math.sqrt(D)
     slope = 2 * math.pi * v / sqrt_D  # dz/dx
-    ranges, left = [], _MAX_MIXED_SCAN
+    left = _MAX_MIXED_SCAN
     for m in range(1, trace_max + 1):
         mmD = m * m * D
         x = math.isqrt(mmD - 1) + 1  # the first x with x^2 > m^2 D ...
@@ -162,8 +162,7 @@ def _mixed_ranges(D, trace_max, v, digits):
                 raise SetupError(
                     f"imaginary parts too small: more than {_MAX_MIXED_SCAN} values of x to scan"
                 )
-        ranges.append(range(start, x, 2))
-    return ranges
+        yield range(start, x, 2)
 
 
 def _may_clear(D, m, x, rho, v, digits):
@@ -219,8 +218,9 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     by ``_tail``) and the diff texts built once per obstruction set; a
     mixed term has one when it clears the display cutoff.  Bad or too
     small imaginary parts are a ``SetupError`` here, before the first record.
-    Without imaginary parts no trace's slice end is computed before that
-    trace; with them the ``_mixed_ranges`` pre-pass runs here, in full.
+    No trace's end is computed before that trace: with imaginary parts a
+    first ``_mixed_ranges`` walk, storing nothing, raises its
+    ``SetupError`` here, and the stream takes its ends from a second.
     """
     if (v1 is None) != (v2 is None):
         raise SetupError("v1 and v2 must be given together")
@@ -229,7 +229,10 @@ def coefficient_records(setup, trace_max, v1=None, v2=None, digits=30):
     if v1 is None:  # the slice alone: x^2 < m^2 D
         stops = (math.isqrt(m * m * setup.D - 1) + 1 for m in range(1, trace_max + 1))
     else:
-        stops = [xs.stop for xs in _mixed_ranges(setup.D, trace_max, min(v1, v2), digits)]
+        walk = setup.D, trace_max, min(v1, v2), digits
+        for _ in _mixed_ranges(*walk):  # raises before the first record, or not at all
+            pass
+        stops = (xs.stop for xs in _mixed_ranges(*walk))
     return _records(setup, v1, v2, digits, stops)
 
 

@@ -26,12 +26,11 @@ Coefficients are computed through two deliberately disjoint paths:
 
 The matching Arakelov degree of the zero-dimensional CM locus is one
 quarter of the coefficient; ``trace_degree`` sums the reports of a trace
-slice and also recomputes the sum through the per-prime multiplicity
-sums on the ideals ``field._slice_ideal`` builds from the same pairs, a
-cross-check on other code.  Both sums walk only the half slice x >= 0
-(``field._half_slice``), with weight 2 for x > 0 and 1 for x = 0, since
-the index at -x carries the Galois conjugate ideal and the same degree
-and multiplicities.
+slice in one pass over the half slice x >= 0 (``field._half_slice``),
+and compares nothing at run time.  ``verify`` compares the sum with the
+multiplicity sums on ``field._slice_ideal``'s ideals
+(``trace-degree-two-paths``) and with Gross and Zagier's product on
+rational integers, ``genus.trace_product`` (``gross-zagier-trace-m``).
 
 Derivative convention: the finite Whittaker derivative at s = 0 is taken
 in the variable for which the coefficient identities above hold, i.e.
@@ -70,11 +69,10 @@ from .field import (
     _half_slice,
     _line_sieve,
     _place_valuation,
-    _slice_ideal,
     prime_ideals_above,
     principal_ideal,
 )
-from .genus import genus_char_prime, norm_ideal_count, prime_multiplicity
+from .genus import genus_char_prime, norm_ideal_count
 from .oracle import e1, lambda_at_zero
 
 __all__ = [
@@ -343,33 +341,20 @@ def arakelov_degree(setup: Setup, m: int, x: int) -> DegreeReport:
 
 
 def trace_degree(setup: Setup, m: int) -> LogLinear:
-    """Degree of the trace-m CM locus, computed two ways and compared.
+    """Degree of the trace-m CM locus: the sum of the per-index degrees of the trace slice.
 
-    (a) sum of per-index degrees over the trace slice (``_index_report``);
-    (b) one half of the double sum of per-prime multiplicities, on the
-        ideals ``field._slice_ideal`` builds from the same factors.
-    Both walk the half slice x >= 0 and weight each index 2 for x > 0 and
-    1 for x = 0: the index at -x has the Galois conjugate ideal, and
-    degrees and multiplicities depend only on norms and chi, which the
-    conjugation keeps.  The two must agree exactly, else InvariantError;
-    the common value is returned.
+    One pass over the half slice x >= 0 reads each report off the sieve's
+    pairs, weighted 2 for x > 0 (-x has the conjugate ideal, the same norms
+    and chi).  It builds no ideal and compares nothing: ``verify`` does.
     """
-    total_a: dict[int, int] = {}  # twice path (a), sum of weight * two_nu * rho
-    total_b: dict[int, int] = {}  # twice path (b)
+    total: dict[int, int] = {}  # twice the degree: sum of weight * two_nu * rho
     table = _LocalTable(setup)
     for x, factors in _half_slice(setup, m):
-        weight = 2 if x else 1
         report = _index_report(table, m, x, factors)
         if report.reflex is not None:
             p = report.reflex.p
-            total_a[p] = total_a.get(p, 0) + weight * report.two_nu * report.rho
-        ideal = _slice_ideal(setup, m, x, factors)
-        for p in ideal.rational_primes():
-            total_b[p] = total_b.get(p, 0) + weight * prime_multiplicity(setup, ideal, p)
-    degree = LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_a.items()})
-    if degree != LogLinear._unchecked({p: Fraction(c, 2) for p, c in total_b.items()}):
-        raise InvariantError("slice decomposition disagrees with multiplicity sums")
-    return degree
+            total[p] = total.get(p, 0) + (2 if x else 1) * report.two_nu * report.rho
+    return LogLinear._unchecked({p: Fraction(c, 2) for p, c in total.items()})
 
 
 def _local_factors(setup: Setup, alpha: FElem) -> tuple[FPrimeIdeal, int, int]:

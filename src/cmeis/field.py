@@ -30,8 +30,8 @@ line serves the slice and the mixed-signature x > m*sqrt(D), of norm
 the quadratic sieve.  The sieve yields (x, factors), the (p, e) pairs
 of each n(x); the production path reads each index's report from them
 (``eisenstein._index_report``) and builds no ideal.  ``_slice_ideal``
-builds the ideal from the same pairs, for ``trace_degree``'s path (b)
-and the two ``field`` checks of ``verify`` that read an ideal: e/2 at
+builds the ideal from the same pairs, for ``verify``'s checks alone
+(``trace-degree-two-paths`` and two ``field`` checks): e/2 at
 inert p, e at ramified p, and at split p t to both primes above it and
 the other e - 2t to the one prime P where sqrt(D) = -x/m, p^t the
 p-part of the content of (x + m*sqrt(D))/2 (after Gross-Zagier, On
@@ -411,9 +411,9 @@ def _slice_ideal(setup: Setup, m: int, x: int, factors) -> FIdealFactored:
     when s is the least root (2s < q, see ``FPrimeIdeal``) and to
     split_minus otherwise.  No root of D is looked up.  The entries come
     out in sort_key order.  ``eisenstein._index_report`` applies the same
-    rule on its own code, so that ``trace_degree``'s two paths differ in
-    code, and the ``field`` checks compare this ideal, at every index and
-    x < 0 included, with ``principal_ideal``.
+    rule on its own code, so that ``trace_degree`` and the sums on these
+    ideals differ in code, and the ``field`` checks compare this ideal,
+    at every index and x < 0 included, with ``principal_ideal``.
     """
     D = setup.D
     entries = []

