@@ -3,9 +3,11 @@
 Reduced binary quadratic forms and class numbers, modular j-values by two
 independent routes, integer class polynomials with a rounding
 certificate, exact integer resultants, the exponential integral, and
-central values/derivatives of odd Dirichlet L-functions.  Log Gamma is
-mpmath's own (``mpmath.loggamma``); E1 is a certified continued fraction on
-Python integers where that pays, and ``libmp.mpf_e1`` elsewhere.
+central values/derivatives of odd Dirichlet L-functions.  L'(0) is the
+Chowla-Selberg sum over the CM points, with route one's integer eta
+product; no log Gamma is taken here (``verify`` checks L'(0) against
+the log Gamma sum).  E1 is a certified continued fraction on Python
+integers where that pays, and ``libmp.mpf_e1`` elsewhere.
 
 The two j routes share only the point q = e^(2 pi i tau), and both run
 on Python integers; mpmath gives the nome, sqrt(-d), the final division
@@ -54,8 +56,8 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .exact import InvariantError, LogLinear, _small_primes, kronecker
-from .field import Setup, SetupError, _is_fundamental_discriminant
+from .exact import InvariantError, LogLinear, _small_primes
+from .field import Setup, SetupError, _is_fundamental_discriminant, _unit_count
 
 __all__ = [
     "LFunctionCenter",
@@ -634,40 +636,67 @@ class LFunctionCenter:
 def lambda_at_zero(d: int, precision: int) -> LFunctionCenter:
     """Center values of the odd quadratic L-function of discriminant d.
 
-    L(0) is the exact rational sum of chi(a) (1/2 - a/|d|), equal to
-    2h/w by the class number formula.  L'(0) comes from the Hurwitz
-    expansion: sum of chi(a) (log Gamma(a/|d|) - log(2 pi)/2
-    - log|d| (1/2 - a/|d|)).  The completed function is
-    |d|^(s/2) Gamma_R(s+1) L(s), whence
+    L(0) = 2h/w, from the h reduced forms of ``class_reps``.  L'(0) comes
+    from the Chowla-Selberg formula (Zagier, The 1-2-3 of Modular Forms,
+    2008): with y = sqrt|d|/(2a) at the CM point of a form (a, b, c),
+
+        sum_Q log(y^6 |Delta(tau_Q)|) = -6h log(4 pi sqrt|d|)
+                                        + 3w sum_a chi(a) log Gamma(a/|d|),
+
+    and L'(0) = sum_a chi(a) log Gamma(a/|d|) - L(0) log|d| (Hurwitz).
+    |Delta| = |q| |prod (1 - q^n)^3|^8, log|q| = -2 pi y, and the terms in
+    log|d| cancel, so
+
+        3w L'(0) = 6h log(2 pi) - 6 log(prod a) - pi sqrt|d| sum 1/a
+                   + 4 sum_Q log |prod (1 - q^n)^3|^2.
+
+    The eta product comes from ``_theta_e4_eta`` at the nome of each form,
+    once per conjugate pair (a, +-b, c), as Gaussian integers.  The terms
+    reach h pi sqrt|d| and cancel, so the sum runs at precision + 40 +
+    log2(h pi sqrt|d|) bits; L'(0) is then rounded to precision + 32.
+
+    Error bound: within half a unit in the last place of that
+    (precision + 32)-bit value plus 2^-(precision + 40).  Against the log
+    Gamma sum at 2 precision + 64 bits it held for every fundamental d
+    from -3 to -200 at precision 64, 96, 128, 160, 192 and 256, and for
+    26 d from -247 to -2351 at 64, 128 and 192.  The log Gamma sum at
+    precision + 32 bits was off by 2.8 to 35 times as much at each d.
+
+    The completed function is |d|^(s/2) Gamma_R(s+1) L(s), whence
 
         Lambda(0)  = L(0),
         Lambda'(0) = L'(0) + L(0) (log|d| - log pi - gamma)/2 - L(0) log 2.
     """
-    if d >= 0 or not _is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not a negative fundamental discriminant")
-    fd = -d
-    chi = [kronecker(d, a) for a in range(fd)]
-    l0 = sum(
-        (Fraction(1, 2) - Fraction(a, fd)) * chi[a] for a in range(1, fd) if chi[a]
-    )
+    forms = class_reps(d)
+    h, w, fd = len(forms), _unit_count(d), -d
+    l0 = Fraction(2 * h, w)
+    work = precision + 40 + math.ceil(math.log2(h * math.pi * math.sqrt(fd)))
+    scale = work + 8
+    inv_a = sum(Fraction(1, f.a) for f in forms)
+    with mpmath.mp.workprec(work):
+        pi, rtd = mpmath.pi, mpmath.sqrt(fd)
+        eta = mpmath.mpf(0)  # sum_Q log |prod (1 - q^n)^3|^2
+        for form in forms:
+            if form.b < 0:
+                continue  # the conjugate of (a, -b, c), taken with it
+            r = mpmath.exp(mpmath.mpc(-pi * rtd, -pi * form.b) / (2 * form.a))
+            r_fixed = int(mpmath.ldexp(r.real, scale)), int(mpmath.ldexp(r.imag, scale))
+            _, (x, y) = _theta_e4_eta(r_fixed, float(pi * rtd) / (2 * form.a), scale)
+            term = mpmath.log(mpmath.ldexp(x * x + y * y, -2 * scale))
+            eta += 2 * term if 0 < form.b < form.a < form.c else term
+        l1 = (
+            6 * h * mpmath.log(2 * pi)
+            - 6 * mpmath.log(math.prod(f.a for f in forms))
+            - pi * rtd * inv_a.numerator / inv_a.denominator
+            + 4 * eta
+        ) / (3 * w)
     with mpmath.mp.workprec(precision + 32):
-        half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
-        log_fd = mpmath.log(fd)
-        l1 = mpmath.mpf(0)
-        for a in range(1, fd):
-            if not chi[a]:
-                continue
-            piece = (
-                mpmath.loggamma(mpmath.mpf(a) / fd)
-                - half_log_2pi
-                - log_fd * (mpmath.mpf(1) / 2 - mpmath.mpf(a) / fd)
-            )
-            l1 += chi[a] * piece
+        l1 = +l1
         l0f = mpmath.mpf(l0.numerator) / l0.denominator
         lam1 = l1 + l0f * (
-            (log_fd - mpmath.log(mpmath.pi) - mpmath.euler) / 2 - mpmath.log(2)
+            (mpmath.log(fd) - mpmath.log(mpmath.pi) - mpmath.euler) / 2 - mpmath.log(2)
         )
-        return LFunctionCenter(d, l0, +l0f, +l1, +lam1)
+        return LFunctionCenter(d, l0, +l0f, l1, +lam1)
 
 
 # ---------------------------------------------------------------------------

@@ -540,18 +540,46 @@ def _e1_quadrature(rng: random.Random) -> str | None:
     return None
 
 
+def _chi_l_value(chi: list[int]) -> Fraction:
+    # L(0) = sum_a chi(a) (1/2 - a/|d|), for chi(a) at 0 <= a < |d|
+    fd = len(chi)
+    return Fraction(sum(c * (fd - 2 * a) for a, c in enumerate(chi)), 2 * fd)
+
+
 def _l_value_class_number(rng: random.Random) -> str | None:
     for d in range(-3, -201, -1):
         if not _is_fundamental_discriminant(d):
             continue
-        h = oracle.class_number(d)
-        w = _unit_count(d)
-        center = oracle.lambda_at_zero(d, 96)
-        if center.l_value_exact != Fraction(2 * h, w):
+        chi = [kronecker(d, a) for a in range(-d)]
+        if _chi_l_value(chi) != Fraction(2 * oracle.class_number(d), _unit_count(d)):
             return f"exact L(0) != 2h/w at d={d}"
-        with mpmath.mp.workprec(96):
-            if abs(center.l_value - mpmath.mpf(2 * h) / w) > mpmath.mpf("1e-9"):
-                return f"float L(0) drifted at d={d}"
+    return None
+
+
+def _l_derivative_chowla_selberg(rng: random.Random) -> str | None:
+    # Hurwitz: L'(0) = sum_a chi(a) log Gamma(a/|d|) - L(0) log|d|, against
+    # lambda_at_zero's Chowla-Selberg sum over the CM points of the h forms.  Over
+    # this sweep the gap read at most 2^-(precision + 28) relative to max(1, |L'(0)|),
+    # most of it the rounding of up to 198 log Gamma values at precision + 32 bits;
+    # the tolerance 2^-(precision + 20) leaves a factor 2^8 above that
+    precision = 96
+    for d in range(-3, -201, -1):
+        if not _is_fundamental_discriminant(d):
+            continue
+        fd = -d
+        chi = [kronecker(d, a) for a in range(fd)]
+        l0 = _chi_l_value(chi)
+        center = oracle.lambda_at_zero(d, precision)
+        with mpmath.mp.workprec(precision + 32):
+            gamma_sum = mpmath.fsum(
+                c * mpmath.loggamma(mpmath.mpf(a) / fd) for a, c in enumerate(chi) if c
+            )
+            reference = gamma_sum - l0.numerator * mpmath.log(fd) / l0.denominator
+            gap = abs(center.l_derivative - reference)
+            if gap > max(1, abs(reference)) * mpmath.mpf(2) ** -(precision + 20):
+                return f"L'(0) off the log Gamma sum by {mpmath.nstr(gap, 5)} at d={d}"
+        if center.l_value_exact != l0:
+            return f"L(0) != the chi sum at d={d}"
     return None
 
 
@@ -587,6 +615,7 @@ SUITES = {
         "class-poly-certificate": _class_poly_certificate,
         "e1-quadrature": _e1_quadrature,
         "l-value-class-number": _l_value_class_number,
+        "l-derivative-chowla-selberg": _l_derivative_chowla_selberg,
     },
 }
 

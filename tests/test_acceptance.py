@@ -6,7 +6,8 @@ LogLinear or integer equality; numeric checks carry their stated
 tolerances inline.  The discriminant matrix is shared with the verify
 suites; criteria 1, 2, 4 and 6 run the ``verify`` checks that state them
 (``degree-coefficient-identity``; ``zeta-convolution``;
-``l-value-class-number`` and ``e1-quadrature``).
+``l-value-class-number``, ``l-derivative-chowla-selberg`` and
+``e1-quadrature``).
 """
 
 import random
@@ -103,8 +104,9 @@ def test_criterion_5_singular_moduli():
 def test_criterion_6_analytic_cross_checks():
     """L-values vs class numbers, E1 vs quadrature, j-value certificates."""
     started = time.time()
-    # L(0) = 2h/w for every fundamental d >= -200; E1 against quadrature at 6 points
-    for check in ("l-value-class-number", "e1-quadrature"):
+    # L(0) = 2h/w and L'(0) against the log Gamma sum for every fundamental d >= -200;
+    # E1 against quadrature at 9 points
+    for check in ("l-value-class-number", "l-derivative-chowla-selberg", "e1-quadrature"):
         assert SUITES["oracle"][check](random.Random(0)) is None
     # the two-route agreement check runs inside every evaluation
     with mpmath.mp.workprec(200):

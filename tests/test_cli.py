@@ -14,6 +14,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import cmeis.cli
@@ -757,6 +758,23 @@ def test_production_path_reads_no_hensel_lift(monkeypatch):
     assert run() == want
 
 
+def test_constant_term_needs_no_log_gamma(capsys, monkeypatch):
+    # L'(0) comes from the Chowla-Selberg sum over the CM points; the log Gamma sum is
+    # a verify check only.  The sha256 is of the bytes printed when L'(0) still came
+    # from log Gamma, so the move kept them
+    def no_log_gamma(*args, **kwargs):
+        raise AssertionError("log Gamma on the coeffs path")
+
+    monkeypatch.setattr(mpmath, "loggamma", no_log_gamma)
+    code, out, _ = _run(
+        capsys, "coeffs", "--d1", "-7", "--d2", "-23", "--trace-max", "1", "--v1", "1", "--v2", "0.9"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5c3d764fdfce05162565b5ac8c5370d3bab37404488d2e7f5480d433bcb1fef"
+    )
+
+
 def test_missing_imaginary_part_is_a_value_error():
     setup = Setup(-3, -7)
     with pytest.raises(ValueError, match="must be positive"):
@@ -904,7 +922,13 @@ _genus_char_prime = cmeis.genus.genus_char_prime
 _class_reps = cmeis.oracle.class_reps
 _hilbert_class_poly = cmeis.oracle.hilbert_class_poly
 _class_number = cmeis.oracle.class_number
+_kronecker = cmeis.verify.kronecker
+_lambda_at_zero = cmeis.oracle.lambda_at_zero
 _rational_genus_char = cmeis.genus._rational_genus_char
+
+
+def _chi_flipped_at_1(d, a):
+    return -_kronecker(d, a) if a == 1 else _kronecker(d, a)
 
 
 def _loglinear_keeping_zeros(terms):
@@ -980,6 +1004,8 @@ FAULTS = {
     ),
     "e1-quadrature": ("oracle", cmeis.oracle, "e1", lambda x, precision: 0),
     "l-value-class-number": ("oracle", cmeis.oracle, "class_number", lambda d: _class_number(d) + 1),
+    # chi(1) flipped in the check's log Gamma sum
+    "l-derivative-chowla-selberg": ("oracle", cmeis.verify, "kronecker", _chi_flipped_at_1),
 }
 # the text each failure's detail must contain: the violated invariant
 FAULT_DETAILS = {
@@ -1004,6 +1030,7 @@ FAULT_DETAILS = {
     "class-poly-certificate": "class poly residual too big",
     "e1-quadrature": "e1 vs quadrature",
     "l-value-class-number": "exact L(0) != 2h/w",
+    "l-derivative-chowla-selberg": "L'(0) off the log Gamma sum",
 }
 
 
@@ -1036,6 +1063,32 @@ def test_factor_roundtrip_checks_order_and_exponents(monkeypatch):
     for broken in (reversed_pairs, zero_at_2):
         monkeypatch.setattr(cmeis.verify, "factor", broken)
         assert "factor round-trip failed" in check(random.Random(0))
+
+
+def _without_log_d_term(d, precision):
+    # L'(0) + L(0) log|d|: the Chowla-Selberg sum with the Hurwitz term left out
+    center = _lambda_at_zero(d, precision)
+    return dataclasses.replace(
+        center, l_derivative=center.l_derivative + center.l_value * mpmath.log(-d)
+    )
+
+
+@pytest.mark.parametrize(
+    "attr, broken",
+    [
+        ("kronecker", _chi_flipped_at_1),
+        ("lambda_at_zero", _without_log_d_term),
+        ("class_reps", lambda d: _class_reps(d)[:-1] or _class_reps(d)),
+    ],
+    ids=["chi-flipped-at-1", "log-d-term-dropped", "last-form-left-out"],
+)
+def test_l_derivative_check_catches_each_fault(monkeypatch, attr, broken):
+    # a flipped chi(a) in the log Gamma sum, L'(0) without its L(0) log|d| term, and a
+    # Chowla-Selberg sum short of one form (where h > 1) each fail the check
+    module = cmeis.verify if attr == "kronecker" else cmeis.oracle
+    monkeypatch.setattr(module, attr, broken)
+    detail = SUITES["oracle"]["l-derivative-chowla-selberg"](random.Random(0))
+    assert detail and "L'(0) off the log Gamma sum" in detail
 
 
 # Faults in the local rule of rho, in chi and in the index ideal: each (name, broken)

@@ -432,6 +432,25 @@ def test_l_derivative_against_hurwitz_numeric():
             )
 
 
+def test_l_derivative_holds_its_guard_bits():
+    # the docstring's bound: half a unit in the last place of the (p + 32)-bit value,
+    # plus 2^-(p + 40), against the log Gamma sum at 2 p + 64 bits.  With 1 guard bit
+    # past p + 32 the Chowla-Selberg terms, up to h pi sqrt|d|, break it at each d here
+    for d in (-3, -4, -7, -8, -23, -191):
+        fd = -d
+        chi = [kronecker(d, a) for a in range(fd)]
+        l0 = Fraction(sum(c * (fd - 2 * a) for a, c in enumerate(chi)), 2 * fd)
+        for p in (64, 96, 128, 160):
+            got = lambda_at_zero(d, p).l_derivative
+            with mpmath.mp.workprec(2 * p + 64):
+                gamma_sum = mpmath.fsum(
+                    c * mpmath.loggamma(mpmath.mpf(a) / fd) for a, c in enumerate(chi) if c
+                )
+                ref = gamma_sum - l0.numerator * mpmath.log(fd) / l0.denominator
+                half_ulp = mpmath.mpf(2) ** (mpmath.mag(ref) - (p + 33))
+                assert abs(got - ref) <= half_ulp + mpmath.mpf(2) ** -(p + 40), (d, p)
+
+
 def test_completed_derivative_assembly():
     # Lambda(s) = |d|^(s/2) GammaR(s+1) L(s); compare against mpmath pieces
     d = -7
